@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace wormcast {
 
@@ -90,10 +91,7 @@ void Channel::pump() {
   // must see last_send_ current so it schedules the next tick, not this one.
   last_send_ = sim_.now();
   const TxByte b = feed_->take_byte();
-  if (b.head) {
-    burst_ok_ = b.worm == nullptr || b.worm->kind != WormKind::kSwitchMcast;
-    if (faults_ != nullptr && faults_->armed()) classify_fault(b);
-  }
+  if (b.head && faults_ != nullptr && faults_->armed()) classify_fault(b);
 #if !defined(WORMCAST_TRACE_DISABLED)
   if (sim_.tracer().enabled()) {
     if (b.head) {
@@ -158,28 +156,32 @@ void Channel::pump() {
   }
 }
 
+std::int64_t Channel::burst_headroom() const {
+  if (!burst_ || feed_ == nullptr || stopped_ || last_send_ >= sim_.now())
+    return 0;
+  // The synthesized-tail byte of a truncated worm (and everything after
+  // it) steps per-byte; a swallowed worm reaches no sink.
+  const std::int64_t cap = fault_mode_ == FaultMode::kTruncate
+                               ? fault_pass_left_ - 1
+                               : std::numeric_limits<std::int64_t>::max();
+  if (fault_mode_ == FaultMode::kSwallow) return cap;
+  // Flow-control safety: never let (in flight + this burst) reach the
+  // receiver's STOP decision point, so no STOP/GO signal can move. In
+  // cross-executor mode the sink is on another thread, so the budget is
+  // the conservative barrier-published snapshot instead of a live read.
+  return std::min(cap, bus_ != nullptr
+                           ? budget_left_
+                           : sink_->rx_burst_budget() - in_flight_bytes_);
+}
+
 bool Channel::try_burst() {
   // A burst may cover only plain body bytes of an already-classified worm:
   // burst_available() excludes heads and tails by contract, and the fault
   // mode was fixed when this worm's head went through per-byte.
-  if (!burst_ok_) return false;
   std::int64_t cap = feed_->burst_available();
   if (cap <= 1) return false;
-  if (fault_mode_ == FaultMode::kTruncate) {
-    // The synthesized-tail byte (and everything after it) steps per-byte.
-    cap = std::min(cap, fault_pass_left_ - 1);
-    if (cap <= 1) return false;
-  }
-  if (fault_mode_ != FaultMode::kSwallow) {
-    // Flow-control safety: never let (in flight + this burst) reach the
-    // receiver's STOP decision point, so no STOP/GO signal can move. In
-    // cross-executor mode the sink is on another thread, so the budget is
-    // the conservative barrier-published snapshot instead of a live read.
-    cap = std::min(cap, bus_ != nullptr
-                            ? budget_left_
-                            : sink_->rx_burst_budget() - in_flight_bytes_);
-    if (cap <= 1) return false;
-  }
+  cap = std::min(cap, burst_headroom());
+  if (cap <= 1) return false;
 
   last_send_ = sim_.now();  // claim the tick across the re-entrant window
   const std::int64_t n = feed_->take_bytes(cap);

@@ -20,7 +20,10 @@
 // can observe the difference — results are bit-for-bit identical to
 // per-byte stepping (the determinism-equivalence suite pins this). Head
 // bytes, tail bytes, STOP/GO transitions, and truncation boundaries always
-// step per-byte.
+// step per-byte. Whether a run is available is the feed's call alone
+// (burst_available()); switch-level multicast branches burst too, as a
+// gang: the replication engine commits one run for every branch channel
+// of a connection in the same tick (switch_mcast_engine.h).
 #pragma once
 
 #include <cstdint>
@@ -183,6 +186,14 @@ class Channel {
   void signal_go();
   [[nodiscard]] bool tx_stopped() const { return stopped_; }
 
+  /// Longest run a burst committed at the current tick may carry: 0 unless
+  /// burst mode is on and the transmitter can send now (feed attached,
+  /// un-STOPped, tick not yet claimed); otherwise the truncation boundary
+  /// and the receiver's flow-control headroom net of bytes in flight. The
+  /// channel's own burst path and the multicast engine's gang check (which
+  /// must know every branch channel can take the same run) both use it.
+  [[nodiscard]] std::int64_t burst_headroom() const;
+
   /// Bytes *delivered* to the receiver by now (link utilization
   /// accounting). Bytes a fault swallowed do not count — a dead link must
   /// not inflate measured utilization; see bytes_swallowed(). A burst
@@ -248,10 +259,6 @@ class Channel {
   LazyDeque<InFlight> in_flight_;
   FaultMode fault_mode_ = FaultMode::kNone;
   std::int64_t fault_pass_left_ = 0;  // kTruncate: bytes still delivered
-  /// Set at the head byte: bursts are legal for this worm (switch-level
-  /// multicast worms always step per-byte — the replication engine paces
-  /// branches byte-by-byte).
-  bool burst_ok_ = false;
   // Trace track identity (transmitter end) and the current worm's id for
   // head/tail span pairing; maintained only while tracing is enabled.
   std::int32_t trace_node_ = -1;

@@ -19,6 +19,15 @@ class SwitchMcastEngine::BranchFeed final : public ByteFeed {
   }
   TxByte take_byte() override { return engine_.branch_take(conn_, idx_); }
   void on_tail_sent() override { engine_.branch_tail_sent(conn_, idx_); }
+  [[nodiscard]] std::int64_t burst_available() const override {
+    return engine_.branch_burst_available(conn_, idx_);
+  }
+  std::int64_t take_bytes(std::int64_t max) override {
+    return engine_.branch_take_run(conn_, idx_, max);
+  }
+  [[nodiscard]] Time next_byte_time() const override {
+    return engine_.branch_next_byte_time(conn_, idx_);
+  }
 
  private:
   SwitchMcastEngine& engine_;
@@ -39,10 +48,19 @@ struct SwitchMcastEngine::Branch {
   bool closing = false;  // next byte is the synthetic fragment trailer
   bool claim_pending = false;
   bool done = false;
+  bool gang_pending = false;  // owes this tick's gang run (McastConn::gang_n)
   std::unique_ptr<BranchFeed> feed;
+
+  /// Mid-body: the next byte is a plain body byte of an open fragment.
+  [[nodiscard]] bool mid_body() const {
+    return open && holding_port && !closing && !done && frag_sent > 0 &&
+           frag_prefix_sent == static_cast<std::int64_t>(prefix.size());
+  }
 };
 
-struct SwitchMcastEngine::Conn {
+struct McastConn {
+  using Branch = SwitchMcastEngine::Branch;
+
   SwitchRt* sw = nullptr;
   InPort* in = nullptr;
   WormPtr worm;
@@ -50,12 +68,25 @@ struct SwitchMcastEngine::Conn {
   std::int64_t in_wire = 0;          // declared (advisory for fragments)
   std::int64_t encoding_len = 0;     // route prefix bytes on the input
   std::int64_t prefix_consumed = 1;  // do_route consumed the first byte
-  std::int64_t body_consumed = 0;    // input bytes released to GO signalling
   std::vector<Branch> branches;
   bool check_scheduled = false;
+  /// Lockstep bookkeeping: the minimum body_taken over all branches and how
+  /// many branches sit at it (every other branch is exactly one ahead).
+  /// Input body bytes below the minimum are released to GO signalling.
+  std::int64_t min_taken = 0;
+  std::size_t at_min = 0;
+  /// The gang run committed this tick: every branch with gang_pending set
+  /// takes exactly gang_n bytes in tick gang_at.
+  Time gang_at = kTimeNever;
+  std::int64_t gang_n = 0;
 
-  /// Body bytes that have arrived so far on the input.
+  /// Body bytes that have logically arrived by now on the input.
   [[nodiscard]] std::int64_t body_arrived() const {
+    return std::max<std::int64_t>(0, in->front_arrived() - encoding_len);
+  }
+  /// Body bytes physically buffered on the input (some may still be
+  /// logically in flight; they arrive one per byte-time).
+  [[nodiscard]] std::int64_t body_received() const {
     return std::max<std::int64_t>(0, in->front_received() - encoding_len);
   }
   /// True once the input tail arrived: body_arrived() is then final.
@@ -106,8 +137,10 @@ void SwitchMcastEngine::start(InPort& in) {
     }
   }
   assert(!c.branches.empty() && "multicast with no branches");
+  c.at_min = c.branches.size();
 
   Conn* raw = conn.get();
+  in.set_mcast_conn(raw);
   conns_.emplace(&in, std::move(conn));
   WORMTRACE(sim_, kMcastStart, c.sw->node(), in.port(), c.worm->id,
             c.branches.size());
@@ -122,20 +155,22 @@ void SwitchMcastEngine::start(InPort& in) {
 }
 
 void SwitchMcastEngine::on_input_bytes(InPort& in) {
-  const auto it = conns_.find(&in);
-  if (it == conns_.end()) return;
-  Conn& c = *it->second;
+  Conn& c = *in.mcast_conn();
   consume_prefix(c);
   kick_all(c);
 }
 
 void SwitchMcastEngine::consume_prefix(Conn& c) {
-  // Encoding bytes are consumed as they arrive (parsed by the switch).
-  while (c.prefix_consumed < c.encoding_len &&
-         c.prefix_consumed < c.in->front_received()) {
-    c.in->mcast_consume();
-    ++c.prefix_consumed;
-  }
+  // Encoding bytes are consumed as they physically arrive (parsed by the
+  // switch). Bytes of a burst still logically in flight are released
+  // early, like a unicast drain commit: no STOP/GO decision can fall
+  // inside a burst's logical window, and copies wait for the logical
+  // arrival of the whole encoding (branch_byte_available).
+  const std::int64_t upto =
+      std::min(c.encoding_len, c.in->front_received());
+  if (c.prefix_consumed >= upto) return;
+  c.in->mcast_consume(upto - c.prefix_consumed);
+  c.prefix_consumed = upto;
 }
 
 void SwitchMcastEngine::open_fragment(Conn& c, std::size_t idx) {
@@ -193,19 +228,106 @@ void SwitchMcastEngine::claim_complete(Conn& c, std::size_t idx) {
 bool SwitchMcastEngine::branch_byte_available(const Conn& c,
                                               std::size_t idx) const {
   const Branch& b = c.branches[idx];
+  if (b.gang_pending) return true;  // a sibling committed this tick's run
   if (b.done || !b.open || !b.holding_port) return false;
   // The whole route encoding must have arrived before copies flow.
-  if (c.in->front_received() < c.encoding_len) return false;
+  if (c.in->front_arrived() < c.encoding_len) return false;
   if (b.frag_prefix_sent < static_cast<std::int64_t>(b.prefix.size()))
     return true;
   if (b.closing) return true;
   const std::int64_t i = b.body_taken;
   if (i >= c.body_arrived()) return false;
-  return i == min_body_taken(c);  // lockstep: only the laggard(s) advance
+  return i == c.min_taken;  // lockstep: only the laggard(s) advance
+}
+
+Time SwitchMcastEngine::branch_next_byte_time(const Conn& c,
+                                              std::size_t idx) const {
+  // Starved only by input bytes that are buffered but not logically
+  // arrived: one arrives every byte-time and no kick will announce it.
+  // Every other wait (port claim, lockstep, an empty input) ends in a kick.
+  const Branch& b = c.branches[idx];
+  if (b.done || !b.open || !b.holding_port) return kTimeNever;
+  const std::int64_t arrived = c.in->front_arrived();
+  const bool pending = arrived < c.in->front_received();
+  if (arrived < c.encoding_len)
+    return pending ? sim_.now() + 1 : kTimeNever;
+  if (pending && b.body_taken == c.min_taken &&
+      b.body_taken >= c.body_arrived())
+    return sim_.now() + 1;
+  return kTimeNever;
+}
+
+std::int64_t SwitchMcastEngine::gang_room(const Conn& c) const {
+  // Under per-byte stepping, in each of the ticks t..t+n-1 the laggards
+  // (at min_taken) send one body byte and then, the minimum having moved,
+  // the leaders (one ahead) send theirs — provided the input byte each
+  // needs has logically arrived, every branch is mid-body and no branch
+  // channel is STOPped. Grant n only when all of that is guaranteed for
+  // the whole run.
+  const std::int64_t lead = c.at_min < c.branches.size() ? 1 : 0;
+  const std::int64_t first = c.min_taken + lead;  // newest byte sent at t
+  if (first >= c.body_arrived()) return 0;
+  // Buffered bytes arrive one per byte-time, so everything physically
+  // here is committable; the input's tail byte always steps per-byte.
+  std::int64_t n = c.body_received() - (c.body_final() ? 1 : 0) - first;
+  // Releasing the run's input bytes at once must not move STOP/GO.
+  n = std::min(n, c.in->drain_burst_limit());
+  for (const Branch& b : c.branches) {
+    if (n <= 1 || !b.mid_body()) return 0;
+    n = std::min(n, c.sw->out_port(b.port).channel->burst_headroom());
+  }
+  return n > 1 ? n : 0;
+}
+
+std::int64_t SwitchMcastEngine::branch_burst_available(const Conn& c,
+                                                       std::size_t idx) const {
+  const Branch& b = c.branches[idx];
+  if (b.gang_pending) {
+    assert(c.gang_at == sim_.now() && "gang run not taken in its tick");
+    return c.gang_n;
+  }
+  // Only a laggard can open the tick's run: a leader is not byte-available
+  // until the minimum moves, so its pump never gets here first.
+  if (b.body_taken != c.min_taken) return 0;
+  return gang_room(c);
+}
+
+std::int64_t SwitchMcastEngine::branch_take_run(Conn& c, std::size_t idx,
+                                                std::int64_t max) {
+  Branch& b = c.branches[idx];
+  std::int64_t n = max;
+  if (b.gang_pending) {
+    assert(c.gang_at == sim_.now() && max == c.gang_n &&
+           "every branch must take the same run in the same tick");
+    b.gang_pending = false;
+  } else {
+    // First branch of the tick: commit the run for the whole connection.
+    // Every branch advances by n, so the lockstep minimum does too, and
+    // the input releases the run's bytes now (drain_burst_limit allowed
+    // it); the channels deliver them one per byte-time.
+    assert(n >= 2);
+    c.gang_at = sim_.now();
+    c.gang_n = n;
+    c.min_taken += n;
+    c.in->mcast_consume(n);
+    for (std::size_t i = 0; i < c.branches.size(); ++i) {
+      if (i == idx) continue;
+      c.branches[i].gang_pending = true;
+      // Its channel has not sent this tick (burst_headroom checked), so
+      // this lands a pump in the same tick if none is scheduled yet.
+      c.sw->out_port(c.branches[i].port).channel->kick();
+    }
+  }
+  b.body_taken += n;
+  b.frag_sent += n;
+  // The run's newest byte leaves at now + n - 1, as InPort::take_bytes.
+  c.sw->out_port(b.port).last_data_byte = sim_.now() + n - 1;
+  return n;
 }
 
 TxByte SwitchMcastEngine::branch_take(Conn& c, std::size_t idx) {
   Branch& b = c.branches[idx];
+  assert(!b.gang_pending && "gang run must be taken as a burst");
   TxByte out;
   out.head = (b.frag_sent == 0);
   if (out.head) {
@@ -227,6 +349,7 @@ TxByte SwitchMcastEngine::branch_take(Conn& c, std::size_t idx) {
     b.closing = false;
     return out;
   }
+  assert(b.body_taken == c.min_taken && "only laggards take body bytes");
   ++b.body_taken;
   if (c.body_final() && b.body_taken == c.body_arrived()) {
     out.tail = true;
@@ -237,14 +360,13 @@ TxByte SwitchMcastEngine::branch_take(Conn& c, std::size_t idx) {
 }
 
 void SwitchMcastEngine::after_body_take(Conn& c) {
-  const std::int64_t m = min_body_taken(c);
-  bool advanced = false;
-  while (c.body_consumed < m) {
-    c.in->mcast_consume();
-    ++c.body_consumed;
-    advanced = true;
-  }
-  if (advanced) kick_all(c);
+  // The taker left the minimum; once the last laggard has, every branch
+  // sits at the new minimum (none can be two ahead).
+  if (--c.at_min > 0) return;
+  ++c.min_taken;
+  c.at_min = c.branches.size();
+  c.in->mcast_consume();
+  kick_all(c);
 }
 
 void SwitchMcastEngine::kick_all(Conn& c) {
@@ -273,19 +395,10 @@ void SwitchMcastEngine::finish(Conn& c) {
   InPort* key = c.in;
   WORMTRACE(sim_, kMcastFinish, c.sw->node(), c.in->port(), c.worm->id, 0);
   // Release any input bytes not yet consumed.
-  while (c.body_consumed < c.body_arrived()) {
-    c.in->mcast_consume();
-    ++c.body_consumed;
-  }
+  if (c.min_taken < c.body_arrived())
+    c.in->mcast_consume(c.body_arrived() - c.min_taken);
   c.in->mcast_finish_front();
   conns_.erase(key);
-}
-
-std::int64_t SwitchMcastEngine::min_body_taken(const Conn& c) const {
-  assert(!c.branches.empty());
-  std::int64_t m = c.branches.front().body_taken;
-  for (const Branch& b : c.branches) m = std::min(m, b.body_taken);
-  return m;
 }
 
 bool SwitchMcastEngine::any_branch_stopped(const Conn& c) const {
@@ -319,9 +432,10 @@ void SwitchMcastEngine::close_fragment(Conn& c, std::size_t idx) {
 }
 
 void SwitchMcastEngine::periodic_check(InPort* key) {
-  const auto it = conns_.find(key);
-  if (it == conns_.end()) return;  // connection finished
-  Conn& c = *it->second;
+  // The port's current connection, which may be a later worm's: the check
+  // chain is keyed by input port, not by connection.
+  if (key->mcast_conn() == nullptr) return;  // connection finished
+  Conn& c = *key->mcast_conn();
   if (config_.scheme == SwitchMcastScheme::kInterrupt) {
     if (any_branch_stopped(c)) {
       // Interrupt: non-blocked branches give up their paths (Section 3,

@@ -18,6 +18,20 @@
 //    idle_flush_threshold byte-times while held by a multicast flags
 //    multicast-IDLE; a unicast worm blocked on it is flushed from the
 //    network and its source notified to retransmit after a random timeout.
+//
+// Gang bursts (the burst-mode hot path, DESIGN §6b). Lockstep means a
+// branch advances only while it sits at the connection's minimum
+// body_taken, so every branch is at the minimum L or one ahead at L+1.
+// When, at tick t, every branch is mid-body (open, holding its port, prefix
+// sent, not closing), every branch channel can take a burst of n bytes
+// now, and the input holds the bytes and may release n of them without a
+// STOP/GO decision moving, each branch would send one body byte per tick
+// for the next n ticks under per-byte stepping. The first branch channel
+// to pump in tick t then commits that run for the whole connection, the
+// input releases its n bytes at once, and every sibling's pump in the same
+// tick takes exactly the same n. Heads, prefixes, fragment trailers, final
+// tails and ticks where the condition fails step per-byte through the same
+// Branch state machine; results are bit-identical either way.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +84,8 @@ class SwitchMcastEngine final : public McastEngine {
   [[nodiscard]] std::int64_t unicasts_flushed() const { return flushed_; }
 
  private:
-  struct Conn;
+  friend struct McastConn;
+  using Conn = McastConn;
   class BranchFeed;
   struct Branch;
 
@@ -80,13 +95,18 @@ class SwitchMcastEngine final : public McastEngine {
   void branch_tail_sent(Conn& conn, std::size_t idx);
   [[nodiscard]] bool branch_byte_available(const Conn& conn, std::size_t idx) const;
   TxByte branch_take(Conn& conn, std::size_t idx);
+  [[nodiscard]] std::int64_t branch_burst_available(const Conn& conn,
+                                                    std::size_t idx) const;
+  std::int64_t branch_take_run(Conn& conn, std::size_t idx, std::int64_t max);
+  [[nodiscard]] Time branch_next_byte_time(const Conn& conn,
+                                           std::size_t idx) const;
+  [[nodiscard]] std::int64_t gang_room(const Conn& conn) const;
   void after_body_take(Conn& conn);
   void consume_prefix(Conn& conn);
   void kick_all(Conn& conn);
   void periodic_check(InPort* key);
   void watch_for_flush(SwitchRt* sw, InPort* in, PortId out);
   void finish(Conn& conn);
-  [[nodiscard]] std::int64_t min_body_taken(const Conn& conn) const;
   [[nodiscard]] bool any_branch_stopped(const Conn& conn) const;
 
   Simulator& sim_;

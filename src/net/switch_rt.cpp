@@ -1,7 +1,8 @@
 #include "net/switch_rt.h"
 
-#include <iterator>
 #include <cassert>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "net/switch_mcast.h"
@@ -47,7 +48,7 @@ void InPort::on_body(bool tail) {
   check_stop();
   if (connected_ && &rx == &rx_queue_.front()) {
     sw_.out_port(out_port_).channel->kick();
-  } else if (mcast_active_ && &rx == &rx_queue_.front()) {
+  } else if (mcast_conn_ != nullptr && &rx == &rx_queue_.front()) {
     sw_.mcast_engine()->on_input_bytes(*this);
   }
 }
@@ -73,8 +74,7 @@ void InPort::do_route() {
     McastEngine* engine = sw_.mcast_engine();
     if (engine == nullptr)
       throw std::logic_error("switch-level multicast worm but no engine installed");
-    mcast_active_ = true;
-    engine->start(*this);
+    engine->start(*this);  // sets mcast_conn_
     return;
   }
 
@@ -92,9 +92,19 @@ bool InPort::byte_available() const {
 }
 
 std::int64_t InPort::front_available() const {
+  return (front_arrived() - 1) - forwarded_;
+}
+
+std::int64_t InPort::front_arrived() const {
   const RxWorm& front = rx_queue_.front();
   const Time pending = std::max<Time>(0, front.run_end - sw_.sim().now());
-  return (front.received - pending - 1) - forwarded_;
+  return front.received - pending;
+}
+
+std::int64_t InPort::drain_burst_limit() const {
+  if (stop_sent_) return buffered_ - sw_.config().go_threshold - 1;
+  if (buffered_ > sw_.config().stop_threshold - 2) return 0;
+  return std::numeric_limits<std::int64_t>::max();
 }
 
 std::int64_t InPort::rx_burst_budget() const {
@@ -117,7 +127,7 @@ void InPort::on_body_burst(std::int64_t n, bool tail) {
   check_stop();
   if (connected_ && &rx == &rx_queue_.front()) {
     sw_.out_port(out_port_).channel->kick();
-  } else if (mcast_active_ && &rx == &rx_queue_.front()) {
+  } else if (mcast_conn_ != nullptr && &rx == &rx_queue_.front()) {
     sw_.mcast_engine()->on_input_bytes(*this);
   }
 }
@@ -131,16 +141,7 @@ std::int64_t InPort::burst_available() const {
   // matching the send rate. The tail byte always steps per-byte.
   std::int64_t n = (front.received - 1) - forwarded_;
   if (front.tail_seen) --n;
-  // Drain-side flow-control guards: the run must neither cross the GO
-  // threshold (when stopped upstream) nor let per-byte stepping's transient
-  // peak reach STOP (when not stopped) — otherwise a signal would fire
-  // mid-run in one mode but not the other.
-  if (stop_sent_) {
-    n = std::min(n, buffered_ - sw_.config().go_threshold - 1);
-  } else if (buffered_ > sw_.config().stop_threshold - 2) {
-    return 0;
-  }
-  return std::max<std::int64_t>(0, n);
+  return std::max<std::int64_t>(0, std::min(n, drain_burst_limit()));
 }
 
 std::int64_t InPort::take_bytes(std::int64_t max) {
@@ -204,15 +205,15 @@ void InPort::granted(PortId out_port) {
   forwarded_ = 0;
 }
 
-void InPort::mcast_consume() {
-  --buffered_;
+void InPort::mcast_consume(std::int64_t n) {
+  buffered_ -= n;
   after_byte_removed();
 }
 
 void InPort::flush_front() {
   assert(!rx_queue_.empty());
   RxWorm& front = rx_queue_.front();
-  assert(front.routed && !connected_ && !mcast_active_ &&
+  assert(front.routed && !connected_ && mcast_conn_ == nullptr &&
          "can only flush a worm waiting for an output");
   front.worm->flushed = true;
   // Drop the bytes already buffered; the rest of the worm drains out of the
@@ -229,9 +230,9 @@ void InPort::flush_front() {
 }
 
 void InPort::mcast_finish_front() {
-  assert(mcast_active_ && !rx_queue_.empty());
+  assert(mcast_conn_ != nullptr && !rx_queue_.empty());
   rx_queue_.pop_front();
-  mcast_active_ = false;
+  mcast_conn_ = nullptr;
   if (!rx_queue_.empty()) begin_routing();
 }
 

@@ -24,6 +24,7 @@ namespace wormcast {
 
 class SwitchRt;
 class McastEngine;
+struct McastConn;
 
 /// Per-switch flow-control and timing parameters.
 struct SwitchConfig {
@@ -73,17 +74,33 @@ class InPort final : public RxSink, public ByteFeed {
   /// Called by the output port when this input wins arbitration.
   void granted(PortId out_port);
 
-  /// Consumes one buffered byte on behalf of a multicast connection (the
+  /// Most buffered bytes one drain commit may release at once so that no
+  /// STOP/GO decision differs from per-byte stepping (one byte leaving per
+  /// byte-time): with STOP out the run must stop above the GO threshold,
+  /// and next to the STOP threshold (per-byte stepping's transient peak)
+  /// nothing may be committed. Unicast forwarding and the multicast
+  /// engine's gang release both obey it.
+  [[nodiscard]] std::int64_t drain_burst_limit() const;
+
+  /// Consumes `n` buffered bytes on behalf of a multicast connection (the
   /// multicast engine forwards to several outputs at once and manages its
   /// own pacing).
-  void mcast_consume();
+  void mcast_consume(std::int64_t n = 1);
   /// Completes the front worm for the multicast engine (all branches done).
   void mcast_finish_front();
-  /// Bytes of the front worm that have arrived (head included) and its
-  /// declared wire length; used by the multicast engine for pacing.
+  /// The multicast connection that owns the front worm (null when none);
+  /// set by the engine for the lifetime of the connection.
+  [[nodiscard]] McastConn* mcast_conn() const { return mcast_conn_; }
+  void set_mcast_conn(McastConn* conn) { mcast_conn_ = conn; }
+  /// Bytes of the front worm that have physically arrived (head included)
+  /// and its declared wire length; used by the multicast engine for pacing.
   [[nodiscard]] std::int64_t front_received() const {
     return rx_queue_.front().received;
   }
+  /// Bytes of the front worm that have *logically* arrived by now (head
+  /// included): a burst delivered at t carries arrival times t..t+n-1, so
+  /// its later bytes count only once their time has come.
+  [[nodiscard]] std::int64_t front_arrived() const;
   [[nodiscard]] std::int64_t front_wire_len() const {
     return rx_queue_.front().wire_len;
   }
@@ -132,8 +149,8 @@ class InPort final : public RxSink, public ByteFeed {
   // When the pending output request was issued (arbitration key).
   friend class SwitchRt;
   Time request_time_ = 0;
-  // True while the front worm is owned by the switch-level multicast engine.
-  bool mcast_active_ = false;
+  // Set while the front worm is owned by the switch-level multicast engine.
+  McastConn* mcast_conn_ = nullptr;
 };
 
 /// One switch output port: the downstream channel plus its wait queue.

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/network.h"
@@ -342,6 +344,96 @@ TEST(CheckExpectations, CleanLossyRunPassesStandardRules) {
   const CheckReport rep = net.check_expectations();
   EXPECT_TRUE(rep.ok()) << rep.format();
   EXPECT_GT(rep.obligations, 0);
+}
+
+struct FlushRun {
+  Network::Summary summary;
+  std::vector<double> mcast_latency;
+  std::vector<double> unicast_latency;
+  std::int64_t fragments = 0;
+  std::int64_t flushed = 0;
+  std::int64_t events = 0;
+};
+
+/// Scheme (c): switch-level multicasts every 2,500 byte-times over Poisson
+/// unicast on a 4x4 torus, so blocked unicasts get flushed off ports the
+/// (bursting) multicast branches hold.
+FlushRun run_flush_unicast(Network& net) {
+  for (int i = 0; i < 12; ++i) {
+    net.sim().at(1'000 + 2'500 * i, [&net, i] {
+      (void)net.send_switch_multicast(static_cast<HostId>((5 * i) % 16), i % 2,
+                                      1'000);
+    });
+  }
+  net.run(/*warmup=*/1'000, /*measure=*/30'000, /*drain_cap=*/300'000);
+  FlushRun r;
+  r.summary = net.summary();
+  r.mcast_latency = net.metrics().mcast_latency().sorted_values();
+  r.unicast_latency = net.metrics().unicast_latency().sorted_values();
+  r.fragments = net.switch_mcast_engine().fragments_sent();
+  r.flushed = net.switch_mcast_engine().unicasts_flushed();
+  r.events = net.sim().events_dispatched();
+  return r;
+}
+
+TEST(CheckExpectations, FlushUnicastWithMulticastBurstsIsCleanAndTraceInvariant) {
+  ExperimentConfig cfg;
+  cfg.protocol.scheme = Scheme::kHamiltonianSF;
+  cfg.switch_mcast.scheme = SwitchMcastScheme::kFlushUnicast;
+  cfg.traffic.offered_load = 0.25;
+  cfg.traffic.multicast_fraction = 0.0;
+  cfg.seed = 17;
+  std::vector<MulticastGroupSpec> groups(2);
+  for (int g = 0; g < 2; ++g) {
+    groups[static_cast<std::size_t>(g)].id = g;
+    for (HostId h = 0; h < 8; ++h)
+      groups[static_cast<std::size_t>(g)].members.push_back(
+          static_cast<HostId>((h * 2 + g * 3) % 16));
+  }
+  Network traced(make_torus(4, 4), groups, cfg);
+  traced.enable_tracing(std::size_t{1} << 18);
+  const FlushRun on = run_flush_unicast(traced);
+  Network plain(make_torus(4, 4), groups, cfg);
+  const FlushRun off = run_flush_unicast(plain);
+
+  ASSERT_GT(on.flushed, 0) << "scenario must exercise the idle-flush rule";
+  const CheckReport rep = traced.check_expectations();
+  ASSERT_TRUE(rep.usable) << rep.refusal;
+  EXPECT_TRUE(rep.ok()) << rep.format();
+
+  // The rule's evidence on multicast-held ports now includes burst commits:
+  // count kChanBurst records on a port while a fragment of the same worm
+  // holds it (fragment open .. close on that switch output).
+  const std::vector<TraceEvent> events =
+      traced.sim().tracer().snapshot(std::size_t{1} << 18);
+  std::vector<std::pair<std::int64_t, std::uint64_t>> held;  // (track, worm)
+  std::int64_t mcast_port_bursts = 0;
+  const auto track = [](const TraceEvent& e) {
+    return (static_cast<std::int64_t>(e.node) << 16) | e.port;
+  };
+  for (const TraceEvent& e : events) {
+    const std::pair<std::int64_t, std::uint64_t> key{track(e), e.worm};
+    if (e.type == T::kMcastFragOpen) {
+      held.push_back(key);
+    } else if (e.type == T::kMcastFragClose) {
+      const auto it = std::find(held.begin(), held.end(), key);
+      if (it != held.end()) held.erase(it);
+    } else if (e.type == T::kChanBurst &&
+               std::find(held.begin(), held.end(), key) != held.end()) {
+      ++mcast_port_bursts;
+    }
+  }
+  EXPECT_GT(mcast_port_bursts, 0);
+
+  // Tracing is an observer: the traced run is the untraced run.
+  EXPECT_EQ(on.summary.messages_completed, off.summary.messages_completed);
+  EXPECT_EQ(on.summary.measured_utilization, off.summary.measured_utilization);
+  EXPECT_EQ(on.summary.outstanding, off.summary.outstanding);
+  EXPECT_EQ(on.mcast_latency, off.mcast_latency);
+  EXPECT_EQ(on.unicast_latency, off.unicast_latency);
+  EXPECT_EQ(on.fragments, off.fragments);
+  EXPECT_EQ(on.flushed, off.flushed);
+  EXPECT_EQ(on.events, off.events);
 }
 
 TEST(CheckExpectations, CrashAndRepairRunPassesStandardRules) {

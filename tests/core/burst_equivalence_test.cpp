@@ -6,6 +6,10 @@
 // topologies, load levels and armed fault injectors, and require equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <tuple>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -151,8 +155,9 @@ TEST(BurstEquivalence, ArmedFaultInjector) {
 }
 
 TEST(BurstEquivalence, SwitchLevelMulticast) {
-  // Switch-level multicast worms are excluded from bursts by design, but
-  // they share ports and slack buffers with unicast traffic that does burst.
+  // Switch-level multicast worms burst as lockstep gangs and share ports and
+  // slack buffers with unicast traffic that bursts too.
+  RunResult first;
   for (const bool burst : {true, false}) {
     ExperimentConfig cfg;
     cfg.fabric.burst_channels = burst;
@@ -161,7 +166,6 @@ TEST(BurstEquivalence, SwitchLevelMulticast) {
     MulticastGroupSpec group;
     group.id = 0;
     for (HostId h = 0; h < 6; ++h) group.members.push_back(h);
-    static RunResult first;
     Network net(make_myrinet_testbed(), {group}, cfg);
     // Two concurrent switch-level multicasts deadlock in the fabric (each
     // holds output ports the other needs — the hazard that motivates the
@@ -196,6 +200,107 @@ TEST(BurstEquivalence, SwitchLevelMulticast) {
       EXPECT_GT(r.adapter_worms_received, 0);
     }
   }
+}
+
+struct SwitchMcastRun {
+  RunResult result;
+  std::int64_t connections = 0;
+  std::int64_t fragments = 0;
+  std::int64_t unicasts_flushed = 0;
+  std::int64_t events = 0;
+  std::int64_t mcast_bursts = 0;  // kChanBurst records of multicast worms
+  /// Every other flight-recorder event (heads, tails, STOP/GO, grants,
+  /// fragment and adapter decisions), sorted: each must happen at the same
+  /// byte-time in both modes, only same-tick order may differ.
+  std::vector<std::tuple<Time, int, std::int32_t, std::int32_t, std::uint64_t,
+                         std::int64_t>>
+      decisions;
+};
+
+/// Switch-level multicasts (or broadcast floods) every 2,500 byte-times
+/// over generator-driven Poisson unicast on a 4x4 torus, flight-recorded.
+SwitchMcastRun run_switch_mcast(SwitchMcastScheme scheme, bool broadcast,
+                                bool burst) {
+  constexpr std::size_t kRing = std::size_t{1} << 18;
+  ExperimentConfig cfg;
+  cfg.fabric.burst_channels = burst;
+  cfg.protocol.scheme = Scheme::kHamiltonianSF;
+  cfg.switch_mcast.scheme = scheme;
+  cfg.traffic.offered_load = 0.25;
+  cfg.traffic.multicast_fraction = 0.0;
+  cfg.seed = 17;
+  std::vector<MulticastGroupSpec> groups(2);
+  for (int g = 0; g < 2; ++g) {
+    groups[static_cast<std::size_t>(g)].id = g;
+    for (HostId h = 0; h < 8; ++h)
+      groups[static_cast<std::size_t>(g)].members.push_back(
+          static_cast<HostId>((h * 2 + g * 3) % 16));
+  }
+  Network net(make_torus(4, 4), groups, cfg);
+  net.enable_tracing(kRing);
+  std::unordered_set<std::uint64_t> mcast_ids;
+  for (int i = 0; i < 12; ++i) {
+    net.sim().at(1'000 + 2'500 * i, [&net, &mcast_ids, broadcast, i] {
+      const auto src = static_cast<HostId>((5 * i) % 16);
+      const auto ctx =
+          broadcast ? net.send_switch_broadcast(src, 700)
+                    : net.send_switch_multicast(src, i % 2, 1'000);
+      mcast_ids.insert(ctx->message_id);
+    });
+  }
+  net.run(/*warmup=*/1'000, /*measure=*/30'000, /*drain_cap=*/300'000);
+  SwitchMcastRun r;
+  collect(net, r.result);
+  r.connections = net.switch_mcast_engine().connections_opened();
+  r.fragments = net.switch_mcast_engine().fragments_sent();
+  r.unicasts_flushed = net.switch_mcast_engine().unicasts_flushed();
+  r.events = net.sim().events_dispatched();
+  EXPECT_EQ(net.trace_dropped(), 0) << "raise kRing";
+  for (const TraceEvent& e : net.sim().tracer().snapshot(kRing)) {
+    if (e.type != TraceEventType::kChanBurst) {
+      r.decisions.emplace_back(e.t, static_cast<int>(e.type), e.node, e.port,
+                               e.worm, e.arg);
+    } else if (mcast_ids.count(e.worm) > 0) {
+      ++r.mcast_bursts;
+    }
+  }
+  std::sort(r.decisions.begin(), r.decisions.end());
+  return r;
+}
+
+void expect_switch_mcast_identical(SwitchMcastScheme scheme, bool broadcast) {
+  const SwitchMcastRun a = run_switch_mcast(scheme, broadcast, true);
+  const SwitchMcastRun b = run_switch_mcast(scheme, broadcast, false);
+  expect_identical(a.result, b.result);
+  EXPECT_EQ(a.connections, b.connections);
+  EXPECT_EQ(a.fragments, b.fragments);
+  EXPECT_EQ(a.unicasts_flushed, b.unicasts_flushed);
+  EXPECT_TRUE(a.decisions == b.decisions)
+      << "a head, tail, flow-control or multicast decision moved in time";
+  EXPECT_GT(a.connections, 0);
+  EXPECT_EQ(a.result.summary.outstanding, 0);
+  EXPECT_GT(a.result.summary.mcast_samples, 0);
+  // Burst mode must actually burst, multicast worms included: a silent
+  // fallback to per-byte stepping fails here, not just slows down.
+  EXPECT_LT(a.events, b.events);
+  EXPECT_GT(a.mcast_bursts, 0) << "switch-multicast worms never burst";
+  EXPECT_EQ(b.mcast_bursts, 0);
+}
+
+TEST(BurstEquivalence, SwitchMcastIdleFillUnderPoissonUnicast) {
+  expect_switch_mcast_identical(SwitchMcastScheme::kIdleFill, false);
+}
+
+TEST(BurstEquivalence, SwitchMcastInterruptUnderPoissonUnicast) {
+  expect_switch_mcast_identical(SwitchMcastScheme::kInterrupt, false);
+}
+
+TEST(BurstEquivalence, SwitchMcastFlushUnicastUnderPoissonUnicast) {
+  expect_switch_mcast_identical(SwitchMcastScheme::kFlushUnicast, false);
+}
+
+TEST(BurstEquivalence, SwitchBroadcastFloodUnderPoissonUnicast) {
+  expect_switch_mcast_identical(SwitchMcastScheme::kInterrupt, true);
 }
 
 }  // namespace
