@@ -15,6 +15,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -38,9 +39,6 @@ namespace wormcast::bench {
 ///   --strategy NAME   tree strategy for benches that support it
 ///                     (single-root | partition-merge | load-aware |
 ///                     multi-root); rejected here so a typo fails fast
-///   --queue KIND      event-queue implementation (calendar | heap);
-///                     results are bit-identical either way, only timing
-///                     differs (A/B runs for the hot-path work)
 ///   --shards N        executors for the sharded in-run engine (benches
 ///                     that support it; default 1 = classic single-queue).
 ///                     Results are bit-identical at any shard count — the
@@ -58,8 +56,6 @@ struct BenchArgs {
   std::string trace_out;
   TreeStrategyKind strategy = TreeStrategyKind::kSingleRoot;
   bool strategy_explicit = false;
-  EventQueueKind queue = EventQueueKind::kCalendar;
-  bool queue_explicit = false;
 };
 
 /// Ring capacity --check auto-sizes to when --trace-cap is not given:
@@ -105,21 +101,12 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
         std::exit(2);
       }
       args.strategy_explicit = true;
-    } else if (arg == "--queue" && i + 1 < argc) {
-      const char* name = argv[++i];
-      if (!parse_event_queue_kind(name, &args.queue)) {
-        std::fprintf(stderr,
-                     "unknown event queue '%s' (expected calendar or heap)\n",
-                     name);
-        std::exit(2);
-      }
-      args.queue_explicit = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--check] [--jobs N] [--reps N] "
                    "[--shards N] [--trace-cap N] "
                    "[--trace-out <file.trace.json>] "
-                   "[--strategy NAME] [--queue calendar|heap]\n",
+                   "[--strategy NAME]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -183,6 +170,25 @@ inline std::string json_number(double v) {
   return std::string(buf);
 }
 
+/// Quotes a string for BENCH_*.json (escapes quotes and backslashes).
+inline std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + '"';
+}
+
+// The bench CMake target passes these in; anything else that includes
+// this header (tests) gets placeholders.
+#ifndef WORMCAST_BUILD_TYPE
+#define WORMCAST_BUILD_TYPE "unknown"
+#endif
+#ifndef WORMCAST_COMPILER
+#define WORMCAST_COMPILER "unknown"
+#endif
+
 /// Accumulates numeric result rows and writes them as BENCH_<name>.json —
 /// a machine-readable mirror of the CSV stdout so CI and plotting scripts
 /// need not parse the human-oriented format. A nullopt cell serializes as
@@ -192,12 +198,18 @@ inline std::string json_number(double v) {
 /// parallel sweep workers each write their own slot under the mutex and
 /// the serialized row order is the sweep order, never completion order.
 /// Wall-clock measurements go in the "meta" object — NOT in rows — so the
-/// rows stay bit-identical across --jobs values (CI gates on this).
+/// rows stay bit-identical across --jobs values (CI gates on this). The
+/// meta object always opens with the host that produced the numbers:
+/// nproc, build type and compiler.
 class JsonBench {
  public:
   using Row = std::vector<std::pair<std::string, std::optional<double>>>;
 
-  explicit JsonBench(std::string name) : name_(std::move(name)) {}
+  explicit JsonBench(std::string name) : name_(std::move(name)) {
+    set_meta("nproc", static_cast<double>(std::thread::hardware_concurrency()));
+    set_meta("build_type", std::string(WORMCAST_BUILD_TYPE));
+    set_meta("compiler", std::string(WORMCAST_COMPILER));
+  }
 
   /// Pre-sizes the row slots for a sweep of `n` points.
   void resize_rows(std::size_t n) {
@@ -230,7 +242,11 @@ class JsonBench {
   /// times differ run to run while rows must not.
   void set_meta(const std::string& key, double value) {
     std::lock_guard<std::mutex> lock(mu_);
-    meta_.emplace_back(key, value);
+    meta_.emplace_back(key, json_number(value));
+  }
+  void set_meta(const std::string& key, const std::string& value) {
+    std::lock_guard<std::mutex> lock(mu_);
+    meta_.emplace_back(key, json_string(value));
   }
 
   /// Per-point wall-clock (ms), indexed like rows; lands in meta as
@@ -271,24 +287,18 @@ class JsonBench {
                      json_number(counters_[i].second).c_str());
       std::fprintf(f, "}");
     }
-    if (!meta_.empty() || !point_wall_ms_.empty()) {
-      std::fprintf(f, ", \"meta\": {");
-      bool first = true;
-      for (const auto& [key, value] : meta_) {
-        std::fprintf(f, "%s\"%s\": %s", first ? "" : ", ", key.c_str(),
-                     json_number(value).c_str());
-        first = false;
-      }
-      if (!point_wall_ms_.empty()) {
-        std::fprintf(f, "%s\"point_wall_ms\": [", first ? "" : ", ");
-        for (std::size_t i = 0; i < point_wall_ms_.size(); ++i)
-          std::fprintf(f, "%s%s", i == 0 ? "" : ", ",
-                       json_number(point_wall_ms_[i]).c_str());
-        std::fprintf(f, "]");
-      }
-      std::fprintf(f, "}");
+    std::fprintf(f, ", \"meta\": {");
+    for (std::size_t i = 0; i < meta_.size(); ++i)
+      std::fprintf(f, "%s\"%s\": %s", i == 0 ? "" : ", ",
+                   meta_[i].first.c_str(), meta_[i].second.c_str());
+    if (!point_wall_ms_.empty()) {
+      std::fprintf(f, ", \"point_wall_ms\": [");
+      for (std::size_t i = 0; i < point_wall_ms_.size(); ++i)
+        std::fprintf(f, "%s%s", i == 0 ? "" : ", ",
+                     json_number(point_wall_ms_[i]).c_str());
+      std::fprintf(f, "]");
     }
-    std::fprintf(f, "}\n");
+    std::fprintf(f, "}}\n");
     std::fclose(f);
     std::fprintf(stderr, "# wrote %s\n", path.c_str());
   }
@@ -298,7 +308,8 @@ class JsonBench {
   mutable std::mutex mu_;
   std::vector<Row> rows_;
   std::vector<std::pair<std::string, double>> counters_;
-  std::vector<std::pair<std::string, double>> meta_;
+  /// Meta values, already serialized as JSON (numbers or strings).
+  std::vector<std::pair<std::string, std::string>> meta_;
   std::vector<double> point_wall_ms_;
 };
 

@@ -53,11 +53,17 @@ int main(int argc, char** argv) {
     char label[64];
     std::snprintf(label, sizeof label, "packet=%lld mode=%s",
                   static_cast<long long>(size), single ? "single" : "all");
-    results[i] = bench::run_testbed(single ? 1 : 8, size, span,
-                                    /*burst=*/true, /*tracing=*/false,
-                                    traced ? args.trace_out : std::string(),
-                                    args.trace_cap, &checks, i, label,
-                                    args.shards);
+    bench::TestbedOptions opts;
+    opts.senders = single ? 1 : 8;
+    opts.packet_size = size;
+    opts.span = span;
+    if (traced) opts.trace_out = args.trace_out;
+    opts.trace_cap = args.trace_cap;
+    opts.checks = &checks;
+    opts.check_slot = i;
+    opts.check_label = label;
+    opts.shards = args.shards;
+    results[i] = bench::run_testbed(opts);
   });
 
   for (std::size_t s = 0; s < sizes.size(); ++s) {

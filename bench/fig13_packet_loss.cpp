@@ -47,10 +47,15 @@ int main(int argc, char** argv) {
     char label[64];
     std::snprintf(label, sizeof label, "packet=%lld mode=%s",
                   static_cast<long long>(size), all ? "all" : "single");
-    results[i] = bench::run_testbed(all ? 8 : 1, size, span,
-                                    /*burst=*/true, /*tracing=*/false,
-                                    /*trace_out=*/{}, args.trace_cap, &checks,
-                                    i, label);
+    bench::TestbedOptions opts;
+    opts.senders = all ? 8 : 1;
+    opts.packet_size = size;
+    opts.span = span;
+    opts.trace_cap = args.trace_cap;
+    opts.checks = &checks;
+    opts.check_slot = i;
+    opts.check_label = label;
+    results[i] = bench::run_testbed(opts);
   });
 
   for (std::size_t s = 0; s < sizes.size(); ++s) {

@@ -1,8 +1,7 @@
 // Self-timed microbenchmarks of the simulator's hot paths: event queue
-// operations (both queue kinds), up/down route computation (fresh and
-// arena-reusing), multicast route encoding, and byte-level end-to-end
-// channel throughput. Useful when tuning the engine; not part of the
-// paper reproduction.
+// operations, up/down route computation (fresh and arena-reusing),
+// multicast route encoding, and byte-level end-to-end channel throughput.
+// Useful when tuning the engine; not part of the paper reproduction.
 //
 // Each benchmark body runs once as warm-up, then repeats until a minimum
 // timed window has accumulated; the CSV/JSON report the mean ns per
@@ -59,8 +58,8 @@ Micro run_micro(F&& body, std::int64_t items, double min_ms) {
   return m;
 }
 
-void queue_schedule_dispatch(EventQueueKind kind) {
-  EventQueue q(kind);
+void queue_schedule_dispatch() {
+  EventQueue q;
   int fired = 0;
   for (int i = 0; i < 1024; ++i)
     q.schedule(i % 97, [&fired] { ++fired; });
@@ -68,8 +67,8 @@ void queue_schedule_dispatch(EventQueueKind kind) {
   do_not_optimize(fired);
 }
 
-void queue_cancel_heavy(EventQueueKind kind) {
-  EventQueue q(kind);
+void queue_cancel_heavy() {
+  EventQueue q;
   std::vector<EventHandle> handles;
   handles.reserve(1024);
   for (int i = 0; i < 1024; ++i) handles.push_back(q.schedule(i, [] {}));
@@ -103,14 +102,8 @@ int main(int argc, char** argv) {
   const auto branches = build_mcast_branches(tree_routing, 0, dests);
 
   const std::vector<Case> cases = {
-      {"event_queue_schedule_dispatch_calendar",
-       [] { queue_schedule_dispatch(EventQueueKind::kCalendar); }, 1024},
-      {"event_queue_schedule_dispatch_heap",
-       [] { queue_schedule_dispatch(EventQueueKind::kHeap); }, 1024},
-      {"event_queue_cancel_heavy_calendar",
-       [] { queue_cancel_heavy(EventQueueKind::kCalendar); }, 1024},
-      {"event_queue_cancel_heavy_heap",
-       [] { queue_cancel_heavy(EventQueueKind::kHeap); }, 1024},
+      {"event_queue_schedule_dispatch", queue_schedule_dispatch, 1024},
+      {"event_queue_cancel_heavy", queue_cancel_heavy, 1024},
       {"updown_route_fresh",
        [&routing] {
          HostId src = 0, dst = 1;

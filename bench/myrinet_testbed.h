@@ -59,18 +59,16 @@ struct TestbedResult {
 };
 
 /// One testbed run, fully parameterized. The defaults reproduce the
-/// paper's configuration; the hot-path knobs (queue, fast_forward, torus)
-/// change only how fast the simulation runs, never what it computes —
-/// except that fast_forward also skips the idle app polls, which is
-/// result-identical (see sim/idle_poller.h) but changes event counts.
+/// paper's configuration; the engine knobs (burst_channels, fast_forward,
+/// shards) change only how fast the simulation runs, never what it
+/// computes — burst mode and fast_forward do change event counts (fewer
+/// channel events; skipped idle app polls, see sim/idle_poller.h).
 struct TestbedOptions {
   int senders = 1;
   std::int64_t packet_size = 8 * 1024;
   Time span = 3'000'000;
   /// Channel burst fast path (results identical; hot-path bench times both).
   bool burst_channels = true;
-  /// Event-queue implementation (results identical; ditto).
-  EventQueueKind queue = EventQueueKind::kCalendar;
   /// Park idle app polls and wake on adapter drain, instead of polling
   /// through dead air every 512 byte-times.
   bool fast_forward = true;
@@ -119,7 +117,6 @@ inline TestbedResult run_testbed(const TestbedOptions& opts) {
                           ? opts.topology->num_hosts()
                           : (opts.torus > 0 ? opts.torus * opts.torus : 8);
   ExperimentConfig cfg;
-  cfg.engine.queue = opts.queue;
   cfg.engine.shards = opts.shards;
   if (opts.topology_levels != nullptr)
     cfg.routing.level_override = *opts.topology_levels;
@@ -267,33 +264,6 @@ inline TestbedResult run_testbed(const TestbedOptions& opts) {
       std::fprintf(stderr, "# could not write %s\n", opts.trace_out.c_str());
   }
   return out;
-}
-
-/// Positional convenience wrapper (the fig12/fig13 sweeps predate
-/// TestbedOptions).
-inline TestbedResult run_testbed(int senders, std::int64_t packet_size,
-                                 Time span, bool burst_channels = true,
-                                 bool tracing = false,
-                                 const std::string& trace_out = {},
-                                 std::size_t trace_cap =
-                                     Tracer::kDefaultCapacity,
-                                 CheckCollector* checks = nullptr,
-                                 std::size_t check_slot = 0,
-                                 std::string check_label = {},
-                                 int shards = 1) {
-  TestbedOptions opts;
-  opts.senders = senders;
-  opts.packet_size = packet_size;
-  opts.span = span;
-  opts.burst_channels = burst_channels;
-  opts.shards = shards;
-  opts.tracing = tracing;
-  opts.trace_out = trace_out;
-  opts.trace_cap = trace_cap;
-  opts.checks = checks;
-  opts.check_slot = check_slot;
-  opts.check_label = std::move(check_label);
-  return run_testbed(opts);
 }
 
 }  // namespace wormcast::bench

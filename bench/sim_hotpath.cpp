@@ -9,16 +9,15 @@
 //
 //  2. Scale point (32x32 torus, 1024 hosts, LAN at rest): every host
 //     runs a rate-limited app multicasting a 512-byte packet to its own
-//     4-host group once per 10M byte-times. The engine matrix — (heap
-//     queue + legacy 512-bt app polling) as the pre-hot-path baseline vs
-//     the calendar queue and idle fast-forward. At this scale and duty
-//     cycle the 512-byte-time app-poll grid IS the event stream: a
-//     thousand mostly-idle hosts burn ~2 events per byte-time asking
-//     "anything to do?" while the actual traffic contributes a fraction
-//     of that. Fast-forward parks those polls and jumps the clock across
-//     the gaps (sim/idle_poller.h); the calendar queue makes what
-//     remains O(1) per event. The headline `hotpath_speedup_wall` row is
-//     the hot-path acceptance number (target: >= 5x sim-bytes per
+//     4-host group once per 10M byte-times. The engine matrix — legacy
+//     512-bt app polling as the pre-hot-path baseline vs idle
+//     fast-forward. At this scale and duty cycle the 512-byte-time
+//     app-poll grid IS the event stream: a thousand mostly-idle hosts
+//     burn ~2 events per byte-time asking "anything to do?" while the
+//     actual traffic contributes a fraction of that. Fast-forward parks
+//     those polls and jumps the clock across the gaps
+//     (sim/idle_poller.h). The headline `hotpath_speedup_wall` row is the
+//     hot-path acceptance number (target: >= 5x sim-bytes per
 //     wall-second, equivalently wall clock, at this point).
 //
 // Timing discipline: each mode runs one discarded warm-up (page cache,
@@ -102,7 +101,7 @@ void report(const char* mode, const Timed& t, bench::JsonBench& json,
 }
 
 void report_engine(const char* mode, const Timed& t, bench::JsonBench& json,
-                   std::size_t row, const bench::TestbedOptions& opts) {
+                   std::size_t row, bool fast_forward) {
   const double bytes_per_s =
       per_sec(static_cast<double>(t.result.bytes_on_wire), t.sim_wall_ms);
   std::printf("%s,%.1f,%.1f,%lld,%lld,%.3g,%lld,%lld,%lld,%.2f\n", mode,
@@ -114,8 +113,7 @@ void report_engine(const char* mode, const Timed& t, bench::JsonBench& json,
               static_cast<long long>(t.result.pool_reused),
               t.result.throughput_mbps);
   json.set_row(row,
-               {{"calendar", opts.queue == EventQueueKind::kCalendar ? 1.0 : 0.0},
-                {"fast_forward", opts.fast_forward ? 1.0 : 0.0},
+               {{"fast_forward", fast_forward ? 1.0 : 0.0},
                 {"sim_wall_ms", t.sim_wall_ms},
                 {"wall_ms", t.wall_ms},
                 {"events", static_cast<double>(t.result.events_dispatched)},
@@ -161,13 +159,11 @@ int main(int argc, char** argv) {
   // --- Section 2: the 1k-host engine matrix (LAN at rest; see header).
   struct EngineMode {
     const char* name;
-    EventQueueKind queue;
     bool fast_forward;
   };
   const std::vector<EngineMode> engine_modes = {
-      {"heap_poll", EventQueueKind::kHeap, false},  // pre-hot-path baseline
-      {"cal_poll", EventQueueKind::kCalendar, false},
-      {"cal_ff", EventQueueKind::kCalendar, true}};  // shipping default
+      {"poll", false},  // pre-hot-path baseline
+      {"ff", true}};    // shipping default
   const int torus = 32;  // 1024 hosts
   const std::int64_t scale_packet = 512;
   const int scale_group = 4;
@@ -204,7 +200,6 @@ int main(int argc, char** argv) {
       opts.span = scale_span;
       opts.group_size = scale_group;
       opts.inject_period = scale_period;
-      opts.queue = m.queue;
       opts.fast_forward = m.fast_forward;
       opts.shards = args.shards;
       engine_timed[i - modes.size()] = timed_run(opts, scale_reps);
@@ -257,50 +252,40 @@ int main(int argc, char** argv) {
                                  "app_polls", "sim_bytes_per_wall_sec",
                                  "event_queue_peak", "pool_fresh",
                                  "pool_reused", "throughput_mbps"});
-  for (std::size_t i = 0; i < engine_modes.size(); ++i) {
-    bench::TestbedOptions o;
-    o.queue = engine_modes[i].queue;
-    o.fast_forward = engine_modes[i].fast_forward;
+  for (std::size_t i = 0; i < engine_modes.size(); ++i)
     report_engine(engine_modes[i].name, engine_timed[i], json, engine_base + i,
-                  o);
-  }
+                  engine_modes[i].fast_forward);
   const Timed& baseline = engine_timed[0];
-  const Timed& cal_poll = engine_timed[1];
-  const Timed& cal_ff = engine_timed[2];
+  const Timed& ff = engine_timed[1];
   // Speedups compare event-loop wall (sim_wall_ms): network construction
   // is identical across engines and amortizes out at real spans anyway.
   const double hot_speedup =
-      cal_ff.sim_wall_ms > 0 ? baseline.sim_wall_ms / cal_ff.sim_wall_ms : 0.0;
-  const double queue_speedup =
-      cal_poll.sim_wall_ms > 0 ? baseline.sim_wall_ms / cal_poll.sim_wall_ms
-                               : 0.0;
+      ff.sim_wall_ms > 0 ? baseline.sim_wall_ms / ff.sim_wall_ms : 0.0;
   const double hot_event_ratio =
-      cal_ff.result.events_dispatched > 0
+      ff.result.events_dispatched > 0
           ? static_cast<double>(baseline.result.events_dispatched) /
-                static_cast<double>(cal_ff.result.events_dispatched)
+                static_cast<double>(ff.result.events_dispatched)
           : 0.0;
   const double poll_ratio =
-      cal_ff.result.app_polls > 0
+      ff.result.app_polls > 0
           ? static_cast<double>(baseline.result.app_polls) /
-                static_cast<double>(cal_ff.result.app_polls)
+                static_cast<double>(ff.result.app_polls)
           : 0.0;
-  // The three engines must agree bit-for-bit on the physics: calendar vs
-  // heap is pinned by the queue_equivalence ctest, fast-forward vs legacy
-  // polling by idle_poller_test — this is the end-to-end restatement.
+  // Both engines must agree bit-for-bit on the physics: idle_poller_test
+  // pins fast-forward vs legacy polling — this is the end-to-end
+  // restatement.
   const bool agree =
-      baseline.result.throughput_mbps == cal_ff.result.throughput_mbps &&
-      baseline.result.throughput_mbps == cal_poll.result.throughput_mbps &&
-      baseline.result.bytes_on_wire == cal_ff.result.bytes_on_wire &&
-      baseline.result.loss_rate == cal_ff.result.loss_rate;
-  std::printf("# hot-path speedup at 1k hosts: %.2fx wall clock "
-              "(queue alone: %.2fx), %.2fx fewer events, %.1fx fewer polls\n",
-              hot_speedup, queue_speedup, hot_event_ratio, poll_ratio);
+      baseline.result.throughput_mbps == ff.result.throughput_mbps &&
+      baseline.result.bytes_on_wire == ff.result.bytes_on_wire &&
+      baseline.result.loss_rate == ff.result.loss_rate;
+  std::printf("# hot-path speedup at 1k hosts: %.2fx wall clock, %.2fx "
+              "fewer events, %.1fx fewer polls\n",
+              hot_speedup, hot_event_ratio, poll_ratio);
   if (!agree)
-    std::printf("# WARNING: engine modes disagree on results — queue or "
+    std::printf("# WARNING: engine modes disagree on results — "
                 "fast-forward bug!\n");
   json.set_row(engine_base + engine_modes.size(),
                {{"hotpath_speedup_wall", hot_speedup},
-                {"queue_speedup_wall", queue_speedup},
                 {"hotpath_event_ratio", hot_event_ratio},
                 {"hotpath_poll_ratio", poll_ratio},
                 {"engines_agree", agree ? 1.0 : 0.0},

@@ -17,8 +17,7 @@ Network::Network(Topology topo, std::vector<MulticastGroupSpec> groups,
                  ExperimentConfig config)
     : topo_(std::move(topo)),
       groups_(std::move(groups)),
-      config_(config),
-      sim_(config.engine.queue) {
+      config_(config) {
   topo_.validate();
   const ShardPlan plan = build_shard_plan();
   fabric_ = std::make_unique<Fabric>(sim_, topo_, config_.fabric,
@@ -126,7 +125,7 @@ ShardPlan Network::build_shard_plan() {
   worker_sims_.reserve(static_cast<std::size_t>(workers));
   plan.sims.push_back(&sim_);
   for (int i = 0; i < workers; ++i) {
-    worker_sims_.push_back(std::make_unique<Simulator>(config_.engine.queue));
+    worker_sims_.push_back(std::make_unique<Simulator>());
     plan.sims.push_back(worker_sims_.back().get());
   }
   engine_ = std::make_unique<ShardedEngine>(plan.sims, lookahead);

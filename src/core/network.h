@@ -64,19 +64,17 @@ struct MembershipConfig {
   Time join_grace = 150'000;
 };
 
-/// Simulator-engine knobs. These pick implementations, not behavior: any
-/// queue kind produces bit-identical results (queue_equivalence_test pins
-/// it), so benches can flip them freely for A/B timing.
+/// Simulator-engine knobs. These pick implementations, not behavior, so
+/// benches can flip them freely for A/B timing.
 struct EngineConfig {
-  EventQueueKind queue = EventQueueKind::kCalendar;
   /// Executors for the sharded parallel engine: 1 = the classic
   /// single-queue simulator (code path for code path); S > 1 = executor 0
   /// runs the whole protocol plane (hosts, adapters, protocols, traffic,
   /// metrics) on the calling thread and S-1 workers own contiguous bands
   /// of switches, synchronized in conservative lookahead windows (see
-  /// sim/shard.h). Same contract as the queue kind: results are
-  /// bit-identical at any shard count (the shard-determinism gate pins
-  /// Summary, BENCH rows and check verdicts across --shards 1/2/4).
+  /// sim/shard.h). Results are bit-identical at any shard count (the
+  /// shard-determinism gate pins Summary, BENCH rows and check verdicts
+  /// across --shards 1/2/4).
   /// Fault injection, membership-independent switch multicast and the
   /// load-aware strategy are v1-unsupported under sharding (the ctor and
   /// the entry points throw).

@@ -133,10 +133,8 @@ void Channel::pump() {
       post_delivery(
           InFlight{b.head, b.tail || synth_tail, b.worm, b.wire_len, 1});
     } else {
-      in_flight_.push_back(
+      enqueue_delivery(
           InFlight{b.head, b.tail || synth_tail, b.worm, b.wire_len, 1});
-      ++in_flight_bytes_;
-      sim_.after(delay_, [this] { deliver_front(); });
     }
   } else {
     // Swallowed bytes still count as global progress: the transmitter is
@@ -200,9 +198,7 @@ bool Channel::try_burst() {
       budget_left_ -= n;
       post_delivery(InFlight{false, false, nullptr, 0, n});
     } else {
-      in_flight_.push_back(InFlight{false, false, nullptr, 0, n});
-      in_flight_bytes_ += n;
-      sim_.after(delay_, [this] { deliver_front(); });
+      enqueue_delivery(InFlight{false, false, nullptr, 0, n});
     }
   }
   if (!pump_scheduled_) schedule_pump();
@@ -275,11 +271,31 @@ void Channel::deliver_remote(const InFlight& b) {
     sink_->on_body(b.tail);
 }
 
+void Channel::enqueue_delivery(InFlight b) {
+  b.land = sim_.now() + delay_;
+  b.key = sim_.reserve_key();
+  in_flight_bytes_ += b.count;
+  in_flight_.push_back(std::move(b));
+  if (in_flight_.size() == 1) schedule_lane_head();
+}
+
+void Channel::schedule_lane_head() {
+  const InFlight& f = in_flight_.front();
+  sim_.at_keyed(f.land, f.key, [this] { deliver_front(); });
+}
+
 void Channel::deliver_front() {
   assert(!in_flight_.empty());
   const InFlight b = std::move(in_flight_.front());
   in_flight_.pop_front();
   in_flight_bytes_ -= b.count;
+  // Promote the next run before handing this one over, so the lane has
+  // its head queued whatever the sink does. The delay is fixed, so
+  // neither the landing time nor the key goes back along the lane.
+  if (!in_flight_.empty()) {
+    assert(in_flight_.front().land >= b.land && in_flight_.front().key > b.key);
+    schedule_lane_head();
+  }
   sim_.note_progress(b.count);
   assert(sink_ != nullptr && "channel delivered into the void");
   if (b.head)

@@ -213,12 +213,18 @@ class Channel {
   }
 
  private:
+  /// One committed run on the wire. In-channel runs also form this
+  /// channel's delivery lane (sim/event_queue.h): each reserves its
+  /// delivery event's key at send time, and only the front run's delivery
+  /// sits in the event queue.
   struct InFlight {
     bool head = false;
     bool tail = false;
     WormPtr worm;               // head only
     std::int64_t wire_len = 0;  // head only
     std::int64_t count = 1;     // >1: a burst of plain body bytes
+    Time land = 0;              // arrival of the run's first byte
+    std::uint64_t key = 0;      // the delivery event's reserved queue key
   };
 
   /// Per-worm fault classification, decided at the head byte.
@@ -231,6 +237,11 @@ class Channel {
   void pump();
   void schedule_pump();
   bool try_burst();
+  /// Puts a run on the wire toward the local sink: reserves its delivery
+  /// key now and schedules the delivery if the lane was empty.
+  void enqueue_delivery(InFlight b);
+  /// Schedules the lane head's delivery under its reserved key.
+  void schedule_lane_head();
   void deliver_front();
   void classify_fault(const TxByte& b);
   /// Cross-executor delivery: the run is carried by value in the posted

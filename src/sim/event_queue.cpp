@@ -1,9 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <cstring>
 
 namespace wormcast {
 
@@ -12,47 +10,14 @@ namespace {
 // Typical experiments keep a few hundred in-flight events per host; one
 // up-front reservation avoids the incremental regrowth entirely.
 constexpr std::size_t kInitialSlotCapacity = 1024;
-// Calendar geometry bounds. 64 buckets is small enough that an idle queue
-// costs nothing to rotate through and large enough that the first resize
-// is not immediate; width is clamped so window arithmetic stays far from
-// Time overflow even for day-long byte-time runs.
-constexpr std::size_t kMinBuckets = 64;
-constexpr unsigned kMinWidthLog2 = 2;
-constexpr unsigned kMaxWidthLog2 = 40;
+constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << 63) - 1;
 
 }  // namespace
 
-const char* to_string(EventQueueKind kind) {
-  switch (kind) {
-    case EventQueueKind::kCalendar:
-      return "calendar";
-    case EventQueueKind::kHeap:
-      return "heap";
-  }
-  return "?";
-}
-
-bool parse_event_queue_kind(const char* name, EventQueueKind* out) {
-  if (std::strcmp(name, "calendar") == 0) {
-    *out = EventQueueKind::kCalendar;
-    return true;
-  }
-  if (std::strcmp(name, "heap") == 0) {
-    *out = EventQueueKind::kHeap;
-    return true;
-  }
-  return false;
-}
-
-EventQueue::EventQueue(EventQueueKind kind) : kind_(kind) {
+EventQueue::EventQueue() {
   slots_.reserve(kInitialSlotCapacity);
   free_slots_.reserve(kInitialSlotCapacity);
-  if (kind_ == EventQueueKind::kHeap) {
-    heap_.reserve(kInitialSlotCapacity);
-  } else {
-    buckets_.resize(kMinBuckets);
-    bucket_mask_ = kMinBuckets - 1;
-  }
+  heap_.reserve(kInitialSlotCapacity);
 }
 
 std::uint32_t EventQueue::acquire_slot(Action action) {
@@ -83,246 +48,62 @@ void EventQueue::retire_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-EventHandle EventQueue::schedule(Time when, Action action, bool late) {
+EventHandle EventQueue::schedule_keyed(Time when, std::uint64_t key,
+                                       Action action) {
   assert(action);
-  const std::uint64_t seq = next_seq_++;
+  assert((key & kSeqMask) < next_seq_ && "key was never reserved");
   const std::uint32_t slot = acquire_slot(std::move(action));
-  Entry e;
-  e.time = when;
-  e.key = (static_cast<std::uint64_t>(late) << 63) | seq;
-  e.slot = slot;
-  e.gen = slots_[slot].gen;
+  const std::uint64_t gen = slots_[slot].gen;
+  heap_.push_back(Entry{when, key, slot, gen});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_count_;
-  if (kind_ == EventQueueKind::kHeap) {
-    heap_insert(e);
-    peak_size_ = std::max(peak_size_, heap_.size());
-  } else {
-    cal_insert(e);
-    peak_size_ = std::max(peak_size_, entries_parked_);
-  }
-  return EventHandle(slot, e.gen);
+  peak_size_ = std::max(peak_size_, heap_.size());
+  return EventHandle(slot, gen);
 }
 
 void EventQueue::cancel(EventHandle handle) {
   if (!handle.valid() || handle.slot_ >= slots_.size()) return;
   Slot& s = slots_[handle.slot_];
   if (!s.live || s.gen != handle.gen_) return;  // already fired or cancelled
-  const bool was_head =
-      kind_ == EventQueueKind::kCalendar && handle.slot_ == head_slot_;
   retire_slot(handle.slot_);
   --live_count_;
   ++dead_parked_;
-  if (kind_ == EventQueueKind::kHeap) {
-    heap_drop_dead_head();
-    if (dead_parked_ * 2 > heap_.size()) heap_compact();
-  } else {
-    if (was_head && live_count_ > 0) cal_find_head();
-    if (dead_parked_ * 2 > entries_parked_) cal_compact();
-    cal_maybe_resize();
-  }
+  drop_dead_head();
+  if (dead_parked_ * 2 > heap_.size()) compact();
 }
 
 EventQueue::Popped EventQueue::pop() {
   assert(live_count_ > 0 && "pop() on empty EventQueue");
-  Entry e = kind_ == EventQueueKind::kHeap ? heap_take() : cal_take();
-  assert(entry_live(e));
+  assert(entry_live(heap_.front()));
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry e = heap_.back();
+  heap_.pop_back();
+  drop_dead_head();  // restore the head-is-live invariant
   Popped out;
   out.time = e.time;
   out.action = std::move(slots_[e.slot].action);
   retire_slot(e.slot);
   --live_count_;
-  if (kind_ == EventQueueKind::kCalendar) {
-    cal_find_head();
-    cal_maybe_resize();
-  }
   return out;
   // The caller runs the action after we return, so a re-entrant schedule()
   // sees fully consistent counters and may immediately reuse this slot.
 }
 
-// --- flat heap -----------------------------------------------------------
-
-void EventQueue::heap_insert(const Entry& e) {
-  heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  head_time_ = heap_.front().time;
-}
-
-EventQueue::Entry EventQueue::heap_take() {
-  assert(!heap_.empty() && entry_live(heap_.front()));
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry e = heap_.back();
-  heap_.pop_back();
-  heap_drop_dead_head();  // restore the head-is-live invariant
-  return e;
-}
-
-void EventQueue::heap_drop_dead_head() {
+void EventQueue::drop_dead_head() {
   while (!heap_.empty() && !entry_live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
     assert(dead_parked_ > 0);
     --dead_parked_;
   }
-  if (!heap_.empty()) head_time_ = heap_.front().time;
 }
 
-void EventQueue::heap_compact() {
+void EventQueue::compact() {
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const Entry& e) { return !entry_live(e); }),
               heap_.end());
   std::make_heap(heap_.begin(), heap_.end(), Later{});
   dead_parked_ = 0;
-  if (!heap_.empty()) head_time_ = heap_.front().time;
-}
-
-// --- calendar ------------------------------------------------------------
-
-void EventQueue::cal_insert(const Entry& e) {
-  auto& bucket = buckets_[bucket_of(e.time)];
-  bucket.push_back(e);
-  std::push_heap(bucket.begin(), bucket.end(), Later{});
-  ++entries_parked_;
-  // live_count_ was already incremented by schedule(): ==1 means this is
-  // the only live event, so the head cache must be rebuilt from it even
-  // though dead entries may still be parked elsewhere.
-  if (live_count_ == 1 || e.time < head_time_ ||
-      (e.time == head_time_ && e.key < head_key_)) {
-    cursor_ = bucket_of(e.time);
-    window_end_ = window_end_of(e.time);
-    head_time_ = e.time;
-    head_key_ = e.key;
-    head_slot_ = e.slot;
-  }
-  cal_maybe_resize();
-}
-
-EventQueue::Entry EventQueue::cal_take() {
-  auto& bucket = buckets_[cursor_];
-  // Dead entries can sort before the head within its bucket (a cancelled
-  // event whose time was earlier); clear them so the front is the head.
-  cal_clean_head(bucket);
-  assert(!bucket.empty());
-  std::pop_heap(bucket.begin(), bucket.end(), Later{});
-  Entry e = bucket.back();
-  bucket.pop_back();
-  --entries_parked_;
-  assert(e.time == head_time_ && e.key == head_key_ && e.slot == head_slot_);
-  return e;
-}
-
-void EventQueue::cal_clean_head(std::vector<Entry>& b) {
-  while (!b.empty() && !entry_live(b.front())) {
-    std::pop_heap(b.begin(), b.end(), Later{});
-    b.pop_back();
-    --entries_parked_;
-    assert(dead_parked_ > 0);
-    --dead_parked_;
-  }
-}
-
-void EventQueue::cal_find_head() {
-  if (live_count_ == 0) {
-    head_time_ = kTimeNever;
-    return;
-  }
-  // The new head can only be at or after the old one (inserts earlier than
-  // the head rewind the cursor in cal_insert), so scanning forward from
-  // the current window is safe.
-  const Time width = Time{1} << width_log2_;
-  for (std::size_t scanned = 0; scanned < buckets_.size(); ++scanned) {
-    auto& bucket = buckets_[cursor_];
-    cal_clean_head(bucket);
-    if (!bucket.empty() && bucket.front().time < window_end_) {
-      const Entry& f = bucket.front();
-      head_time_ = f.time;
-      head_key_ = f.key;
-      head_slot_ = f.slot;
-      return;
-    }
-    cursor_ = (cursor_ + 1) & bucket_mask_;
-    window_end_ += width;
-  }
-  // Full rotation with no hit: the next event is further away than one
-  // whole calendar cycle. Jump to the global minimum across bucket heads
-  // instead of walking empty windows one by one.
-  const Entry* best = nullptr;
-  for (auto& bucket : buckets_) {
-    cal_clean_head(bucket);
-    if (bucket.empty()) continue;
-    const Entry& f = bucket.front();
-    if (best == nullptr || f.time < best->time ||
-        (f.time == best->time && f.key < best->key)) {
-      best = &f;
-    }
-  }
-  assert(best != nullptr);
-  cursor_ = bucket_of(best->time);
-  window_end_ = window_end_of(best->time);
-  head_time_ = best->time;
-  head_key_ = best->key;
-  head_slot_ = best->slot;
-}
-
-void EventQueue::cal_resize(std::size_t count) {
-  // Collect the live population; dead parked entries are dropped here.
-  std::vector<Entry> live;
-  live.reserve(live_count_);
-  Time min_time = kTimeNever;
-  Time max_time = 0;
-  for (auto& bucket : buckets_) {
-    for (const Entry& e : bucket) {
-      if (!entry_live(e)) continue;
-      live.push_back(e);
-      min_time = std::min(min_time, e.time);
-      max_time = std::max(max_time, e.time);
-    }
-    bucket.clear();  // keeps capacity for reuse
-  }
-  dead_parked_ = 0;
-  entries_parked_ = live.size();
-  if (count != buckets_.size()) buckets_.resize(count);
-  bucket_mask_ = count - 1;
-
-  // Fit the bucket width to the mean gap between live events so a window
-  // holds O(1) of them. Pure integer math on queue contents — identical
-  // runs resize identically, which the equivalence tests rely on.
-  if (live.size() >= 2 && max_time > min_time) {
-    const std::uint64_t gap =
-        static_cast<std::uint64_t>(max_time - min_time) / live.size();
-    width_log2_ = std::clamp(static_cast<unsigned>(std::bit_width(gap | 1)),
-                             kMinWidthLog2, kMaxWidthLog2);
-  }
-
-  const Entry* best = nullptr;
-  for (const Entry& e : live) {
-    buckets_[bucket_of(e.time)].push_back(e);
-    if (best == nullptr || e.time < best->time ||
-        (e.time == best->time && e.key < best->key)) {
-      best = &e;
-    }
-  }
-  for (auto& bucket : buckets_) {
-    std::make_heap(bucket.begin(), bucket.end(), Later{});
-  }
-  if (best != nullptr) {
-    cursor_ = bucket_of(best->time);
-    window_end_ = window_end_of(best->time);
-    head_time_ = best->time;
-    head_key_ = best->key;
-    head_slot_ = best->slot;
-  } else {
-    head_time_ = kTimeNever;
-  }
-}
-
-void EventQueue::cal_maybe_resize() {
-  const std::size_t buckets = buckets_.size();
-  if (live_count_ > buckets * 2) {
-    cal_resize(buckets * 2);
-  } else if (buckets > kMinBuckets && live_count_ < buckets / 8) {
-    cal_resize(buckets / 2);
-  }
 }
 
 }  // namespace wormcast

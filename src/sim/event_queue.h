@@ -2,31 +2,13 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/action.h"
 #include "sim/types.h"
 
 namespace wormcast {
-
-/// Which pending-event structure backs an EventQueue.
-///
-/// Both structures fire events in exactly the same order — the comparator
-/// (time, late, insertion sequence) is a total order, so any correct
-/// priority queue yields the identical event sequence bit for bit (the
-/// queue-equivalence suite pins this on full experiment sweeps). They
-/// differ only in cost: the flat binary heap pays O(log n) per operation
-/// on one big array; the calendar queue pays amortized O(1) by hashing
-/// events into time-bucketed mini-heaps, which wins once thousand-host
-/// fabrics keep tens of thousands of events pending.
-enum class EventQueueKind : std::uint8_t {
-  kCalendar,  // bucketed calendar queue (default)
-  kHeap,      // flat binary heap (PR 3's structure; equivalence + debugging)
-};
-
-[[nodiscard]] const char* to_string(EventQueueKind kind);
-/// Parses "calendar" / "heap" (bench --queue flag). Returns false on junk.
-bool parse_event_queue_kind(const char* name, EventQueueKind* out);
 
 /// Handle returned by EventQueue::schedule; can be used to cancel the event.
 /// Value-semantic and cheap to copy. A default-constructed handle is invalid.
@@ -52,31 +34,41 @@ class EventHandle {
   std::uint64_t gen_ = 0;
 };
 
-/// Priority queue of timestamped callbacks. Events at equal times fire in
-/// insertion order (late-class events after every same-time normal event),
-/// which makes runs fully deterministic.
+/// Priority queue of timestamped callbacks: one flat binary heap. Events
+/// at equal times fire in insertion order (late-class events after every
+/// same-time normal event), which makes runs fully deterministic.
+///
+/// Delivery lanes: a producer whose events can never overtake each other
+/// (a channel delivers every byte a fixed delay after sending it, so its
+/// delivery times never decrease) reserves each event's tie-break key at
+/// send time with reserve_key() and inserts only the lane head, under
+/// that key, with schedule_keyed(); when the head fires it inserts the
+/// next one before running anything else. The heap orders by the total
+/// order (time, key), and a lane's waiting events are all later than its
+/// head, so the firing order is exactly the one scheduling every event up
+/// front would give — while the heap holds one entry per busy lane, not
+/// one per byte on the wire.
 ///
 /// Allocation discipline: actions are InlineActions stored in the slot
-/// arena (a recycled vector indexed by the handle's slot), and the
-/// pending-event entries are 32-byte PODs — so schedule()/cancel()/pop()
-/// never allocate in steady state, whatever the capture size, and heap
-/// sift/bucket moves shuffle PODs instead of closures.
+/// arena (a recycled vector indexed by the handle's slot), and heap
+/// entries are 32-byte PODs — so schedule()/cancel()/pop() never allocate
+/// in steady state, whatever the capture size, and sifts shuffle PODs
+/// instead of closures. Memory follows the live high-water mark: the heap
+/// and the arena are one vector each.
 ///
 /// Cancellation is lazy: a cancelled event's slot is stamped dead in O(1)
 /// (its action is destroyed immediately, releasing captured shared_ptrs)
-/// and the parked POD entry is skipped when it surfaces — except when the
+/// and the parked entry is skipped when it surfaces — except when the
 /// cancelled entry is the current head, in which case it is removed
 /// immediately so the head-is-live invariant holds and next_time() stays a
-/// pure read. When dead entries outnumber live ones the structure is
-/// compacted in one pass, so a workload that schedules and cancels
-/// millions of timers holds O(live) memory, not O(ever scheduled).
+/// pure read. When dead entries outnumber live ones the heap is compacted
+/// in one pass, so a workload that schedules and cancels millions of
+/// timers holds O(live) memory, not O(ever scheduled).
 class EventQueue {
  public:
   using Action = InlineAction;
 
-  explicit EventQueue(EventQueueKind kind = EventQueueKind::kCalendar);
-
-  [[nodiscard]] EventQueueKind kind() const { return kind_; }
+  EventQueue();
 
   /// Schedules `action` at absolute time `when`. Events with `late` set
   /// fire after every same-time normal event regardless of insertion
@@ -84,7 +76,21 @@ class EventQueue {
   /// pump self-schedules use the late class so that a pump scheduled far
   /// ahead (the burst fast path) and one scheduled one byte-time ahead
   /// (per-byte stepping) land at the same position in the tick.
-  EventHandle schedule(Time when, Action action, bool late = false);
+  EventHandle schedule(Time when, Action action, bool late = false) {
+    return schedule_keyed(when, reserve_key(late), std::move(action));
+  }
+
+  /// Takes the next insertion sequence number — exactly as schedule()
+  /// would — and returns the packed tie-break key of an event to be
+  /// inserted later with schedule_keyed() (a delivery-lane event).
+  [[nodiscard]] std::uint64_t reserve_key(bool late = false) {
+    return (static_cast<std::uint64_t>(late) << 63) | next_seq_++;
+  }
+
+  /// Schedules `action` at `when` under a key from reserve_key(). Each
+  /// reserved key may be used once; the event fires where an event
+  /// scheduled at reservation time would have.
+  EventHandle schedule_keyed(Time when, std::uint64_t key, Action action);
 
   /// Cancels a previously scheduled event. Cancelling an already-fired or
   /// already-cancelled event is a harmless no-op.
@@ -96,7 +102,7 @@ class EventQueue {
   /// Time of the earliest live event; kTimeNever when empty. Pure read:
   /// the head-is-live invariant means no cleanup is ever needed here.
   [[nodiscard]] Time next_time() const {
-    return live_count_ == 0 ? kTimeNever : head_time_;
+    return live_count_ == 0 ? kTimeNever : heap_.front().time;
   }
 
   /// Removes and returns the earliest live event. Precondition: !empty().
@@ -111,21 +117,14 @@ class EventQueue {
   [[nodiscard]] std::size_t peak_size() const { return peak_size_; }
   /// Dead entries currently parked awaiting a skip/compaction.
   [[nodiscard]] std::size_t cancelled_in_heap() const { return dead_parked_; }
-  /// Calendar-mode bucket count (1 in heap mode); resize-policy telemetry.
-  [[nodiscard]] std::size_t bucket_count() const {
-    return kind_ == EventQueueKind::kCalendar ? buckets_.size() : 1;
-  }
 
-  /// Estimated heap bytes behind the queue (slot arena, heap/bucket
-  /// storage). Capacity-based, so it is deterministic for a given event
-  /// sequence — the memory audit's mem_queue_bytes counter.
+  /// Estimated heap bytes behind the queue (slot arena and heap storage).
+  /// Capacity-based, so it is deterministic for a given event sequence —
+  /// the memory audit's mem_queue_bytes counter.
   [[nodiscard]] std::size_t heap_bytes_estimate() const {
-    std::size_t bytes = slots_.capacity() * sizeof(Slot) +
-                        free_slots_.capacity() * sizeof(std::uint32_t) +
-                        heap_.capacity() * sizeof(Entry) +
-                        buckets_.capacity() * sizeof(std::vector<Entry>);
-    for (const auto& b : buckets_) bytes += b.capacity() * sizeof(Entry);
-    return bytes;
+    return slots_.capacity() * sizeof(Slot) +
+           free_slots_.capacity() * sizeof(std::uint32_t) +
+           heap_.capacity() * sizeof(Entry);
   }
 
  private:
@@ -133,8 +132,8 @@ class EventQueue {
   /// late flag (late fires after every same-time normal event) and the low
   /// 63 bits are the insertion sequence — so ordering by (time, key)
   /// equals ordering by (time, late, seq). The action itself lives in the
-  /// slot arena, so sift and bucket moves shuffle 32 trivially-copyable
-  /// bytes, never a closure.
+  /// slot arena, so sifts shuffle 32 trivially-copyable bytes, never a
+  /// closure.
   struct Entry {
     Time time = 0;
     std::uint64_t key = 0;
@@ -166,63 +165,15 @@ class EventQueue {
   }
   std::uint32_t acquire_slot(Action action);
   void retire_slot(std::uint32_t slot);
+  /// Pops dead entries off the top until the head is live (or the heap is
+  /// empty).
+  void drop_dead_head();
+  /// Drops every dead entry and re-heapifies.
+  void compact();
 
-  // --- flat-heap structure ---------------------------------------------
-  void heap_insert(const Entry& e);
-  void heap_drop_dead_head();
-  void heap_compact();
-  Entry heap_take();
-
-  // --- calendar structure ----------------------------------------------
-  [[nodiscard]] std::size_t bucket_of(Time t) const {
-    return static_cast<std::size_t>(static_cast<std::uint64_t>(t) >>
-                                    width_log2_) &
-           bucket_mask_;
-  }
-  [[nodiscard]] Time window_end_of(Time t) const {
-    const Time width = Time{1} << width_log2_;
-    return (t & ~(width - 1)) + width;
-  }
-  void cal_insert(const Entry& e);
-  Entry cal_take();
-  /// Drops dead entries off bucket `b`'s heap head.
-  void cal_clean_head(std::vector<Entry>& b);
-  /// Re-establishes the head cache: positions the cursor on the bucket
-  /// holding the earliest live event and records its (time, key). The
-  /// cursor walks forward window by window; if a full rotation finds
-  /// nothing (sparse far-future events), it jumps straight to the global
-  /// minimum across bucket heads instead of walking empty years.
-  void cal_find_head();
-  /// Rebuilds the calendar with `count` buckets and a width fitted to the
-  /// current live population (power-of-two; deterministic in the queue
-  /// contents). Dead parked entries are dropped in passing.
-  void cal_resize(std::size_t count);
-  void cal_compact() { cal_resize(buckets_.size()); }
-  void cal_maybe_resize();
-
-  EventQueueKind kind_;
-
-  // Slot arena (both modes).
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-
-  // Flat-heap state.
   std::vector<Entry> heap_;
-
-  // Calendar state. Buckets are mini-heaps ordered by Later; the head
-  // cache (head_time_/head_key_/head_slot_) always names the earliest
-  // live event, which sits at buckets_[cursor_].front().
-  std::vector<std::vector<Entry>> buckets_;
-  std::size_t bucket_mask_ = 0;
-  unsigned width_log2_ = 4;
-  std::size_t cursor_ = 0;
-  Time window_end_ = 0;
-  std::size_t entries_parked_ = 0;  // live + dead across all buckets
-
-  // Head cache (calendar mode; the heap keeps its head at heap_[0]).
-  Time head_time_ = kTimeNever;
-  std::uint64_t head_key_ = 0;
-  std::uint32_t head_slot_ = 0;
 
   std::size_t live_count_ = 0;
   std::size_t dead_parked_ = 0;

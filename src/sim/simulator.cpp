@@ -20,6 +20,12 @@ EventHandle Simulator::at_late(Time when, EventQueue::Action action) {
   return queue_.schedule(when, std::move(action), /*late=*/true);
 }
 
+EventHandle Simulator::at_keyed(Time when, std::uint64_t key,
+                               EventQueue::Action action) {
+  assert(when >= now_ && "scheduling into the past");
+  return queue_.schedule_keyed(when, key, std::move(action));
+}
+
 void Simulator::dispatch_one() {
   auto [time, action] = queue_.pop();
   assert(time >= now_);

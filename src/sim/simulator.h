@@ -14,13 +14,15 @@ namespace wormcast {
 /// Discrete-event simulator with a byte-time clock.
 ///
 /// Components schedule callbacks with `at` (absolute) or `after` (relative)
-/// and the engine fires them in timestamp order. The engine also maintains a
-/// global *progress counter* that components bump whenever payload moves;
-/// the DeadlockWatchdog uses it to distinguish "quiescent" from "deadlocked".
+/// and the engine fires them in timestamp order from one binary-heap
+/// EventQueue; channels feed it through delivery lanes (reserve_key +
+/// at_keyed), so it holds one delivery per busy channel, not one per byte
+/// in flight. The engine also maintains a global *progress counter* that
+/// components bump whenever payload moves; the DeadlockWatchdog uses it to
+/// distinguish "quiescent" from "deadlocked".
 class Simulator {
  public:
-  explicit Simulator(EventQueueKind queue_kind = EventQueueKind::kCalendar)
-      : queue_(queue_kind) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -37,6 +39,13 @@ class Simulator {
   /// so burst-mode (scheduled a whole run ahead) and per-byte (scheduled
   /// one byte-time ahead) pumps occupy the same slot within a tick.
   EventHandle at_late(Time when, EventQueue::Action action);
+
+  /// Delivery lanes (see EventQueue): reserve_key() takes an event's
+  /// tie-break key now; at_keyed() inserts it later, at `when >= now()`,
+  /// where at() at reservation time would have put it.
+  [[nodiscard]] std::uint64_t reserve_key() { return queue_.reserve_key(); }
+  EventHandle at_keyed(Time when, std::uint64_t key,
+                       EventQueue::Action action);
 
   void cancel(EventHandle handle) { queue_.cancel(handle); }
 
@@ -65,7 +74,6 @@ class Simulator {
   [[nodiscard]] std::size_t event_queue_peak() const {
     return queue_.peak_size();
   }
-  [[nodiscard]] EventQueueKind queue_kind() const { return queue_.kind(); }
   /// Estimated heap bytes behind the event queue (memory audit).
   [[nodiscard]] std::size_t event_queue_heap_bytes() const {
     return queue_.heap_bytes_estimate();

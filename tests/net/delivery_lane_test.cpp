@@ -1,0 +1,144 @@
+// Channel delivery lanes (sim/event_queue.h): a channel keeps only the
+// front run of its wire in the event queue, under the key it reserved at
+// send time, so a long link costs one pending event instead of one per
+// byte in flight — and deliveries still fire exactly where per-send
+// scheduling would have put them.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "net/channel.h"
+#include "sim/simulator.h"
+
+namespace wormcast {
+namespace {
+
+/// Feeds one worm of `len` bytes, one byte at a time (never bursts).
+class StreamFeed final : public ByteFeed {
+ public:
+  explicit StreamFeed(std::int64_t len) : len_(len) {}
+  [[nodiscard]] bool byte_available() const override { return sent_ < len_; }
+  TxByte take_byte() override {
+    TxByte b;
+    b.head = sent_ == 0;
+    if (b.head) {
+      b.worm = std::make_shared<Worm>();
+      b.wire_len = len_;
+    }
+    b.tail = ++sent_ == len_;
+    return b;
+  }
+  void on_tail_sent() override {}
+
+ private:
+  std::int64_t len_;
+  std::int64_t sent_ = 0;
+};
+
+/// Logs (time, tag) for every byte that lands.
+class TagSink final : public RxSink {
+ public:
+  TagSink(Simulator& sim, int tag, std::vector<std::pair<Time, int>>& log)
+      : sim_(sim), tag_(tag), log_(log) {}
+  void on_head(const WormPtr&, std::int64_t, bool) override { note(); }
+  void on_body(bool) override { note(); }
+  std::int64_t received = 0;
+
+ private:
+  void note() {
+    log_.emplace_back(sim_.now(), tag_);
+    ++received;
+  }
+  Simulator& sim_;
+  int tag_;
+  std::vector<std::pair<Time, int>>& log_;
+};
+
+// The per-channel bound: a 2,000-byte worm streamed per-byte over a
+// 40-byte-time link keeps 40 bytes on the wire, yet the queue never holds
+// more than the channel's pump plus ONE delivery.
+TEST(DeliveryLane, LongWormOver40BtChannelHoldsOneDeliveryEvent) {
+  constexpr Time kDelay = 40;
+  constexpr std::int64_t kLen = 2000;
+  Simulator sim;
+  Channel ch(sim, kDelay);
+  ch.set_burst_enabled(false);
+  std::vector<std::pair<Time, int>> log;
+  TagSink sink(sim, 0, log);
+  ch.set_sink(&sink);
+  StreamFeed feed(kLen);
+  ch.attach_feed(&feed);
+  std::size_t max_pending = 0;
+  std::int64_t max_on_wire = 0;
+  for (Time t = 0; t <= kLen + kDelay; ++t) {
+    sim.run_until(t);
+    max_pending = std::max(max_pending, sim.pending_events());
+    max_on_wire = std::max(max_on_wire, ch.bytes_sent() - sink.received);
+  }
+  sim.run();
+  EXPECT_EQ(max_on_wire, kDelay);  // the wire really was full
+  EXPECT_LE(max_pending, 2u);      // pump + lane head
+  EXPECT_LE(sim.event_queue_peak(), 2u);
+  ASSERT_EQ(sink.received, kLen);
+  for (std::int64_t i = 0; i < kLen; ++i)
+    EXPECT_EQ(log[static_cast<std::size_t>(i)].first, kDelay + i);
+}
+
+// A delivery keeps the queue position of its send: a byte sent at t=5 that
+// lands at 45 fires before an event scheduled at t=20 for time 45, even
+// though the lane inserts that delivery only when the byte ahead of it
+// lands (at 44, long after t=20).
+TEST(DeliveryLane, DeliveryKeepsTheQueuePositionOfItsSend) {
+  Simulator sim;
+  Channel ch(sim, 40);
+  ch.set_burst_enabled(false);
+  std::vector<std::pair<Time, int>> log;
+  TagSink sink(sim, 0, log);
+  ch.set_sink(&sink);
+  StreamFeed feed(100);
+  ch.attach_feed(&feed);
+  sim.at(20, [&] { sim.at(45, [&] { log.emplace_back(sim.now(), 1); }); });
+  sim.run();
+  const auto at45 = std::find_if(log.begin(), log.end(), [](const auto& e) {
+    return e.first == 45;
+  });
+  ASSERT_NE(at45, log.end());
+  EXPECT_EQ(at45->second, 0);        // the delivery (sent at t=5) first
+  EXPECT_EQ((at45 + 1)->first, 45);  // then the t=20 event
+  EXPECT_EQ((at45 + 1)->second, 1);
+}
+
+// Two lanes of different lengths into one tick: a long link's bytes were
+// sent earlier than a short link's bytes landing at the same time, so they
+// fire first at every shared tick, as per-send scheduling orders them.
+TEST(DeliveryLane, LanesInterleaveBySendOrder) {
+  Simulator sim;
+  Channel slow(sim, 40);
+  Channel fast(sim, 10);
+  slow.set_burst_enabled(false);
+  fast.set_burst_enabled(false);
+  std::vector<std::pair<Time, int>> log;
+  TagSink slow_sink(sim, 0, log);
+  TagSink fast_sink(sim, 1, log);
+  slow.set_sink(&slow_sink);
+  fast.set_sink(&fast_sink);
+  StreamFeed slow_feed(200);
+  StreamFeed fast_feed(200);
+  slow.attach_feed(&slow_feed);
+  sim.at(30, [&] { fast.attach_feed(&fast_feed); });
+  sim.run();
+  ASSERT_EQ(log.size(), 400u);
+  int shared_ticks = 0;
+  for (std::size_t i = 0; i + 1 < log.size(); ++i) {
+    if (log[i].first != log[i + 1].first) continue;
+    ++shared_ticks;
+    EXPECT_EQ(log[i].second, 0) << "at t=" << log[i].first;
+    EXPECT_EQ(log[i + 1].second, 1) << "at t=" << log[i].first;
+  }
+  EXPECT_EQ(shared_ticks, 200);  // both land one byte per tick, t = 40 .. 239
+}
+
+}  // namespace
+}  // namespace wormcast
