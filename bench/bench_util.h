@@ -9,9 +9,11 @@
 // bit-identical no matter how many workers ran them.
 #pragma once
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -32,6 +34,7 @@ namespace wormcast::bench {
 ///                     RunningStat::merge (benches that support it)
 ///   --trace-cap N     flight-recorder ring capacity in events (benches
 ///                     that trace; default Tracer::kDefaultCapacity)
+///   (N must be an integer >= 1; anything else fails fast with exit 2)
 ///   --trace-out FILE  export Chrome trace-event JSON (benches that trace)
 ///   --check           run wormcheck protocol expectations over every sweep
 ///                     point's trace; any violation (or checker refusal)
@@ -39,16 +42,11 @@ namespace wormcast::bench {
 ///   --strategy NAME   tree strategy for benches that support it
 ///                     (single-root | partition-merge | load-aware |
 ///                     multi-root); rejected here so a typo fails fast
-///   --shards N        executors for the sharded in-run engine (benches
-///                     that support it; default 1 = classic single-queue).
-///                     Results are bit-identical at any shard count — the
-///                     CI shard gate diffs the rows — only wall time moves
 struct BenchArgs {
   bool quick = false;
   bool check = false;
   int jobs = 1;
   int reps = 1;
-  int shards = 1;
   std::size_t trace_cap = Tracer::kDefaultCapacity;
   /// True when --trace-cap was passed: --check then respects the user's
   /// capacity (and refuses loudly if the ring wraps) instead of auto-sizing.
@@ -65,33 +63,56 @@ struct BenchArgs {
 /// slots (~160 MB per concurrently-live point) leaves headroom.
 inline constexpr std::size_t kCheckTraceCapacity = std::size_t{1} << 22;
 
+/// Prints the usage line to stderr and exits(2).
+[[noreturn]] inline void bench_usage_exit(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--quick] [--check] [--jobs N] [--reps N] "
+               "[--trace-cap N] [--trace-out <file.trace.json>] "
+               "[--strategy NAME]\n",
+               argv0);
+  std::exit(2);
+}
+
+/// Parses the value of a count flag (`--jobs`, `--reps`, `--trace-cap`):
+/// a whole decimal integer in [1, max], or usage and exit(2).
+inline long long parse_count_flag(
+    const char* argv0, const char* flag, const char* text,
+    long long max = std::numeric_limits<int>::max()) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < 1 || v > max) {
+    std::fprintf(stderr, "invalid %s value '%s' (expected an integer >= 1)\n",
+                 flag, text);
+    bench_usage_exit(argv0);
+  }
+  return v;
+}
+
 /// Parses the shared flags; prints usage and exits(2) on anything else.
 inline BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const bool has_value = i + 1 < argc;
     if (arg == "--quick") {
       args.quick = true;
     } else if (arg == "--check") {
       args.check = true;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      args.jobs = std::atoi(argv[++i]);
-      if (args.jobs < 1) args.jobs = 1;
-    } else if (arg == "--reps" && i + 1 < argc) {
-      args.reps = std::atoi(argv[++i]);
-      if (args.reps < 1) args.reps = 1;
-    } else if (arg == "--shards" && i + 1 < argc) {
-      args.shards = std::atoi(argv[++i]);
-      if (args.shards < 1) args.shards = 1;
-    } else if (arg == "--trace-cap" && i + 1 < argc) {
-      const long long cap = std::atoll(argv[++i]);
-      if (cap > 0) {
-        args.trace_cap = static_cast<std::size_t>(cap);
-        args.trace_cap_explicit = true;
-      }
-    } else if (arg == "--trace-out" && i + 1 < argc) {
+    } else if (arg == "--jobs" && has_value) {
+      args.jobs =
+          static_cast<int>(parse_count_flag(argv[0], "--jobs", argv[++i]));
+    } else if (arg == "--reps" && has_value) {
+      args.reps =
+          static_cast<int>(parse_count_flag(argv[0], "--reps", argv[++i]));
+    } else if (arg == "--trace-cap" && has_value) {
+      args.trace_cap = static_cast<std::size_t>(
+          parse_count_flag(argv[0], "--trace-cap", argv[++i],
+                           std::numeric_limits<long long>::max()));
+      args.trace_cap_explicit = true;
+    } else if (arg == "--trace-out" && has_value) {
       args.trace_out = argv[++i];
-    } else if (arg == "--strategy" && i + 1 < argc) {
+    } else if (arg == "--strategy" && has_value) {
       const char* name = argv[++i];
       if (!parse_tree_strategy(name, &args.strategy)) {
         std::fprintf(stderr,
@@ -102,13 +123,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
       }
       args.strategy_explicit = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--check] [--jobs N] [--reps N] "
-                   "[--shards N] [--trace-cap N] "
-                   "[--trace-out <file.trace.json>] "
-                   "[--strategy NAME]\n",
-                   argv[0]);
-      std::exit(2);
+      bench_usage_exit(argv[0]);
     }
   }
   if (args.check && !args.trace_cap_explicit)

@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
     opts.checks = &checks;
     opts.check_slot = i;
     opts.check_label = label;
-    opts.shards = args.shards;
     results[i] = bench::run_testbed(opts);
   });
 

@@ -1,5 +1,5 @@
 // Large-fabric scaling bench: thousand-host networks driven end to end,
-// sweeping the sharded engine's executor count on each fabric.
+// one run per fabric.
 //
 // Two fabrics, both 1024 hosts:
 //
@@ -11,21 +11,15 @@
 //
 // Links are 40 byte-times long — ~100 m of cable at 640 Mb/s (see
 // net/topology.h's 25 m ~ 10 bt rationale), the building-scale runs the
-// paper's Section 7 multi-campus discussion contemplates. The propagation
-// delay is also the sharded engine's lookahead window, so these fabrics
-// run ~8x more simulation per synchronization barrier than the 5-bt
-// testbed links would.
+// paper's Section 7 multi-campus discussion contemplates.
 //
 // Workload: every host multicasts 2 KB packets to its own 8-host group on
 // a fixed period — busy enough that channel/switch events dominate the
-// window loop, group-local so a packet's Hamiltonian circuit stays short.
+// event loop, group-local so a packet's Hamiltonian circuit stays short.
 //
-// Each (fabric, shards) point is one run. The physics columns of every
-// row are bit-identical across the shards axis (the in-run parallelism
-// contract; the CI shard gate diffs them), so the interesting outputs are
-// the meta walls: shards4_speedup_wall_<fabric> is the acceptance number
-// for the sharded engine (>= 2x at 4 executors on an 8-core runner; a
-// starved 1-2 core container will show ~1x and that is expected).
+// Each fabric is one run on one Simulator; --jobs runs the two fabrics
+// in parallel. The event-loop wall of each run lands in meta
+// (sim_wall_ms_<fabric>), never in rows, which the perf gate diffs.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -54,7 +48,6 @@ int main(int argc, char** argv) {
   };
   const std::vector<Fabric> fabrics = {{"torus32", &torus, nullptr},
                                        {"clos16x32", &clos, &clos_levels}};
-  const std::vector<int> shard_counts = {1, 2, 4};
 
   std::printf("# Large fabrics: 1024 hosts (%s), %lld-byte packets to "
               "%d-host groups every %lld byte-times, %lld byte-times, "
@@ -63,10 +56,10 @@ int main(int argc, char** argv) {
               group_size, static_cast<long long>(period),
               static_cast<long long>(span), static_cast<long long>(link_delay));
   bench::print_header(
-      "fabric", {"shards", "hosts", "switches", "throughput_mbps", "loss_rate",
-                 "sim_bytes", "windows_ok"});
+      "fabric",
+      {"hosts", "switches", "throughput_mbps", "loss_rate", "sim_bytes"});
 
-  const std::size_t n_points = fabrics.size() * shard_counts.size();
+  const std::size_t n_points = fabrics.size();
   bench::JsonBench json("large_fabric");
   json.resize_rows(n_points);
   bench::CheckCollector checks(args.check);
@@ -75,8 +68,7 @@ int main(int argc, char** argv) {
   harness::SweepRunner pool(args.jobs);
   std::vector<bench::TestbedResult> results(n_points);
   const auto walls = pool.run_indexed(n_points, [&](std::size_t i) {
-    const Fabric& f = fabrics[i / shard_counts.size()];
-    const int shards = shard_counts[i % shard_counts.size()];
+    const Fabric& f = fabrics[i];
     bench::TestbedOptions opts;
     opts.topology = f.topo;
     opts.topology_levels = f.levels;
@@ -85,68 +77,32 @@ int main(int argc, char** argv) {
     opts.span = span;
     opts.group_size = group_size;
     opts.inject_period = period;
-    opts.shards = shards;
     opts.trace_cap = args.trace_cap;
     opts.checks = &checks;
     opts.check_slot = i;
-    opts.check_label =
-        std::string(f.name) + " shards=" + std::to_string(shards);
+    opts.check_label = f.name;
     results[i] = bench::run_testbed(opts);
   });
 
   for (std::size_t i = 0; i < n_points; ++i) {
-    const Fabric& f = fabrics[i / shard_counts.size()];
-    const int shards = shard_counts[i % shard_counts.size()];
+    const Fabric& f = fabrics[i];
     const bench::TestbedResult& r = results[i];
-    // Physics must not move along the shards axis; restate the contract
-    // in-band so a drifting run is visible even without the CI gate.
-    const bench::TestbedResult& base = results[(i / shard_counts.size()) *
-                                              shard_counts.size()];
-    const bool ok = r.throughput_mbps == base.throughput_mbps &&
-                    r.loss_rate == base.loss_rate &&
-                    r.bytes_on_wire == base.bytes_on_wire;
-    std::printf("%s,%d,%d,%d,%.2f,%.4f,%lld,%d\n", f.name, shards,
-                f.topo->num_hosts(), f.topo->num_switches(),
-                r.throughput_mbps, r.loss_rate,
-                static_cast<long long>(r.bytes_on_wire), ok ? 1 : 0);
-    json.set_row(i, {{"fabric", static_cast<double>(i / shard_counts.size())},
-                     {"shards", static_cast<double>(shards)},
+    std::printf("%s,%d,%d,%.2f,%.4f,%lld\n", f.name, f.topo->num_hosts(),
+                f.topo->num_switches(), r.throughput_mbps, r.loss_rate,
+                static_cast<long long>(r.bytes_on_wire));
+    json.set_row(i, {{"fabric", static_cast<double>(i)},
                      {"hosts", static_cast<double>(f.topo->num_hosts())},
                      {"switches", static_cast<double>(f.topo->num_switches())},
                      {"throughput_mbps", r.throughput_mbps},
                      {"loss_rate", r.loss_rate},
-                     {"sim_bytes", static_cast<double>(r.bytes_on_wire)},
-                     {"windows_ok", ok ? 1.0 : 0.0}});
+                     {"sim_bytes", static_cast<double>(r.bytes_on_wire)}});
+    json.set_meta(std::string("sim_wall_ms_") + f.name, r.sim_wall_ms);
+    std::printf("# %s: sim wall %.0f ms\n", f.name, r.sim_wall_ms);
   }
-  // Wall-clock lives in meta only (rows are diffed across runs and shard
-  // counts): the sharded speedup at each fabric, from the event-loop wall.
-  bool all_ok = true;
-  for (std::size_t fi = 0; fi < fabrics.size(); ++fi) {
-    const double base = results[fi * shard_counts.size()].sim_wall_ms;
-    for (std::size_t si = 1; si < shard_counts.size(); ++si) {
-      const bench::TestbedResult& r = results[fi * shard_counts.size() + si];
-      const double speedup = r.sim_wall_ms > 0 ? base / r.sim_wall_ms : 0.0;
-      json.set_meta("shards" + std::to_string(shard_counts[si]) +
-                        "_speedup_wall_" + fabrics[fi].name,
-                    speedup);
-      std::printf("# %s: --shards %d speedup %.2fx (%.0f ms -> %.0f ms)\n",
-                  fabrics[fi].name, shard_counts[si], speedup, base,
-                  r.sim_wall_ms);
-    }
-  }
-  for (std::size_t i = 0; i < n_points; ++i) {
-    const std::size_t base_i = (i / shard_counts.size()) * shard_counts.size();
-    if (results[i].throughput_mbps != results[base_i].throughput_mbps ||
-        results[i].bytes_on_wire != results[base_i].bytes_on_wire)
-      all_ok = false;
-  }
-  if (!all_ok)
-    std::printf("# WARNING: shard counts disagree on results — sharded "
-                "engine bug!\n");
   std::fflush(stdout);
   json.set_counters(results[0].counters);
   bench::stamp_sweep_meta(json, pool, walls, sweep);
   const int check_rc = checks.finalize(&json);
   json.write();
-  return all_ok ? check_rc : 1;
+  return check_rc;
 }

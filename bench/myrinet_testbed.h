@@ -59,9 +59,9 @@ struct TestbedResult {
 };
 
 /// One testbed run, fully parameterized. The defaults reproduce the
-/// paper's configuration; the engine knobs (burst_channels, fast_forward,
-/// shards) change only how fast the simulation runs, never what it
-/// computes — burst mode and fast_forward do change event counts (fewer
+/// paper's configuration; the engine knobs (burst_channels, fast_forward)
+/// change only how fast the simulation runs, never what it computes —
+/// burst mode and fast_forward do change event counts (fewer
 /// channel events; skipped idle app polls, see sim/idle_poller.h).
 struct TestbedOptions {
   int senders = 1;
@@ -75,10 +75,6 @@ struct TestbedOptions {
   /// 0 = the paper's 4-switch / 8-host testbed; N > 0 = an N x N torus
   /// with one host per switch (N*N hosts; the 1k-host point is N = 32).
   int torus = 0;
-  /// Executors for the sharded in-run engine (core/network.h): 1 = the
-  /// classic single-queue simulator. Results are bit-identical at any
-  /// count; only wall time moves.
-  int shards = 1;
   /// Overrides the built-in testbed/torus topology entirely (the
   /// large-fabric bench's Clos and wide-torus points). When set, `torus`
   /// is ignored and the host count comes from the topology. Optional
@@ -117,7 +113,6 @@ inline TestbedResult run_testbed(const TestbedOptions& opts) {
                           ? opts.topology->num_hosts()
                           : (opts.torus > 0 ? opts.torus * opts.torus : 8);
   ExperimentConfig cfg;
-  cfg.engine.shards = opts.shards;
   if (opts.topology_levels != nullptr)
     cfg.routing.level_override = *opts.topology_levels;
   cfg.fabric.burst_channels = opts.burst_channels;

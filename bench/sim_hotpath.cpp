@@ -189,7 +189,6 @@ int main(int argc, char** argv) {
       opts.burst_channels = modes[i].burst;
       opts.tracing = modes[i].tracing;
       opts.trace_cap = args.trace_cap;
-      opts.shards = args.shards;
       timed[i] = timed_run(opts, kRepetitions);
     } else {
       const EngineMode& m = engine_modes[i - modes.size()];
@@ -201,7 +200,6 @@ int main(int argc, char** argv) {
       opts.group_size = scale_group;
       opts.inject_period = scale_period;
       opts.fast_forward = m.fast_forward;
-      opts.shards = args.shards;
       engine_timed[i - modes.size()] = timed_run(opts, scale_reps);
     }
   });

@@ -1,10 +1,7 @@
 #include "core/network.h"
 
 #include <algorithm>
-#include <fstream>
-#include <iostream>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "net/mcast_route_builder.h"
@@ -19,9 +16,7 @@ Network::Network(Topology topo, std::vector<MulticastGroupSpec> groups,
       groups_(std::move(groups)),
       config_(config) {
   topo_.validate();
-  const ShardPlan plan = build_shard_plan();
-  fabric_ = std::make_unique<Fabric>(sim_, topo_, config_.fabric,
-                                     engine_ ? &plan : nullptr);
+  fabric_ = std::make_unique<Fabric>(sim_, topo_, config_.fabric);
   routing_ = std::make_unique<UpDownRouting>(topo_, config_.routing);
   strategy_ =
       make_tree_strategy(config_.tree, topo_, *routing_, config_.routing);
@@ -68,76 +63,6 @@ Network::Network(Topology topo, std::vector<MulticastGroupSpec> groups,
       [this](const std::shared_ptr<MessageContext>& ctx) {
         on_message_closed(ctx->message_id);
       });
-  // Host adapters have attached their sinks by now: seed every
-  // cross-executor channel's burst budget before the first window runs.
-  if (engine_) fabric_->publish_cross_budgets();
-}
-
-ShardPlan Network::build_shard_plan() {
-  const int shards = config_.engine.shards;
-  if (shards < 1)
-    throw std::invalid_argument("EngineConfig::shards must be >= 1");
-  // One worker per switch band, never more workers than switches. exec0
-  // keeps the whole protocol plane, so a hosts-only topology stays classic.
-  const int workers = std::min(shards - 1, topo_.num_switches());
-  if (workers == 0) return ShardPlan{};
-  if (config_.faults.any())
-    throw std::invalid_argument(
-        "sharded runs (--shards > 1) do not support armed fault injection "
-        "yet; run with shards = 1");
-  if (config_.tree.kind == TreeStrategyKind::kLoadAware)
-    throw std::invalid_argument(
-        "the load-aware tree strategy reads per-switch load mid-run and is "
-        "not supported with --shards > 1 yet");
-  for (const auto& [g, kind] : config_.tree.per_group)
-    if (kind == TreeStrategyKind::kLoadAware)
-      throw std::invalid_argument(
-          "the load-aware tree strategy (per-group override) is not "
-          "supported with --shards > 1 yet");
-
-  ShardPlan plan;
-  plan.node_exec.assign(static_cast<std::size_t>(topo_.num_nodes()), 0);
-  // Switches are banded by NodeId order into contiguous chunks: generators
-  // emit switches row-major (torus) or stage-major (Clos/fat tree), so
-  // consecutive ids are physically adjacent and most hops stay in-band.
-  std::vector<NodeId> switches;
-  for (NodeId n = 0; n < topo_.num_nodes(); ++n)
-    if (topo_.node(n).kind == NodeKind::kSwitch) switches.push_back(n);
-  const std::size_t band =
-      (switches.size() + static_cast<std::size_t>(workers) - 1) /
-      static_cast<std::size_t>(workers);
-  for (std::size_t i = 0; i < switches.size(); ++i)
-    plan.node_exec[static_cast<std::size_t>(switches[i])] =
-        1 + static_cast<int>(i / band);
-
-  // Lookahead = the minimum propagation delay over cross-executor links:
-  // an effect emitted at t inside a window lands at t + delay >= window
-  // end + 1, so intra-window execution needs no synchronization.
-  Time lookahead = kTimeNever;
-  for (LinkId l = 0; l < topo_.num_links(); ++l) {
-    const TopoLink& lk = topo_.link(l);
-    if (plan.node_exec[static_cast<std::size_t>(lk.node_a)] !=
-        plan.node_exec[static_cast<std::size_t>(lk.node_b)])
-      lookahead = std::min(lookahead, lk.delay);
-  }
-  if (lookahead == kTimeNever) lookahead = 1;  // no cross links at all
-
-  worker_sims_.reserve(static_cast<std::size_t>(workers));
-  plan.sims.push_back(&sim_);
-  for (int i = 0; i < workers; ++i) {
-    worker_sims_.push_back(std::make_unique<Simulator>());
-    plan.sims.push_back(worker_sims_.back().get());
-  }
-  engine_ = std::make_unique<ShardedEngine>(plan.sims, lookahead);
-  plan.bus = &engine_->bus();
-  return plan;
-}
-
-void Network::require_unsharded(const char* what) const {
-  if (engine_ != nullptr)
-    throw std::logic_error(std::string(what) +
-                           " is not supported with --shards > 1 yet; run "
-                           "with shards = 1");
 }
 
 Network::~Network() = default;
@@ -148,7 +73,6 @@ void Network::inject(const Demand& demand) {
 
 std::shared_ptr<MessageContext> Network::send_switch_multicast(
     HostId src, GroupId group, std::int64_t payload) {
-  require_unsharded("send_switch_multicast");
   const CircuitTable& members = tables_->circuit(group);
   const int dests = members.size() - (members.contains(src) ? 1 : 0);
   auto ctx = metrics_.create_message(src, group, payload, dests, sim_.now());
@@ -159,7 +83,6 @@ std::shared_ptr<MessageContext> Network::send_switch_multicast(
 
 std::shared_ptr<MessageContext> Network::send_switch_broadcast(
     HostId src, std::int64_t payload) {
-  require_unsharded("send_switch_broadcast");
   auto ctx = metrics_.create_message(src, kBroadcastGroup, payload,
                                      topo_.num_hosts() - 1, sim_.now());
   gate_admit(GatedSend{src, kNoGroup, payload, /*broadcast=*/true, ctx});
@@ -296,7 +219,6 @@ void Network::gate_pump() {
 }
 
 void Network::crash_host(HostId h, Time when) {
-  require_unsharded("crash_host");
   sim_.at(when, [this, h] {
     faults_->mark_host_dead(h);
     protocols_[h]->on_crash();
@@ -304,7 +226,6 @@ void Network::crash_host(HostId h, Time when) {
 }
 
 void Network::fail_link(LinkId l, Time when) {
-  require_unsharded("fail_link");
   sim_.at(when, [this, l] {
     const TopoLink& link = topo_.link(l);
     faults_->kill_link(&fabric_->channel_from(l, link.node_a));
@@ -327,7 +248,6 @@ void Network::migrate_root(NodeId new_root, Time when) {
 
 int Network::flap_link(LinkId l, Time from, Time until, Time mean_down,
                        Time mean_up) {
-  require_unsharded("flap_link");
   const TopoLink& link = topo_.link(l);
   // One key per link: both directed channels share the schedule (the link
   // flaps as a unit) and the windows never depend on call order.
@@ -570,9 +490,7 @@ void Network::run(Time warmup, Time measure, Time drain_cap) {
   traffic_->start(warmup + measure);
   // Window edges are read between run_until() calls, after every event of
   // the edge tick has fired: mid-tick reads would depend on how events
-  // interleave within the tick, which the burst fast path changes. A
-  // sharded run_until leaves every executor parked at the deadline, so
-  // these reads see the same settled state as the classic path.
+  // interleave within the tick, which the burst fast path changes.
   run_until(warmup);
   egress_at_window_start_ = fabric_->host_egress_bytes();
   run_until(warmup + measure);
@@ -581,7 +499,7 @@ void Network::run(Time warmup, Time measure, Time drain_cap) {
   // bounded so saturated runs terminate.
   const Time drain_deadline = warmup + measure + drain_cap;
   while (metrics_.outstanding() > 0 && sim_.now() < drain_deadline &&
-         !(engine_ ? engine_->idle() : sim_.idle())) {
+         !sim_.idle()) {
     run_until(std::min(drain_deadline, sim_.now() + 10'000));
   }
 }
@@ -642,46 +560,10 @@ Network::Summary Network::summary() const {
 
 void Network::enable_tracing(std::size_t capacity) {
   sim_.tracer().enable(capacity);
-  for (const auto& s : worker_sims_) s->tracer().enable(capacity);
-}
-
-std::vector<TraceEvent> Network::merged_trace_snapshot() const {
-  std::vector<TraceEvent> events = sim_.tracer().snapshot();
-  if (worker_sims_.empty()) return events;
-  for (const auto& s : worker_sims_) {
-    const std::vector<TraceEvent> part = s->tracer().snapshot();
-    events.insert(events.end(), part.begin(), part.end());
-  }
-  // Canonical stream: time-ordered, each executor's recording order
-  // preserved within a tick (every per-component track lives on exactly
-  // one executor, so track-local causality survives the merge).
-  std::stable_sort(
-      events.begin(), events.end(),
-      [](const TraceEvent& a, const TraceEvent& b) { return a.t < b.t; });
-  return events;
-}
-
-std::int64_t Network::trace_recorded() const {
-  std::int64_t total = sim_.tracer().recorded();
-  for (const auto& s : worker_sims_) total += s->tracer().recorded();
-  return total;
-}
-
-std::int64_t Network::trace_dropped() const {
-  std::int64_t total = sim_.tracer().dropped();
-  for (const auto& s : worker_sims_) total += s->tracer().dropped();
-  return total;
 }
 
 bool Network::write_trace(const std::string& path) const {
-  if (worker_sims_.empty()) return write_chrome_trace(sim_.tracer(), path);
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "write_trace: cannot open " << path << '\n';
-    return false;
-  }
-  out << chrome_trace_json(merged_trace_snapshot());
-  return static_cast<bool>(out);
+  return write_chrome_trace(sim_.tracer(), path);
 }
 
 check::CheckReport Network::check_expectations() const {
@@ -696,8 +578,8 @@ check::CheckReport Network::check_expectations() const {
     std::ostringstream why;
     why << "the trace ring wrapped: " << trace_dropped() << " of "
         << trace_recorded() << " events were overwritten (capacity "
-        << sim_.tracer().capacity() << " per executor)"
-        << ", so absence of a violation proves nothing; raise the trace "
+        << sim_.tracer().capacity()
+        << "), so absence of a violation proves nothing; raise the trace "
            "capacity (--trace-cap) until nothing drops";
     rep.refusal = why.str();
     rep.events_dropped = trace_dropped();
@@ -721,7 +603,7 @@ check::CheckReport Network::check_expectations() const {
       config_.switch_mcast.scheme == SwitchMcastScheme::kFlushUnicast
           ? config_.switch_mcast.idle_flush_threshold
           : 0;
-  rep = check::run_checks(merged_trace_snapshot(), check::standard_rules(ccfg));
+  rep = check::run_checks(sim_.tracer().snapshot(), check::standard_rules(ccfg));
   rep.events_dropped = trace_dropped();
   return rep;
 }
@@ -785,9 +667,7 @@ void Network::register_counters(CounterRegistry& reg) const {
   // Memory audit: capacity-based resident-byte estimates per subsystem,
   // so BENCH json shows where a large fabric's memory goes. Deterministic
   // for a given run (capacities follow the event sequence, not the
-  // allocator), but per-executor structures (queues, trace rings, arena)
-  // legitimately scale with the shard count — the shard gate exempts
-  // mem_* wholesale. The protocol entry counts object shells only; the
+  // allocator). The protocol entry counts object shells only; the
   // fabric/adapters/tables entries include their queues and tables.
   reg.add("mem_fabric_bytes",
           i64([this] { return fabric_->heap_bytes_estimate(); }));
@@ -801,16 +681,10 @@ void Network::register_counters(CounterRegistry& reg) const {
   }));
   reg.add("mem_tables_bytes",
           i64([this] { return tables_->heap_bytes_estimate(); }));
-  reg.add("mem_queues_bytes", i64([this] {
-    std::size_t bytes = sim_.event_queue_heap_bytes();
-    for (const auto& w : worker_sims_) bytes += w->event_queue_heap_bytes();
-    return bytes;
-  }));
+  reg.add("mem_queues_bytes",
+          i64([this] { return sim_.event_queue_heap_bytes(); }));
   reg.add("mem_trace_bytes", i64([this] {
-    std::size_t bytes = sim_.tracer().capacity() * sizeof(TraceEvent);
-    for (const auto& w : worker_sims_)
-      bytes += w->tracer().capacity() * sizeof(TraceEvent);
-    return bytes;
+    return sim_.tracer().capacity() * sizeof(TraceEvent);
   }));
   reg.add("mem_arena_bytes", i64([this] {
     return worm_pool_.parked() * sizeof(Worm);
@@ -821,11 +695,6 @@ DeadlockWatchdog& Network::attach_watchdog(Time interval) {
   watchdog_ = std::make_unique<DeadlockWatchdog>(
       sim_, interval, [this] { return metrics_.outstanding(); }, nullptr);
   watchdog_->set_diagnostics([this] { return debug_report(); });
-  // Sharded runs: bytes can be moving on worker executors while exec0's
-  // own progress counter sits still, so the stall detector must watch the
-  // engine-wide sum (reads are racy-but-monotone; fine for a watchdog).
-  if (engine_)
-    watchdog_->set_progress_source([this] { return engine_->progress(); });
   watchdog_->arm();
   return *watchdog_;
 }

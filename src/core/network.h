@@ -27,7 +27,6 @@
 #include "sim/arena.h"
 #include "sim/counters.h"
 #include "sim/fault_injector.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 #include "sim/watchdog.h"
@@ -64,25 +63,7 @@ struct MembershipConfig {
   Time join_grace = 150'000;
 };
 
-/// Simulator-engine knobs. These pick implementations, not behavior, so
-/// benches can flip them freely for A/B timing.
-struct EngineConfig {
-  /// Executors for the sharded parallel engine: 1 = the classic
-  /// single-queue simulator (code path for code path); S > 1 = executor 0
-  /// runs the whole protocol plane (hosts, adapters, protocols, traffic,
-  /// metrics) on the calling thread and S-1 workers own contiguous bands
-  /// of switches, synchronized in conservative lookahead windows (see
-  /// sim/shard.h). Results are bit-identical at any shard count (the
-  /// shard-determinism gate pins Summary, BENCH rows and check verdicts
-  /// across --shards 1/2/4).
-  /// Fault injection, membership-independent switch multicast and the
-  /// load-aware strategy are v1-unsupported under sharding (the ctor and
-  /// the entry points throw).
-  int shards = 1;
-};
-
 struct ExperimentConfig {
-  EngineConfig engine;
   FabricConfig fabric;
   AdapterConfig adapter;
   ProtocolConfig protocol;
@@ -155,43 +136,23 @@ class Network {
   }
 
   /// Advances the simulation (tests and examples drive this directly).
-  /// Sharded runs advance every executor and leave all clocks aligned at
-  /// `deadline`, so observable state reads the same as the classic path.
-  void run_until(Time deadline) {
-    if (engine_) {
-      engine_->run_until(deadline);
-    } else {
-      sim_.run_until(deadline);
-    }
-  }
-  void run_to_quiescence() {
-    if (engine_) {
-      engine_->run_to_quiescence();
-    } else {
-      sim_.run();
-    }
-  }
+  void run_until(Time deadline) { sim_.run_until(deadline); }
+  void run_to_quiescence() { sim_.run(); }
 
   [[nodiscard]] Simulator& sim() { return sim_; }
-  /// The sharded engine, null on classic (shards = 1) runs.
-  [[nodiscard]] const ShardedEngine* engine() const { return engine_.get(); }
-  /// Executors actually running (1 on the classic path; config shards may
-  /// be clamped when there are fewer switches than worker slots).
-  [[nodiscard]] int num_executors() const {
-    return engine_ ? engine_->num_executors() : 1;
-  }
-  /// Events dispatched / deepest queue across all executors (the classic
-  /// single-Simulator numbers when unsharded) — benches read these instead
-  /// of sim().events_dispatched() so telemetry covers every shard.
   [[nodiscard]] std::int64_t events_dispatched() const {
-    return engine_ ? engine_->events_dispatched() : sim_.events_dispatched();
+    return sim_.events_dispatched();
   }
   [[nodiscard]] std::size_t event_queue_peak() const {
-    return engine_ ? engine_->event_queue_peak() : sim_.event_queue_peak();
+    return sim_.event_queue_peak();
   }
-  /// Flight-recorder totals summed over every executor's ring.
-  [[nodiscard]] std::int64_t trace_recorded() const;
-  [[nodiscard]] std::int64_t trace_dropped() const;
+  /// Flight-recorder totals.
+  [[nodiscard]] std::int64_t trace_recorded() const {
+    return sim_.tracer().recorded();
+  }
+  [[nodiscard]] std::int64_t trace_dropped() const {
+    return sim_.tracer().dropped();
+  }
   /// The shared worm arena (see sim/arena.h); benches read its counters.
   [[nodiscard]] const RecyclePool<Worm>& worm_pool() const {
     return worm_pool_;
@@ -298,9 +259,6 @@ class Network {
 
   /// Turns on the flight recorder: every instrumented component starts
   /// appending to a ring of `capacity` events (oldest overwritten first).
-  /// Sharded runs give every executor its own ring of this capacity (a
-  /// component records on its owning executor's tracer); write_trace and
-  /// check_expectations see the canonical time-merged stream.
   void enable_tracing(std::size_t capacity = Tracer::kDefaultCapacity);
 
   /// Writes the recorded events as Chrome trace-event JSON (load the file
@@ -421,26 +379,10 @@ class Network {
   void apply_join(const MembershipOp& op);
   void apply_leave(const MembershipOp& op);
 
-  /// Builds the sharded engine (worker simulators, node->executor map,
-  /// lookahead) when config_.engine.shards > 1; returns the plan the
-  /// Fabric places channels and switches with (empty => classic path).
-  [[nodiscard]] ShardPlan build_shard_plan();
-  /// Throws when `what` is attempted on a sharded run (v1 limits: the
-  /// feature mutates or reads worker-owned state mid-window).
-  void require_unsharded(const char* what) const;
-  /// All executors' trace events merged into one canonical stream
-  /// (stable-sorted by time; per-executor recording order preserved).
-  [[nodiscard]] std::vector<TraceEvent> merged_trace_snapshot() const;
-
   Topology topo_;
   std::vector<MulticastGroupSpec> groups_;
   ExperimentConfig config_;
   Simulator sim_;
-  /// Executors 1..E-1 of a sharded run (empty, and engine_ null, at
-  /// shards = 1). Declared before fabric_ so channels outlive nothing
-  /// they reference and after sim_ so exec0 outlives the workers.
-  std::vector<std::unique_ptr<Simulator>> worker_sims_;
-  std::unique_ptr<ShardedEngine> engine_;
   RecyclePool<Worm> worm_pool_;
   Metrics metrics_;
   std::unique_ptr<Fabric> fabric_;

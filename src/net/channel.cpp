@@ -6,22 +6,6 @@
 
 namespace wormcast {
 
-void Channel::set_cross_executor(ShardBus* bus, int tx_exec, int rx_exec,
-                                 Simulator* rx_sim) {
-  assert(bus_ == nullptr && "cross-executor mode set twice");
-  assert(rx_sim != nullptr && tx_exec != rx_exec);
-  bus_ = bus;
-  tx_exec_ = tx_exec;
-  rx_exec_ = rx_exec;
-  rx_sim_ = rx_sim;
-}
-
-void Channel::publish_rx_budget() {
-  assert(sink_ != nullptr);
-  rx_dirty_ = false;
-  budget_left_ = sink_->rx_burst_budget() - (tx_committed_ - rx_delivered_);
-}
-
 void Channel::attach_feed(ByteFeed* feed) {
   assert(feed_ == nullptr && "channel already has a feed");
   feed_ = feed;
@@ -128,14 +112,8 @@ void Channel::pump() {
   if (deliver) {
     ++bytes_sent_;
     last_run_swallowed_ = false;
-    if (bus_ != nullptr) {
-      --budget_left_;  // may go negative; per-byte never consults it
-      post_delivery(
-          InFlight{b.head, b.tail || synth_tail, b.worm, b.wire_len, 1});
-    } else {
-      enqueue_delivery(
-          InFlight{b.head, b.tail || synth_tail, b.worm, b.wire_len, 1});
-    }
+    enqueue_delivery(
+        InFlight{b.head, b.tail || synth_tail, b.worm, b.wire_len, 1});
   } else {
     // Swallowed bytes still count as global progress: the transmitter is
     // draining, so the network is not deadlocked, merely lossy.
@@ -164,12 +142,8 @@ std::int64_t Channel::burst_headroom() const {
                                : std::numeric_limits<std::int64_t>::max();
   if (fault_mode_ == FaultMode::kSwallow) return cap;
   // Flow-control safety: never let (in flight + this burst) reach the
-  // receiver's STOP decision point, so no STOP/GO signal can move. In
-  // cross-executor mode the sink is on another thread, so the budget is
-  // the conservative barrier-published snapshot instead of a live read.
-  return std::min(cap, bus_ != nullptr
-                           ? budget_left_
-                           : sink_->rx_burst_budget() - in_flight_bytes_);
+  // receiver's STOP decision point, so no STOP/GO signal can move.
+  return std::min(cap, sink_->rx_burst_budget() - in_flight_bytes_);
 }
 
 bool Channel::try_burst() {
@@ -194,12 +168,7 @@ bool Channel::try_burst() {
     if (fault_mode_ == FaultMode::kTruncate) fault_pass_left_ -= n;
     bytes_sent_ += n;
     last_run_swallowed_ = false;
-    if (bus_ != nullptr) {
-      budget_left_ -= n;
-      post_delivery(InFlight{false, false, nullptr, 0, n});
-    } else {
-      enqueue_delivery(InFlight{false, false, nullptr, 0, n});
-    }
+    enqueue_delivery(InFlight{false, false, nullptr, 0, n});
   }
   if (!pump_scheduled_) schedule_pump();
   return true;
@@ -242,35 +211,6 @@ void Channel::classify_fault(const TxByte& b) {
       faults_->pick_truncation(min_len, b.wire_len - 1, w->id, sim_.now());
 }
 
-void Channel::post_delivery(InFlight b) {
-  tx_committed_ += b.count;
-  bus_->post(tx_exec_, rx_exec_, sim_.now() + delay_, /*late=*/false,
-             [this, b = std::move(b)] { deliver_remote(b); });
-}
-
-void Channel::deliver_remote(const InFlight& b) {
-  rx_delivered_ += b.count;
-  rx_sim_->note_progress(b.count);
-  // Landed bytes change the sink-side headroom: have the next barrier
-  // republish the burst budget (once, however many runs land this window).
-  if (!rx_dirty_) {
-    rx_dirty_ = true;
-    bus_->enqueue_barrier_task(
-        rx_exec_, ShardBus::BarrierTask{
-                      [](void* arg) {
-                        static_cast<Channel*>(arg)->publish_rx_budget();
-                      },
-                      this});
-  }
-  assert(sink_ != nullptr && "channel delivered into the void");
-  if (b.head)
-    sink_->on_head(b.worm, b.wire_len, b.tail);
-  else if (b.count > 1)
-    sink_->on_body_burst(b.count, /*tail=*/false);
-  else
-    sink_->on_body(b.tail);
-}
-
 void Channel::enqueue_delivery(InFlight b) {
   b.land = sim_.now() + delay_;
   b.key = sim_.reserve_key();
@@ -307,19 +247,6 @@ void Channel::deliver_front() {
 }
 
 void Channel::signal_stop() {
-  // Called from the receiver side. In cross-executor mode that is the RX
-  // thread, so the transmitter-state flip travels as a boundary message
-  // stamped off the *receiver's* clock (the caller's frame of reference —
-  // in classic mode the two clocks are the same object).
-  if (bus_ != nullptr) {
-    bus_->post(rx_exec_, tx_exec_, rx_sim_->now() + delay_, /*late=*/false,
-               [this] {
-                 stopped_ = true;
-                 WORMTRACE(sim_, kChanStop, trace_node_, trace_port_,
-                           trace_worm_, 0);
-               });
-    return;
-  }
   sim_.after(delay_, [this] {
     stopped_ = true;
     WORMTRACE(sim_, kChanStop, trace_node_, trace_port_, trace_worm_, 0);
@@ -327,16 +254,6 @@ void Channel::signal_stop() {
 }
 
 void Channel::signal_go() {
-  if (bus_ != nullptr) {
-    bus_->post(rx_exec_, tx_exec_, rx_sim_->now() + delay_, /*late=*/false,
-               [this] {
-                 stopped_ = false;
-                 WORMTRACE(sim_, kChanGo, trace_node_, trace_port_,
-                           trace_worm_, 0);
-                 kick();
-               });
-    return;
-  }
   sim_.after(delay_, [this] {
     stopped_ = false;
     WORMTRACE(sim_, kChanGo, trace_node_, trace_port_, trace_worm_, 0);

@@ -33,7 +33,6 @@
 #include "net/worm.h"
 #include "sim/lazy_deque.h"
 #include "sim/fault_injector.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/types.h"
 
@@ -161,25 +160,6 @@ class Channel {
     trace_port_ = port;
   }
 
-  /// Puts the channel in cross-executor mode (sharded engine): the
-  /// transmitter end (feed, pump, send counters) keeps running on `sim_`'s
-  /// executor `tx_exec`, while the sink lives on `rx_sim`'s executor
-  /// `rx_exec`. Deliveries and STOP/GO signals become timestamped boundary
-  /// messages on `bus` instead of same-queue events; burst admission is
-  /// gated by a budget republished from the sink at window barriers (see
-  /// publish_rx_budget). Precondition: delay() >= the engine's lookahead
-  /// window, which is what guarantees every posted message lands strictly
-  /// after the window that emitted it. Call once, before traffic flows.
-  void set_cross_executor(ShardBus* bus, int tx_exec, int rx_exec,
-                          Simulator* rx_sim);
-  [[nodiscard]] bool cross_executor() const { return bus_ != nullptr; }
-
-  /// Single-threaded barrier hook: recomputes the burst budget from the
-  /// sink's current state minus the bytes committed but not yet landed.
-  /// Called once at setup and re-enqueued (via the bus) whenever a
-  /// delivery lands, so a quiet channel costs nothing per window.
-  void publish_rx_budget();
-
   /// Receiver-side flow control: schedule a STOP (GO) to take effect at the
   /// transmitter after the propagation delay.
   void signal_stop();
@@ -244,10 +224,6 @@ class Channel {
   void schedule_lane_head();
   void deliver_front();
   void classify_fault(const TxByte& b);
-  /// Cross-executor delivery: the run is carried by value in the posted
-  /// closure (no shared deque), landing on the RX executor at send+delay.
-  void post_delivery(InFlight b);
-  void deliver_remote(const InFlight& b);
 
   Simulator& sim_;
   Time delay_;
@@ -275,21 +251,6 @@ class Channel {
   std::int32_t trace_node_ = -1;
   std::int32_t trace_port_ = -1;
   std::uint64_t trace_worm_ = 0;
-
-  // --- cross-executor mode (sharded engine; null bus_ = classic) ------------
-  ShardBus* bus_ = nullptr;
-  Simulator* rx_sim_ = nullptr;  // the sink's executor clock
-  std::int32_t tx_exec_ = 0;
-  std::int32_t rx_exec_ = 0;
-  /// Conservative burst budget: sink headroom published at the last
-  /// barrier, decremented per committed byte during the window. The
-  /// per-byte path also decrements (and may drive it negative — legal:
-  /// per-byte flow control works through the delayed STOP/GO signals, not
-  /// the budget), so the barrier refresh needs no TX-side scan.
-  std::int64_t budget_left_ = 0;
-  std::int64_t tx_committed_ = 0;   // TX thread only (+ barriers)
-  std::int64_t rx_delivered_ = 0;   // RX thread only (+ barriers)
-  bool rx_dirty_ = false;           // republish already enqueued (RX thread)
 };
 
 }  // namespace wormcast

@@ -6,38 +6,14 @@
 
 namespace wormcast {
 
-Fabric::Fabric(Simulator& sim, const Topology& topo, FabricConfig config,
-               const ShardPlan* plan)
+Fabric::Fabric(Simulator& sim, const Topology& topo, FabricConfig config)
     : sim_(sim), topo_(topo), config_(config) {
   topo_.validate();
-  // Every component is built on its owning executor's simulator: a channel
-  // on its transmitter node's, a switch on its own node's. Without a plan
-  // everything lands on `sim_` and the fabric is the classic single-queue
-  // one, code path for code path.
-  const auto exec_of = [&](NodeId n) {
-    return plan != nullptr ? plan->node_exec[static_cast<std::size_t>(n)] : 0;
-  };
-  const auto sim_of = [&](NodeId n) -> Simulator& {
-    return plan != nullptr
-               ? *plan->sims[static_cast<std::size_t>(exec_of(n))]
-               : sim_;
-  };
   channels_.reserve(static_cast<std::size_t>(topo_.num_links()) * 2);
   for (LinkId l = 0; l < topo_.num_links(); ++l) {
-    const TopoLink& lk = topo_.link(l);
-    const Time d = lk.delay;
-    channels_.push_back(std::make_unique<Channel>(sim_of(lk.node_a), d));
-    channels_.push_back(std::make_unique<Channel>(sim_of(lk.node_b), d));
-    const int ea = exec_of(lk.node_a);
-    const int eb = exec_of(lk.node_b);
-    if (ea != eb) {
-      Channel& ab = *channels_[static_cast<std::size_t>(l) * 2];
-      Channel& ba = *channels_[static_cast<std::size_t>(l) * 2 + 1];
-      ab.set_cross_executor(plan->bus, ea, eb,
-                            plan->sims[static_cast<std::size_t>(eb)]);
-      ba.set_cross_executor(plan->bus, eb, ea,
-                            plan->sims[static_cast<std::size_t>(ea)]);
-    }
+    const Time d = topo_.link(l).delay;
+    channels_.push_back(std::make_unique<Channel>(sim_, d));
+    channels_.push_back(std::make_unique<Channel>(sim_, d));
   }
   for (auto& ch : channels_) ch->set_burst_enabled(config_.burst_channels);
   // Trace track identity: every channel is named by its transmitter end
@@ -52,7 +28,7 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, FabricConfig config,
     const TopoNode& node = topo_.node(n);
     if (node.kind != NodeKind::kSwitch) continue;
     switches_[n] = std::make_unique<SwitchRt>(
-        sim_of(n), n, static_cast<int>(node.ports.size()), config_.sw);
+        sim_, n, static_cast<int>(node.ports.size()), config_.sw);
     for (PortId p = 0; p < static_cast<PortId>(node.ports.size()); ++p) {
       const LinkId l = node.ports[p].link;
       Channel& out = channel_from(l, n);
@@ -94,11 +70,6 @@ void Fabric::install_mcast_engine(McastEngine* engine) {
 
 void Fabric::install_fault_injector(FaultInjector* faults) {
   for (auto& ch : channels_) ch->set_fault_injector(faults);
-}
-
-void Fabric::publish_cross_budgets() {
-  for (auto& ch : channels_)
-    if (ch->cross_executor()) ch->publish_rx_budget();
 }
 
 std::int64_t Fabric::total_overflows() const {

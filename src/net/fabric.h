@@ -19,27 +19,12 @@ struct FabricConfig {
   bool burst_channels = true;
 };
 
-/// Executor assignment for a sharded run: which executor (index into
-/// `sims`) owns each node. sims[0] is the protocol-plane executor (hosts,
-/// adapters, protocols); switches are banded across the rest. A channel is
-/// owned by its *transmitter* node's executor; when the receiver lives
-/// elsewhere the channel is put in cross-executor mode over `bus`.
-struct ShardPlan {
-  std::vector<Simulator*> sims;  // executor index -> simulator
-  std::vector<int> node_exec;    // NodeId -> executor index
-  ShardBus* bus = nullptr;
-};
-
 /// Owns every channel and switch of the network. Host adapters plug into
 /// their attachment channels: they attach a ByteFeed to host_tx_channel()
 /// and install an RxSink on host_rx_channel().
 class Fabric {
  public:
-  /// `plan`, when non-null, places each channel and switch on its owning
-  /// executor's simulator and wires cross-executor channels to the bus.
-  /// `sim` stays the protocol-plane (executor 0) simulator either way.
-  Fabric(Simulator& sim, const Topology& topo, FabricConfig config = {},
-         const ShardPlan* plan = nullptr);
+  Fabric(Simulator& sim, const Topology& topo, FabricConfig config = {});
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
   ~Fabric();
@@ -63,11 +48,6 @@ class Fabric {
 
   /// Installs the experiment's fault injector on every channel.
   void install_fault_injector(FaultInjector* faults);
-
-  /// Publishes the initial burst budget of every cross-executor channel.
-  /// Call once all sinks are attached (host adapters plug in after
-  /// construction) and before the first window runs.
-  void publish_cross_budgets();
 
   /// Sum of slack-buffer overflow events across switches (must stay 0).
   [[nodiscard]] std::int64_t total_overflows() const;

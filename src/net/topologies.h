@@ -28,8 +28,7 @@ Topology make_bidir_shufflenet(int p, int k,
 /// Three-stage folded Clos (spine/leaf): `spines` top-stage switches, each
 /// of the `leaves` bottom-stage switches linked to every spine, and
 /// `hosts_per_leaf` hosts per leaf. Switch ids run spines first, then
-/// leaves (stage-major — the sharded engine bands switches by id, so a
-/// band stays within one or two stages). When `levels_out` is non-null it
+/// leaves (stage-major). When `levels_out` is non-null it
 /// receives the stage label of every node (spines 0, leaves 1, hosts 2) —
 /// pass it as UpDownOptions::level_override so *every* spine can turn a
 /// route around (the BFS labels would funnel all traffic through the root

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -29,16 +28,12 @@ namespace wormcast {
 /// pool's shared state; once the pool itself is destroyed the state is
 /// marked closed and late returns simply free their object.
 ///
-/// Thread safety: make() is only called from executor 0 (all worm
-/// construction lives in the protocol plane), but under a sharded engine
-/// the *last* reference to a worm can be dropped by a delivery closure
-/// running on a worker executor, so the free list is guarded by a mutex.
-/// The lock is uncontended in the single-shard case and held for a
-/// vector push/pop otherwise. Consequence: with shards > 1 the
-/// fresh/reused split depends on worker timing (recycle() restores the
-/// as-constructed state, so physics never sees the difference) — the
-/// shard-determinism gate excludes pool telemetry for exactly this
-/// reason.
+/// Thread safety: none needed. A pool belongs to one Network, and a run
+/// is one Simulator on one thread, so every make() and every return
+/// happens on that thread (parallel sweeps give each point its own
+/// Network). A worm that outlives its Network is returned after the pool
+/// closed, on whichever thread drops it last; the thread join that hands
+/// the result back orders that read of `open` after the close.
 template <typename T>
 class RecyclePool {
  public:
@@ -46,51 +41,31 @@ class RecyclePool {
   RecyclePool(const RecyclePool&) = delete;
   RecyclePool& operator=(const RecyclePool&) = delete;
   ~RecyclePool() {
-    if (state_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(state_->mu);
-      state_->open = false;
-    }
+    if (state_ != nullptr) state_->open = false;
   }
 
   /// Returns a recycled object if one is parked, else allocates fresh.
   [[nodiscard]] std::shared_ptr<T> make() {
     State& st = *state_;
-    std::unique_ptr<T> obj;
-    {
-      const std::lock_guard<std::mutex> lock(st.mu);
-      if (!st.free.empty()) {
-        obj = std::move(st.free.back());
-        st.free.pop_back();
-        ++st.reused;
-      } else {
-        ++st.fresh;
-      }
-    }
-    if (obj != nullptr) {
+    if (!st.free.empty()) {
+      std::unique_ptr<T> obj = std::move(st.free.back());
+      st.free.pop_back();
+      ++st.reused;
       obj->recycle();
       return std::shared_ptr<T>(obj.release(), Deleter{state_});
     }
+    ++st.fresh;
     return std::shared_ptr<T>(new T(), Deleter{state_});
   }
 
   /// Objects currently parked awaiting reuse.
-  [[nodiscard]] std::size_t parked() const {
-    const std::lock_guard<std::mutex> lock(state_->mu);
-    return state_->free.size();
-  }
+  [[nodiscard]] std::size_t parked() const { return state_->free.size(); }
   /// Allocation telemetry (hot-path bench counters).
-  [[nodiscard]] std::uint64_t fresh_allocs() const {
-    const std::lock_guard<std::mutex> lock(state_->mu);
-    return state_->fresh;
-  }
-  [[nodiscard]] std::uint64_t reuses() const {
-    const std::lock_guard<std::mutex> lock(state_->mu);
-    return state_->reused;
-  }
+  [[nodiscard]] std::uint64_t fresh_allocs() const { return state_->fresh; }
+  [[nodiscard]] std::uint64_t reuses() const { return state_->reused; }
 
  private:
   struct State {
-    mutable std::mutex mu;
     std::vector<std::unique_ptr<T>> free;
     std::uint64_t fresh = 0;
     std::uint64_t reused = 0;
@@ -99,11 +74,9 @@ class RecyclePool {
   struct Deleter {
     std::shared_ptr<State> state;
     void operator()(T* obj) const {
-      std::unique_lock<std::mutex> lock(state->mu);
       if (state->open) {
         state->free.emplace_back(obj);
       } else {
-        lock.unlock();
         delete obj;
       }
     }

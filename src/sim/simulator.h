@@ -1,7 +1,6 @@
 // The discrete-event simulation engine.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 
@@ -63,11 +62,6 @@ class Simulator {
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
-  /// Time of the earliest pending event; kTimeNever when idle. The sharded
-  /// engine polls this at window boundaries to pick the next lookahead
-  /// window start.
-  [[nodiscard]] Time next_event_time() const { return queue_.next_time(); }
-
   /// Total events fired since construction (hot-path bench instrumentation).
   [[nodiscard]] std::int64_t events_dispatched() const { return dispatched_; }
   /// High-water mark of the event queue (live + lazily-cancelled entries).
@@ -80,16 +74,9 @@ class Simulator {
   }
 
   /// Progress accounting: bumped by components when a byte of payload moves
-  /// anywhere in the network. Monotone; used for deadlock detection. Relaxed
-  /// atomic so the watchdog (running on executor 0 of a sharded engine) can
-  /// read another executor's counter mid-window without a data race; the
-  /// counter orders nothing, it only has to move when payload moves.
-  void note_progress(std::int64_t amount = 1) {
-    progress_.fetch_add(amount, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t progress() const {
-    return progress_.load(std::memory_order_relaxed);
-  }
+  /// anywhere in the network. Monotone; used for deadlock detection.
+  void note_progress(std::int64_t amount = 1) { progress_ += amount; }
+  [[nodiscard]] std::int64_t progress() const { return progress_; }
 
   /// The wormtrace flight recorder (disabled until Tracer::enable); every
   /// component reaches it through its Simulator reference via WORMTRACE.
@@ -103,7 +90,7 @@ class Simulator {
   Tracer tracer_;
   Time now_ = 0;
   bool stopped_ = false;
-  std::atomic<std::int64_t> progress_{0};
+  std::int64_t progress_ = 0;
   std::int64_t dispatched_ = 0;
 };
 

@@ -18,13 +18,13 @@ DeadlockWatchdog::DeadlockWatchdog(Simulator& sim, Time check_interval,
 }
 
 void DeadlockWatchdog::arm() {
-  last_progress_ = read_progress();
+  last_progress_ = sim_.progress();
   sim_.after(interval_, [this] { check(); });
 }
 
 void DeadlockWatchdog::check() {
   if (detected_) return;
-  const std::int64_t progress = read_progress();
+  const std::int64_t progress = sim_.progress();
   if (progress == last_progress_ && outstanding_() > 0) {
     detected_ = true;
     detection_time_ = sim_.now();

@@ -42,22 +42,10 @@ class DeadlockWatchdog {
   }
   [[nodiscard]] const std::string& report() const { return report_; }
 
-  /// Overrides where progress is read from. A sharded Network installs a
-  /// source summing every executor's counter, so switch-shard byte movement
-  /// keeps the (executor-0-resident) watchdog from crying deadlock. The
-  /// read is racy against worker threads mid-window — fine for a monotone
-  /// stall detector, which only needs to observe *some* recent movement.
-  using ProgressFn = std::function<std::int64_t()>;
-  void set_progress_source(ProgressFn source) { progress_ = std::move(source); }
-
  private:
   void check();
-  [[nodiscard]] std::int64_t read_progress() const {
-    return progress_ ? progress_() : sim_.progress();
-  }
 
   Simulator& sim_;
-  ProgressFn progress_;
   Time interval_;
   OutstandingFn outstanding_;
   OnDeadlock on_deadlock_;
