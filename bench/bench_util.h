@@ -40,8 +40,8 @@ namespace wormcast::bench {
 ///                     point's trace; any violation (or checker refusal)
 ///                     fails the run with exit 1 and a deterministic report
 ///   --strategy NAME   tree strategy for benches that support it
-///                     (single-root | partition-merge | load-aware |
-///                     multi-root); rejected here so a typo fails fast
+///                     (single-root | load-aware | multi-root); rejected
+///                     here so a typo fails fast
 struct BenchArgs {
   bool quick = false;
   bool check = false;
@@ -117,7 +117,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
       if (!parse_tree_strategy(name, &args.strategy)) {
         std::fprintf(stderr,
                      "unknown tree strategy '%s' (expected single-root, "
-                     "partition-merge, load-aware, or multi-root)\n",
+                     "load-aware, or multi-root)\n",
                      name);
         std::exit(2);
       }

@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
   bench::stamp_sweep_meta(json, pool, walls, sweep);
   json.set_meta("reps", static_cast<double>(args.reps));
-  json.set_meta("strategy", static_cast<double>(args.strategy));
+  json.set_meta("strategy", std::string(tree_strategy_name(args.strategy)));
   if (lost_any)
     std::fprintf(stderr,
                  "churn_storm: FAIL -- lost-forever payloads detected "

@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,7 +71,8 @@ struct TestbedOptions {
   /// Channel burst fast path (results identical; hot-path bench times both).
   bool burst_channels = true;
   /// Park idle app polls and wake on adapter drain, instead of polling
-  /// through dead air every 512 byte-times.
+  /// through dead air every 512 byte-times. False is the test reference:
+  /// the poller body's bound is discarded, so every grid point polls.
   bool fast_forward = true;
   /// 0 = the paper's 4-switch / 8-host testbed; N > 0 = an N x N torus
   /// with one host per switch (N*N hosts; the 1k-host point is N = 32).
@@ -162,29 +164,33 @@ inline TestbedResult run_testbed(const TestbedOptions& opts) {
   std::vector<std::unique_ptr<IdlePoller>> pollers;
   pollers.reserve(static_cast<std::size_t>(opts.senders));
   for (HostId h = 0; h < opts.senders; ++h) {
-    pollers.push_back(std::make_unique<IdlePoller>(
-        net.sim(), poll, poll,
-        opts.fast_forward ? IdlePoller::Mode::kFastForward
-                          : IdlePoller::Mode::kLegacy,
-        // The body returns the poller's next-work lower bound: kTimeNever
-        // while blocked on the adapter (the drain listener wakes us —
-        // legacy mode ignores the bound and keeps polling), the deadline
-        // while rate-limited.
-        [&net, h, packet_size, span, period, group_size,
-         deadline = Time{0}]() mutable -> Time {
-          if (net.sim().now() >= span) return kTimeNever;
-          if (net.adapter(h).queued_own_originations() > 0) return kTimeNever;
-          if (period > 0 && net.sim().now() < deadline) return deadline;
-          Demand d;
-          d.src = h;
-          d.multicast = true;
-          d.group = group_size > 0 ? h / group_size : 0;
-          d.length = packet_size;
-          net.inject(d);
-          deadline = net.sim().now() + period;
-          return period > 0 ? deadline : kTimeNever;
-        },
-        span - 1));
+    // The body returns the poller's next-work lower bound: kTimeNever
+    // while blocked on the adapter (the drain listener wakes us), the
+    // deadline while rate-limited.
+    std::function<Time()> body = [&net, h, packet_size, span, period,
+                                  group_size,
+                                  deadline = Time{0}]() mutable -> Time {
+      if (net.sim().now() >= span) return kTimeNever;
+      if (net.adapter(h).queued_own_originations() > 0) return kTimeNever;
+      if (period > 0 && net.sim().now() < deadline) return deadline;
+      Demand d;
+      d.src = h;
+      d.multicast = true;
+      d.group = group_size > 0 ? h / group_size : 0;
+      d.length = packet_size;
+      net.inject(d);
+      deadline = net.sim().now() + period;
+      return period > 0 ? deadline : kTimeNever;
+    };
+    // Reference polling: a bound of 0 (<= now) re-arms every period, so
+    // the body runs at every grid point whatever it would have returned.
+    if (!opts.fast_forward)
+      body = [inner = std::move(body)]() mutable -> Time {
+        (void)inner();
+        return Time{0};
+      };
+    pollers.push_back(std::make_unique<IdlePoller>(net.sim(), poll, poll,
+                                                   std::move(body), span - 1));
     if (opts.fast_forward) {
       net.adapter(h).set_drain_listener(
           [p = pollers.back().get()] { p->wake(); });

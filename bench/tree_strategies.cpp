@@ -1,4 +1,4 @@
-// Tree-strategy ablation sweep (Issue 8 tentpole).
+// Tree-strategy ablation sweep.
 //
 // Section 3 serializes every switch-level multicast through one spanning
 // tree: the root switch carries a share of every worm. This bench measures
@@ -11,7 +11,6 @@
 //   peak_switch_share   hottest switch's share of measured egress bytes
 //   root_share          the general up/down root's share of that egress
 //   stretch             mean planned path length / shortest legal path
-//   worms_per_mcast     partitions (worms) per multicast plan
 //
 // All strategies run under the interrupt switch scheme (scheme (b)): the
 // load-aware planner emits off-tree branches and the multi-root planner
@@ -55,11 +54,17 @@ struct GroupShape {
 constexpr GroupShape kShapes[] = {{8, 4}, {8, 12}, {16, 4}, {16, 12}};
 constexpr GroupShape kQuickShapes[] = {{8, 4}};
 
-constexpr TreeStrategyKind kStrategies[] = {
-    TreeStrategyKind::kSingleRoot,
-    TreeStrategyKind::kPartitionMerge,
-    TreeStrategyKind::kLoadAware,
-    TreeStrategyKind::kMultiRoot,
+struct StrategySpec {
+  TreeStrategyKind kind;
+  // Seeds each point and fills the `strategy` column. It is the kind's
+  // enum value from before partition-merge (then 1) was deleted, so the
+  // rows stay byte-identical to sweeps recorded before the renumbering.
+  int key;
+};
+constexpr StrategySpec kStrategies[] = {
+    {TreeStrategyKind::kSingleRoot, 0},
+    {TreeStrategyKind::kLoadAware, 2},
+    {TreeStrategyKind::kMultiRoot, 3},
 };
 
 Topology build_topo(int t, std::uint64_t shape_seed) {
@@ -99,7 +104,6 @@ struct PointResult {
   double peak_switch_share = 0.0;
   double root_share = 0.0;
   double stretch = 0.0;
-  double worms_per_mcast = 0.0;
   std::int64_t outstanding = 0;
 };
 
@@ -207,17 +211,15 @@ PointResult run_point(int topo_idx, GroupShape shape, TreeStrategyKind strat,
 
   // Plan-shape metrics from the strategy's own plans (post-replan state).
   double stretch_sum = 0.0;
-  std::int64_t stretch_n = 0, worms = 0;
+  std::int64_t stretch_n = 0;
   for (GroupId g = 0; g < n_groups; ++g) {
     const auto& order = net.tables().circuit(g).order();
     const HostId src = order.front();
     const McastPlan plan = net.tree_strategy().plan_multicast(g, src, order);
-    worms += static_cast<std::int64_t>(plan.partitions.size());
     std::unordered_map<HostId, int> depth;
     const NodeId src_sw = t.switch_of_host(src);
-    for (const McastPartition& part : plan.partitions)
-      for (const McastRouteTree& b : part.branches)
-        walk_branch(t, src_sw, b, 0, &depth);
+    for (const McastRouteTree& b : plan.branches)
+      walk_branch(t, src_sw, b, 0, &depth);
     for (const auto& [dst, d] : depth) {
       const int base_ports =
           static_cast<int>(net.routing().route(src, dst).ports().size());
@@ -228,8 +230,6 @@ PointResult run_point(int topo_idx, GroupShape shape, TreeStrategyKind strat,
     }
   }
   if (stretch_n > 0) out.stretch = stretch_sum / static_cast<double>(stretch_n);
-  if (n_groups > 0)
-    out.worms_per_mcast = static_cast<double>(worms) / n_groups;
 
   checks.collect(slot, net, label);
   return out;
@@ -253,14 +253,15 @@ int main(int argc, char** argv) {
               rounds, static_cast<long long>(kPayload));
   bench::print_header("topo,strategy,gsize,gcount,rep",
                       {"throughput", "completion_mean", "peak_switch_share",
-                       "root_share", "stretch", "worms_per_mcast"});
+                       "root_share", "stretch"});
 
   // --strategy restricts the sweep to one builder; per-point seeds are
   // keyed by (topo, shape, strategy, rep), so a restricted run's rows are
   // byte-identical to the same rows of the full sweep.
-  std::vector<TreeStrategyKind> strategies(std::begin(kStrategies),
-                                           std::end(kStrategies));
-  if (args.strategy_explicit) strategies = {args.strategy};
+  std::vector<StrategySpec> strategies;
+  for (const StrategySpec& spec : kStrategies)
+    if (!args.strategy_explicit || spec.kind == args.strategy)
+      strategies.push_back(spec);
   const std::size_t n_strats = strategies.size();
   const std::size_t n_tasks =
       std::size_t(n_topos) * n_shapes * n_strats * std::size_t(args.reps);
@@ -281,24 +282,25 @@ int main(int argc, char** argv) {
     rem /= n_strats;
     const std::size_t sh = rem % n_shapes;
     const int topo_idx = static_cast<int>(rem / n_shapes);
-    const TreeStrategyKind strat = strategies[s];
+    const StrategySpec strat = strategies[s];
     const GroupShape shape = shapes[sh];
     const std::string label =
-        std::string(kTopos[topo_idx].name) + "/" + tree_strategy_name(strat) +
-        "/g" + std::to_string(shape.size) + "x" + std::to_string(shape.count) +
+        std::string(kTopos[topo_idx].name) + "/" +
+        tree_strategy_name(strat.kind) + "/g" + std::to_string(shape.size) +
+        "x" + std::to_string(shape.count) +
         "/rep" + std::to_string(rep);
     point_labels[i] = label;
     const std::size_t stable_point =
         ((std::size_t(topo_idx) * 100 + std::size_t(shape.size)) * 100 +
          std::size_t(shape.count)) *
             100 +
-        std::size_t(strat) * 10 + std::size_t(rep);
+        std::size_t(strat.key) * 10 + std::size_t(rep);
     const std::uint64_t seed = harness::point_seed(kBaseSeed, stable_point);
-    results[i] = run_point(topo_idx, shape, strat, rep, rounds, seed,
+    results[i] = run_point(topo_idx, shape, strat.kind, rep, rounds, seed,
                            trace_cap, checks, i, label);
     const PointResult& r = results[i];
     json.set_row(i, {{"topo", double(topo_idx)},
-                     {"strategy", double(static_cast<int>(strat))},
+                     {"strategy", double(strat.key)},
                      {"group_size", double(shape.size)},
                      {"group_count", double(shape.count)},
                      {"rep", double(rep)},
@@ -308,16 +310,15 @@ int main(int argc, char** argv) {
                      {"peak_switch_share", r.peak_switch_share},
                      {"root_share", r.root_share},
                      {"stretch", r.stretch},
-                     {"worms_per_mcast", r.worms_per_mcast},
                      {"outstanding", double(r.outstanding)}});
   });
 
   bool lost_any = false;
   for (std::size_t i = 0; i < n_tasks; ++i) {
     const PointResult& r = results[i];
-    std::printf("%s,%.4f,%.0f,%.3f,%.3f,%.3f,%.2f%s\n", point_labels[i].c_str(),
+    std::printf("%s,%.4f,%.0f,%.3f,%.3f,%.3f%s\n", point_labels[i].c_str(),
                 r.throughput, r.completion_mean, r.peak_switch_share,
-                r.root_share, r.stretch, r.worms_per_mcast,
+                r.root_share, r.stretch,
                 r.outstanding > 0 ? ",OUTSTANDING" : "");
     if (r.outstanding > 0) lost_any = true;
   }

@@ -116,9 +116,8 @@ std::vector<NodeId> Network::gate_footprint(const GatedSend& send) const {
   const CircuitTable& members = tables_->circuit(send.group);
   const McastPlan plan =
       strategy_->plan_multicast(send.group, send.src, members.order());
-  for (const McastPartition& part : plan.partitions)
-    for (const McastRouteTree& branch : part.branches)
-      collect_tree_nodes(topo_, src_sw, branch, &nodes);
+  for (const McastRouteTree& branch : plan.branches)
+    collect_tree_nodes(topo_, src_sw, branch, &nodes);
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
   return nodes;
@@ -170,24 +169,19 @@ void Network::gate_inject(const GatedSend& send) {
     adapters_[send.src]->send(std::move(worm));
     return;
   }
-  // One worm per plan partition (the single-root strategy always plans
-  // exactly one). Partitions are host-disjoint, so the shared message
-  // context counts each destination exactly once.
   const CircuitTable& members = tables_->circuit(send.group);
   const McastPlan plan =
       strategy_->plan_multicast(send.group, send.src, members.order());
-  for (const McastPartition& part : plan.partitions) {
-    auto worm = worm_pool_.make();
-    worm->id = send.ctx->message_id;
-    worm->kind = WormKind::kSwitchMcast;
-    worm->src = send.src;
-    worm->payload = send.payload;
-    worm->header = 0;  // metadata rides in the shared message context
-    worm->mcast_route = EncodedMcastRoute::encode(part.branches);
-    worm->message = send.ctx;
-    worm->created_at = send.ctx->created_at;
-    adapters_[send.src]->send(std::move(worm));
-  }
+  auto worm = worm_pool_.make();
+  worm->id = send.ctx->message_id;
+  worm->kind = WormKind::kSwitchMcast;
+  worm->src = send.src;
+  worm->payload = send.payload;
+  worm->header = 0;  // metadata rides in the shared message context
+  worm->mcast_route = EncodedMcastRoute::encode(plan.branches);
+  worm->message = send.ctx;
+  worm->created_at = send.ctx->created_at;
+  adapters_[send.src]->send(std::move(worm));
 }
 
 void Network::on_message_closed(std::uint64_t message_id) {
@@ -651,8 +645,6 @@ void Network::register_counters(CounterRegistry& reg) const {
   reg.add("faults_injected", i64([this] { return faults_->total_injected(); }));
   reg.add("tree_worms_planned",
           i64([this] { return strategy_->worms_planned(); }));
-  reg.add("tree_partitions_merged",
-          i64([this] { return strategy_->partitions_merged(); }));
   reg.add("tree_replans", i64([this] { return strategy_->replans(); }));
   reg.add("mcast_connections",
           i64([this] { return mcast_engine_->connections_opened(); }));

@@ -71,8 +71,7 @@ struct ExperimentConfig {
   UpDownOptions routing;
   SwitchMcastConfig switch_mcast;
   /// How group structures and switch-level multicast trees are built
-  /// (single-root baseline, partition-merge, load-aware, multi-root;
-  /// per-run or per-group).
+  /// (single-root baseline, load-aware, multi-root; per run).
   TreeStrategyConfig tree;
   /// Injected faults (all rates 0 = the lossless fabric). Pair nonzero
   /// rates with protocol.ack_timeout so senders can actually recover.
@@ -346,7 +345,7 @@ class Network {
     std::shared_ptr<MessageContext> ctx;
   };
 
-  /// Every node (switches and host endpoints) the send's worms would touch
+  /// Every node (switches and host endpoints) the send's worm would touch
   /// if planned right now — the resource set the gate claims.
   [[nodiscard]] std::vector<NodeId> gate_footprint(const GatedSend& send) const;
   /// True iff none of `nodes` is claimed by an in-flight multicast.
@@ -355,9 +354,9 @@ class Network {
   /// everything in flight (and nothing is queued ahead — strict FIFO),
   /// else queue.
   void gate_admit(GatedSend send);
-  /// Claims the footprint and injects the send's worms into the fabric.
+  /// Claims the footprint and injects the send's worm into the fabric.
   void gate_dispatch(GatedSend send, std::vector<NodeId> nodes);
-  /// Builds and sends the worm(s) for this multicast (plans at this
+  /// Builds and sends the worm for this multicast (plans at this
   /// moment, so membership changes while queued are honored).
   void gate_inject(const GatedSend& send);
   /// Metrics message-closed hook: releases the message's claimed nodes and

@@ -12,7 +12,6 @@ namespace wormcast {
 const char* tree_strategy_name(TreeStrategyKind k) {
   switch (k) {
     case TreeStrategyKind::kSingleRoot: return "single-root";
-    case TreeStrategyKind::kPartitionMerge: return "partition-merge";
     case TreeStrategyKind::kLoadAware: return "load-aware";
     case TreeStrategyKind::kMultiRoot: return "multi-root";
   }
@@ -51,175 +50,11 @@ McastPlan SingleRootStrategy::plan_multicast(
     GroupId g, HostId src, const std::vector<HostId>& dests) const {
   (void)g;
   McastPlan plan;
-  McastPartition part;
   for (const HostId d : dests)
-    if (d != src) part.dests.push_back(d);
-  part.branches = build_mcast_branches(*tree_, src, dests);
-  plan.partitions.push_back(std::move(part));
+    if (d != src) plan.dests.push_back(d);
+  plan.branches = build_mcast_branches(*tree_, src, dests);
   ++worms_planned_;
   return plan;
-}
-
-// --- PartitionMergeStrategy ------------------------------------------------
-
-PartitionMergeStrategy::PartitionMergeStrategy(const TreeStrategyConfig& cfg,
-                                               const Topology& topo,
-                                               const UpDownRouting& base,
-                                               const UpDownOptions& base_opts)
-    : TreeStrategy(topo, base),
-      max_worms_(std::max(1, cfg.max_worms)),
-      tree_(std::make_unique<UpDownRouting>(topo, owned_tree_opts(base, base_opts))) {}
-
-McastPlan PartitionMergeStrategy::plan_multicast(
-    GroupId g, HostId src, const std::vector<HostId>& dests) const {
-  (void)g;
-  std::vector<HostPath> paths;
-  paths.reserve(dests.size());
-  for (const HostId d : dests) {
-    if (d == src) continue;
-    paths.push_back(HostPath{d, tree_->route(src, d).ports()});
-  }
-  if (paths.empty())
-    throw std::invalid_argument("multicast with no destinations");
-  // Lexicographic route order puts shared prefixes next to each other, so
-  // partitions are contiguous runs and merging adjacent runs maximizes the
-  // prefix a merged worm can share. Ties break on host id: deterministic.
-  std::sort(paths.begin(), paths.end(),
-            [](const HostPath& a, const HostPath& b) {
-              return a.ports != b.ports ? a.ports < b.ports : a.host < b.host;
-            });
-  // Partition boundaries: start index of each partition in `paths`.
-  std::vector<std::size_t> starts(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) starts[i] = i;
-  const auto common_prefix = [](const std::vector<PortId>& a,
-                                const std::vector<PortId>& b) {
-    std::size_t n = 0;
-    while (n < a.size() && n < b.size() && a[n] == b[n]) ++n;
-    return n;
-  };
-  while (starts.size() > static_cast<std::size_t>(max_worms_)) {
-    // Merge the adjacent pair whose merged run keeps the longest shared
-    // prefix (first such pair on ties — deterministic).
-    std::size_t best = 0;
-    std::size_t best_cp = 0;
-    bool have = false;
-    for (std::size_t i = 0; i + 1 < starts.size(); ++i) {
-      const std::size_t last =
-          (i + 2 < starts.size() ? starts[i + 2] : paths.size()) - 1;
-      const std::size_t cp =
-          common_prefix(paths[starts[i]].ports, paths[last].ports);
-      if (!have || cp > best_cp) {
-        best = i;
-        best_cp = cp;
-        have = true;
-      }
-    }
-    starts.erase(starts.begin() + static_cast<std::ptrdiff_t>(best) + 1);
-    ++partitions_merged_;
-  }
-  McastPlan plan;
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    const std::size_t end = i + 1 < starts.size() ? starts[i + 1] : paths.size();
-    McastPartition part;
-    std::vector<HostPath> run(paths.begin() + static_cast<std::ptrdiff_t>(starts[i]),
-                              paths.begin() + static_cast<std::ptrdiff_t>(end));
-    for (const HostPath& p : run) part.dests.push_back(p.host);
-    std::sort(part.dests.begin(), part.dests.end());
-    part.branches = merge_host_paths(run);
-    plan.partitions.push_back(std::move(part));
-    ++worms_planned_;
-  }
-  return plan;
-}
-
-// --- PerGroupStrategy ------------------------------------------------------
-
-namespace {
-
-std::unique_ptr<TreeStrategy> make_one(TreeStrategyKind kind,
-                                       const TreeStrategyConfig& cfg,
-                                       const Topology& topo,
-                                       const UpDownRouting& base,
-                                       const UpDownOptions& base_opts) {
-  switch (kind) {
-    case TreeStrategyKind::kSingleRoot:
-      return std::make_unique<SingleRootStrategy>(topo, base, base_opts);
-    case TreeStrategyKind::kPartitionMerge:
-      return std::make_unique<PartitionMergeStrategy>(cfg, topo, base,
-                                                      base_opts);
-    case TreeStrategyKind::kLoadAware:
-      return std::make_unique<LoadAwareStrategy>(cfg, topo, base, base_opts);
-    case TreeStrategyKind::kMultiRoot:
-      return std::make_unique<MultiRootStrategy>(cfg, topo, base, base_opts);
-  }
-  throw std::invalid_argument("unknown tree strategy kind");
-}
-
-}  // namespace
-
-PerGroupStrategy::PerGroupStrategy(const TreeStrategyConfig& cfg,
-                                   const Topology& topo,
-                                   const UpDownRouting& base,
-                                   const UpDownOptions& base_opts)
-    : TreeStrategy(topo, base), default_kind_(cfg.kind) {
-  instances_.resize(kNumTreeStrategies);
-  const auto ensure = [&](TreeStrategyKind k) {
-    auto& slot = instances_[static_cast<std::size_t>(k)];
-    if (!slot) slot = make_one(k, cfg, topo, base, base_opts);
-  };
-  ensure(cfg.kind);
-  for (const auto& [g, k] : cfg.per_group) {
-    overrides_[g] = k;
-    ensure(k);
-  }
-}
-
-TreeStrategy& PerGroupStrategy::strategy_for(GroupId g) const {
-  const auto it = overrides_.find(g);
-  return strategy_for_kind(it == overrides_.end() ? default_kind_ : it->second);
-}
-
-void PerGroupStrategy::fail_link(LinkId l) {
-  for (auto& s : instances_)
-    if (s) s->fail_link(l);
-}
-
-void PerGroupStrategy::on_root_migrated(NodeId new_root) {
-  for (auto& s : instances_)
-    if (s) s->on_root_migrated(new_root);
-}
-
-void PerGroupStrategy::set_load_probe(LoadProbe probe) {
-  for (auto& s : instances_)
-    if (s) s->set_load_probe(probe);
-}
-
-bool PerGroupStrategy::replan() {
-  bool changed = false;
-  for (auto& s : instances_)
-    if (s) changed = s->replan() || changed;
-  return changed;
-}
-
-std::int64_t PerGroupStrategy::worms_planned() const {
-  std::int64_t n = 0;
-  for (const auto& s : instances_)
-    if (s) n += s->worms_planned();
-  return n;
-}
-
-std::int64_t PerGroupStrategy::partitions_merged() const {
-  std::int64_t n = 0;
-  for (const auto& s : instances_)
-    if (s) n += s->partitions_merged();
-  return n;
-}
-
-std::int64_t PerGroupStrategy::replans() const {
-  std::int64_t n = 0;
-  for (const auto& s : instances_)
-    if (s) n += s->replans();
-  return n;
 }
 
 }  // namespace detail
@@ -227,10 +62,18 @@ std::int64_t PerGroupStrategy::replans() const {
 std::unique_ptr<TreeStrategy> make_tree_strategy(
     const TreeStrategyConfig& config, const Topology& topo,
     const UpDownRouting& base_routing, const UpDownOptions& base_opts) {
-  if (!config.per_group.empty())
-    return std::make_unique<detail::PerGroupStrategy>(config, topo,
-                                                      base_routing, base_opts);
-  return detail::make_one(config.kind, config, topo, base_routing, base_opts);
+  switch (config.kind) {
+    case TreeStrategyKind::kSingleRoot:
+      return std::make_unique<detail::SingleRootStrategy>(topo, base_routing,
+                                                          base_opts);
+    case TreeStrategyKind::kLoadAware:
+      return std::make_unique<detail::LoadAwareStrategy>(topo, base_routing,
+                                                         base_opts);
+    case TreeStrategyKind::kMultiRoot:
+      return std::make_unique<detail::MultiRootStrategy>(topo, base_routing,
+                                                         base_opts);
+  }
+  throw std::invalid_argument("unknown tree strategy kind");
 }
 
 }  // namespace wormcast

@@ -5,10 +5,10 @@
 // structural bottleneck at scale: the root switch carries a share of every
 // worm and the slowest branch paces the whole destination set. A
 // TreeStrategy owns the group-structure construction instead — which
-// routing a group's worms ride, how a destination set is partitioned into
-// worms, and what the host-level greedy tree pays per edge — so alternative
-// builders (partition-merge, load-aware branching avoidance, multi-root
-// up/down) plug in per run or per group without touching the engine.
+// routing a group's worm rides and what the host-level greedy tree pays
+// per edge — so alternative builders (load-aware branching avoidance,
+// multi-root up/down) plug in per run without touching the engine. Every
+// strategy sends a multicast as exactly one worm.
 //
 // Strategies own their tree-restricted UpDownRouting instances; the Network
 // keeps the general routing for host-level unicast (splitting unicast
@@ -36,13 +36,6 @@ enum class TreeStrategyKind : std::uint8_t {
   /// The paper's scheme: one spanning tree, one worm per multicast.
   /// Reproduces the pre-strategy behaviour exactly (the parity baseline).
   kSingleRoot,
-  /// Splits the destination set into route-disjoint partitions and emits
-  /// one worm per partition, greedily merging partitions whose up/down
-  /// routes share the longest port prefixes until the worm budget holds
-  /// (dynamic partition merging, after the NoC partition-merge literature).
-  /// Bounded worm count trades against shared-fate coupling: each worm
-  /// paces only its own partition's slowest branch.
-  kPartitionMerge,
   /// Builds per-send delivery trees over the *full* up/down graph with
   /// per-switch penalties — observed forwarding load plus a static
   /// low-port-capacity surcharge — steering branch points away from hot or
@@ -56,9 +49,9 @@ enum class TreeStrategyKind : std::uint8_t {
   kMultiRoot,
 };
 
-inline constexpr int kNumTreeStrategies = 4;
+inline constexpr int kNumTreeStrategies = 3;
 
-/// Stable lowercase name ("single-root", "partition-merge", ...).
+/// Stable lowercase name ("single-root", "load-aware", "multi-root").
 [[nodiscard]] const char* tree_strategy_name(TreeStrategyKind k);
 /// Parses a tree_strategy_name (or its underscore variant). Returns false
 /// and leaves `out` untouched on an unknown name.
@@ -67,36 +60,14 @@ inline constexpr int kNumTreeStrategies = 4;
 
 struct TreeStrategyConfig {
   TreeStrategyKind kind = TreeStrategyKind::kSingleRoot;
-  /// kPartitionMerge: worm budget per multicast (>= 1). Partitions merge
-  /// greedily by longest shared route prefix until the budget holds.
-  int max_worms = 4;
-  /// kMultiRoot: candidate root count (clamped to the switch count). The
-  /// general routing's root is always candidate 0.
-  int candidate_roots = 4;
-  /// kLoadAware: detour penalty (in hops) charged for routing through the
-  /// hottest switch; cooler switches scale down linearly. 0 disables the
-  /// observed-load term.
-  int load_penalty_hops = 4;
-  /// kLoadAware: extra hops charged per port a switch falls short of the
-  /// fabric's maximum switch degree (static "multicast port capacity").
-  int capacity_penalty_hops = 1;
-  /// Per-group strategy overrides: listed groups use their own kind, all
-  /// others use `kind`. Each override kind is instantiated once and shares
-  /// the run's topology and base routing.
-  std::vector<std::pair<GroupId, TreeStrategyKind>> per_group;
 };
 
-/// One worm of a multicast plan: the destinations it covers and the branch
-/// forest leaving the source host's switch that reaches exactly them.
-struct McastPartition {
+/// A switch-level multicast as one worm: the destinations it covers (the
+/// source excluded) and the branch forest leaving the source host's switch
+/// that reaches exactly them.
+struct McastPlan {
   std::vector<HostId> dests;
   std::vector<McastRouteTree> branches;
-};
-
-/// A multicast send as one or more worms. Partitions are host-disjoint and
-/// together cover every requested destination (the source excluded).
-struct McastPlan {
-  std::vector<McastPartition> partitions;
 };
 
 class TreeStrategy {
@@ -171,13 +142,8 @@ class TreeStrategy {
   virtual bool replan() { return false; }
 
   // Counters (serialized by Network::register_counters).
-  [[nodiscard]] virtual std::int64_t worms_planned() const {
-    return worms_planned_;
-  }
-  [[nodiscard]] virtual std::int64_t partitions_merged() const {
-    return partitions_merged_;
-  }
-  [[nodiscard]] virtual std::int64_t replans() const { return replans_; }
+  [[nodiscard]] std::int64_t worms_planned() const { return worms_planned_; }
+  [[nodiscard]] std::int64_t replans() const { return replans_; }
 
  protected:
   const Topology& topo_;
@@ -185,12 +151,10 @@ class TreeStrategy {
   /// also the default attach-cost metric.
   const UpDownRouting& base_routing_;
   mutable std::int64_t worms_planned_ = 0;
-  mutable std::int64_t partitions_merged_ = 0;
   std::int64_t replans_ = 0;
 };
 
-/// Builds the configured strategy (or a per-group dispatcher when
-/// `config.per_group` is non-empty). `base_routing` must outlive the
+/// Builds the configured strategy. `base_routing` must outlive the
 /// strategy; `base_opts` seeds the owned tree-restricted routings (their
 /// root defaults to base_routing.root()).
 std::unique_ptr<TreeStrategy> make_tree_strategy(

@@ -3,7 +3,7 @@
 // poke strategy internals).
 #pragma once
 
-#include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -16,6 +16,16 @@ namespace wormcast::detail {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(g)) << 32) |
          static_cast<std::uint32_t>(src);
 }
+
+/// kMultiRoot: candidate root count (clamped to the switch count). The
+/// general routing's root is always candidate 0.
+inline constexpr int kCandidateRoots = 4;
+/// kLoadAware: detour penalty (in hops) charged for routing through the
+/// hottest switch; cooler switches scale down linearly.
+inline constexpr int kLoadPenaltyHops = 4;
+/// kLoadAware: extra hops charged per port a switch falls short of the
+/// fabric's maximum switch degree (static "multicast port capacity").
+inline constexpr int kCapacityPenaltyHops = 1;
 
 /// Options for a strategy-owned routing: the experiment's routing options
 /// pinned to the general routing's root and (by default) restricted to the
@@ -55,41 +65,13 @@ class SingleRootStrategy : public TreeStrategy {
   std::unique_ptr<UpDownRouting> tree_;  // spanning-tree-only paths
 };
 
-/// Route-disjoint partitions merged by longest shared route prefix, one
-/// worm per partition, bounded by the configured worm budget.
-class PartitionMergeStrategy : public TreeStrategy {
- public:
-  PartitionMergeStrategy(const TreeStrategyConfig& cfg, const Topology& topo,
-                         const UpDownRouting& base,
-                         const UpDownOptions& base_opts);
-
-  [[nodiscard]] TreeStrategyKind kind() const override {
-    return TreeStrategyKind::kPartitionMerge;
-  }
-  [[nodiscard]] const UpDownRouting& primary_routing() const override {
-    return *tree_;
-  }
-  [[nodiscard]] const UpDownRouting& group_routing(GroupId) const override {
-    return *tree_;
-  }
-  void plan_group(GroupId, const std::vector<HostId>&) override {}
-  [[nodiscard]] McastPlan plan_multicast(
-      GroupId g, HostId src, const std::vector<HostId>& dests) const override;
-  void fail_link(LinkId l) override { tree_->fail_link(l); }
-  void on_root_migrated(NodeId new_root) override { tree_->set_root(new_root); }
-
- private:
-  int max_worms_ = 4;
-  std::unique_ptr<UpDownRouting> tree_;
-};
-
 /// Per-send delivery trees over the full up/down graph with per-switch
 /// penalties (observed load + static capacity), steering branch points away
 /// from hot or multicast-poor switches.
 class LoadAwareStrategy : public TreeStrategy {
  public:
-  LoadAwareStrategy(const TreeStrategyConfig& cfg, const Topology& topo,
-                    const UpDownRouting& base, const UpDownOptions& base_opts);
+  LoadAwareStrategy(const Topology& topo, const UpDownRouting& base,
+                    const UpDownOptions& base_opts);
 
   [[nodiscard]] TreeStrategyKind kind() const override {
     return TreeStrategyKind::kLoadAware;
@@ -124,8 +106,6 @@ class LoadAwareStrategy : public TreeStrategy {
                   const std::vector<HostId>& dests) const;
   void recompute_static_penalties();
 
-  int load_penalty_hops_ = 4;
-  int capacity_penalty_hops_ = 1;
   std::unique_ptr<UpDownRouting> tree_;  // broadcast flood + root anchor
   LoadProbe probe_;
   std::vector<std::int64_t> penalty_;  // by switch NodeId (hosts stay 0)
@@ -136,8 +116,8 @@ class LoadAwareStrategy : public TreeStrategy {
 /// depth sum.
 class MultiRootStrategy : public TreeStrategy {
  public:
-  MultiRootStrategy(const TreeStrategyConfig& cfg, const Topology& topo,
-                    const UpDownRouting& base, const UpDownOptions& base_opts);
+  MultiRootStrategy(const Topology& topo, const UpDownRouting& base,
+                    const UpDownOptions& base_opts);
 
   [[nodiscard]] TreeStrategyKind kind() const override {
     return TreeStrategyKind::kMultiRoot;
@@ -173,57 +153,6 @@ class MultiRootStrategy : public TreeStrategy {
   std::vector<std::unique_ptr<UpDownRouting>> routings_;
   std::unordered_map<GroupId, std::size_t> assignment_;
   std::unordered_map<GroupId, std::vector<HostId>> members_;
-};
-
-/// Per-group dispatcher: one instance per referenced kind, groups routed
-/// by the TreeStrategyConfig::per_group override table.
-class PerGroupStrategy : public TreeStrategy {
- public:
-  PerGroupStrategy(const TreeStrategyConfig& cfg, const Topology& topo,
-                   const UpDownRouting& base, const UpDownOptions& base_opts);
-
-  [[nodiscard]] TreeStrategyKind kind() const override { return default_kind_; }
-  [[nodiscard]] const UpDownRouting& primary_routing() const override {
-    return strategy_for_kind(default_kind_).primary_routing();
-  }
-  [[nodiscard]] const UpDownRouting& group_routing(GroupId g) const override {
-    return strategy_for(g).group_routing(g);
-  }
-  void plan_group(GroupId g, const std::vector<HostId>& members) override {
-    strategy_for(g).plan_group(g, members);
-  }
-  [[nodiscard]] McastPlan plan_multicast(
-      GroupId g, HostId src, const std::vector<HostId>& dests) const override {
-    return strategy_for(g).plan_multicast(g, src, dests);
-  }
-  [[nodiscard]] int attach_cost(GroupId g, HostId parent,
-                                HostId child) const override {
-    return strategy_for(g).attach_cost(g, parent, child);
-  }
-  // All kinds but multi-root plan under the base root (orientation 0), and
-  // multi-root's candidate 0 is the base root too, so forwarding yields a
-  // consistent orientation space across the dispatched instances.
-  [[nodiscard]] int plan_orientation(GroupId g) const override {
-    return strategy_for(g).plan_orientation(g);
-  }
-  void fail_link(LinkId l) override;
-  void on_root_migrated(NodeId new_root) override;
-  void set_load_probe(LoadProbe probe) override;
-  bool replan() override;
-  [[nodiscard]] std::int64_t worms_planned() const override;
-  [[nodiscard]] std::int64_t partitions_merged() const override;
-  [[nodiscard]] std::int64_t replans() const override;
-
- private:
-  [[nodiscard]] TreeStrategy& strategy_for_kind(TreeStrategyKind k) const {
-    return *instances_.at(static_cast<std::size_t>(k));
-  }
-  [[nodiscard]] TreeStrategy& strategy_for(GroupId g) const;
-
-  TreeStrategyKind default_kind_;
-  std::unordered_map<GroupId, TreeStrategyKind> overrides_;
-  // Indexed by TreeStrategyKind; null for kinds no group uses.
-  std::vector<std::unique_ptr<TreeStrategy>> instances_;
 };
 
 }  // namespace wormcast::detail

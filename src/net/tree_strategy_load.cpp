@@ -34,20 +34,17 @@ std::vector<std::int64_t> static_penalties(const Topology& topo, int cap_hops) {
 
 }  // namespace
 
-LoadAwareStrategy::LoadAwareStrategy(const TreeStrategyConfig& cfg,
-                                     const Topology& topo,
+LoadAwareStrategy::LoadAwareStrategy(const Topology& topo,
                                      const UpDownRouting& base,
                                      const UpDownOptions& base_opts)
     : TreeStrategy(topo, base),
-      load_penalty_hops_(std::max(0, cfg.load_penalty_hops)),
-      capacity_penalty_hops_(std::max(0, cfg.capacity_penalty_hops)),
       tree_(std::make_unique<UpDownRouting>(topo,
                                             owned_tree_opts(base, base_opts))) {
   recompute_static_penalties();
 }
 
 void LoadAwareStrategy::recompute_static_penalties() {
-  penalty_ = static_penalties(topo_, capacity_penalty_hops_);
+  penalty_ = static_penalties(topo_, kCapacityPenaltyHops);
 }
 
 void LoadAwareStrategy::plan_group(GroupId g, const std::vector<HostId>& members) {
@@ -87,10 +84,10 @@ void LoadAwareStrategy::on_root_migrated(NodeId new_root) {
 
 bool LoadAwareStrategy::replan() {
   ++replans_;
-  std::vector<std::int64_t> next = static_penalties(topo_, capacity_penalty_hops_);
-  if (probe_ && load_penalty_hops_ > 0) {
+  std::vector<std::int64_t> next = static_penalties(topo_, kCapacityPenaltyHops);
+  if (probe_) {
     // Scale the observed-load term so the hottest switch pays the full
-    // configured penalty and cooler switches scale down linearly (rounded
+    // kLoadPenaltyHops and cooler switches scale down linearly (rounded
     // to nearest hop — small asymmetries shouldn't perturb routes).
     std::vector<std::int64_t> load(next.size(), 0);
     std::int64_t max_load = 0;
@@ -102,7 +99,7 @@ bool LoadAwareStrategy::replan() {
     if (max_load > 0) {
       for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
         if (topo_.node(n).kind != NodeKind::kSwitch) continue;
-        next[n] += (static_cast<std::int64_t>(load_penalty_hops_) * load[n] +
+        next[n] += (std::int64_t{kLoadPenaltyHops} * load[n] +
                     max_load / 2) /
                    max_load;
       }
@@ -210,13 +207,8 @@ McastPlan LoadAwareStrategy::plan_multicast(
 
   const std::uint64_t key = plan_key(g, src);
   if (const auto it = plan_cache_.find(key); it != plan_cache_.end()) {
-    std::vector<HostId> have;
-    for (const McastPartition& part : it->second.partitions)
-      have.insert(have.end(), part.dests.begin(), part.dests.end());
-    std::sort(have.begin(), have.end());
-    if (have == want) {
-      worms_planned_ +=
-          static_cast<std::int64_t>(it->second.partitions.size());
+    if (it->second.dests == want) {
+      ++worms_planned_;
       return it->second;
     }
   }
@@ -227,10 +219,8 @@ McastPlan LoadAwareStrategy::plan_multicast(
   for (const auto& [host, ports] : penalized)
     paths.push_back(HostPath{host, ports});
   McastPlan plan;
-  McastPartition part;
-  part.dests = want;
-  part.branches = merge_host_paths(paths);
-  plan.partitions.push_back(std::move(part));
+  plan.dests = std::move(want);
+  plan.branches = merge_host_paths(paths);
   ++worms_planned_;
   plan_cache_[key] = plan;
   return plan;

@@ -7,8 +7,7 @@
 
 namespace wormcast::detail {
 
-MultiRootStrategy::MultiRootStrategy(const TreeStrategyConfig& cfg,
-                                     const Topology& topo,
+MultiRootStrategy::MultiRootStrategy(const Topology& topo,
                                      const UpDownRouting& base,
                                      const UpDownOptions& base_opts)
     : TreeStrategy(topo, base) {
@@ -27,7 +26,7 @@ MultiRootStrategy::MultiRootStrategy(const TreeStrategyConfig& cfg,
     const std::size_t db = topo.node(b).ports.size();
     return da != db ? da > db : a < b;
   });
-  const int k = std::clamp(cfg.candidate_roots, 1,
+  const int k = std::clamp(kCandidateRoots, 1,
                            static_cast<int>(topo.num_switches()));
   roots_.push_back(base.root());
   for (const NodeId n : others) {
@@ -86,11 +85,9 @@ McastPlan MultiRootStrategy::plan_multicast(
     GroupId g, HostId src, const std::vector<HostId>& dests) const {
   const UpDownRouting& routing = group_routing(g);
   McastPlan plan;
-  McastPartition part;
   for (const HostId d : dests)
-    if (d != src) part.dests.push_back(d);
-  part.branches = build_mcast_branches(routing, src, dests);
-  plan.partitions.push_back(std::move(part));
+    if (d != src) plan.dests.push_back(d);
+  plan.branches = build_mcast_branches(routing, src, dests);
   ++worms_planned_;
   return plan;
 }

@@ -21,7 +21,7 @@
 //  * Time passes (a deadline): the body returned a valid lower bound t,
 //    and the poller re-arms at the first grid point >= t. Every naive
 //    poll before that grid point would have observed condition-false, so
-//    both modes next run the body productively at the same grid point.
+//    both pollers next run the body productively at the same grid point.
 //    (If the condition is still false there — the bound was conservative —
 //    the body simply returns a new bound; still a no-op, still aligned.)
 //
@@ -33,10 +33,13 @@
 //    an armed grid point came from a valid lower bound or an earlier
 //    wake, and the naive poller would act no earlier.)
 //
-// Hence both modes run the body productively at identical times. (The
-// parked period shifts event insertion order, so same-tick ordering
-// against unrelated events can differ; the protocol stack is insensitive
-// to that, which idle_poller_test pins on the testbed.)
+// Hence fast-forward runs the body productively at the same times as a
+// naive poller. (The parked period shifts event insertion order, so
+// same-tick ordering against unrelated events can differ; the protocol
+// stack is insensitive to that, which idle_poller_test pins on the
+// testbed.) Naive polling needs no mode of its own: a body that always
+// returns a bound <= now re-arms every period, which is exactly what the
+// testbed's reference runs do.
 #pragma once
 
 #include <cstdint>
@@ -50,24 +53,17 @@ namespace wormcast {
 
 /// Polls `body` on the grid first + k*period (while the grid point is
 /// <= stop_at). `body` returns the earliest time it could have work again:
-/// kTimeNever parks the poller until wake() (fast-forward) or simply keeps
-/// polling (legacy); any time <= now means "poll again next period"; a
-/// future time lets fast-forward jump the grid across the gap.
+/// kTimeNever parks the poller until wake(); any time <= now means "poll
+/// again next period"; a future time jumps the grid across the gap.
 class IdlePoller {
  public:
-  enum class Mode : std::uint8_t {
-    kFastForward,  // park on idle, wake()/time-bound re-arms (default)
-    kLegacy,       // reschedule every period regardless (equivalence tests)
-  };
-
-  IdlePoller(Simulator& sim, Time first, Time period, Mode mode,
+  IdlePoller(Simulator& sim, Time first, Time period,
              std::function<Time()> body, Time stop_at = kTimeNever)
       : sim_(sim),
         body_(std::move(body)),
         first_(first),
         period_(period),
-        stop_at_(stop_at),
-        mode_(mode) {}
+        stop_at_(stop_at) {}
   IdlePoller(const IdlePoller&) = delete;
   IdlePoller& operator=(const IdlePoller&) = delete;
   ~IdlePoller() { stop(); }
@@ -94,8 +90,7 @@ class IdlePoller {
   }
 
   [[nodiscard]] bool parked() const { return parked_; }
-  /// Number of times the body actually ran (equal across modes only for
-  /// busy polls; legacy mode additionally runs idle ones).
+  /// Number of times the body actually ran.
   [[nodiscard]] std::int64_t polls() const { return polls_; }
 
  private:
@@ -123,19 +118,14 @@ class IdlePoller {
     handle_ = EventHandle();
     ++polls_;
     const Time bound = body_();
-    Time next;
-    if (mode_ == Mode::kFastForward) {
-      if (bound == kTimeNever) {
-        parked_ = true;
-        return;
-      }
-      // Polls fire on grid points only, so now is on the grid and both
-      // branches land strictly in the future.
-      next = bound <= sim_.now() ? sim_.now() + period_
-                                 : next_grid_at_or_after(bound);
-    } else {
-      next = sim_.now() + period_;
+    if (bound == kTimeNever) {
+      parked_ = true;
+      return;
     }
+    // Polls fire on grid points only, so now is on the grid and both
+    // branches land strictly in the future.
+    const Time next = bound <= sim_.now() ? sim_.now() + period_
+                                          : next_grid_at_or_after(bound);
     if (next <= stop_at_) arm(next);
   }
 
@@ -144,7 +134,6 @@ class IdlePoller {
   const Time first_;
   const Time period_;
   const Time stop_at_;
-  const Mode mode_;
   EventHandle handle_;
   bool parked_ = false;
   std::int64_t polls_ = 0;

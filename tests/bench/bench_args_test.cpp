@@ -52,5 +52,16 @@ TEST(BenchArgs, RejectsZeroTraceCap) {
               "usage:");
 }
 
+TEST(BenchArgs, RejectsDeletedStrategyName) {
+  EXPECT_EXIT(parse({"--strategy", "partition-merge"}),
+              testing::ExitedWithCode(2), "unknown tree strategy");
+}
+
+TEST(BenchArgs, AcceptsUnderscoreStrategyName) {
+  const BenchArgs a = parse({"--strategy", "load_aware"});
+  EXPECT_EQ(a.strategy, TreeStrategyKind::kLoadAware);
+  EXPECT_TRUE(a.strategy_explicit);
+}
+
 }  // namespace
 }  // namespace wormcast::bench

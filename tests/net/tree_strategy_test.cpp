@@ -1,5 +1,5 @@
 // Pluggable tree strategies: plan invariants every strategy must satisfy
-// (partition cover, branch-walk destination sets, up/down legality,
+// (destination cover, branch-walk destination sets, up/down legality,
 // cache invalidation on link death), strategy-specific structure, and the
 // network's multicast admission gate — overlapping trees serialize FIFO,
 // node-disjoint trees dispatch concurrently, and the scheme (b) burst that
@@ -21,20 +21,23 @@
 namespace wormcast {
 namespace {
 
-Topology make_topo(int which) {
+/// Builds fabric `which`; the folded Clos also fills `opts` with its stage
+/// labels, routed the way bench/large_fabric routes its Clos.
+Topology make_topo(int which, UpDownOptions* opts) {
   RandomStream rng(4242);
   switch (which) {
     case 0: return make_torus(4, 4);
     case 1: return make_bidir_shufflenet(2, 3);
-    default: return make_random_mesh(12, 3.0, rng);
+    case 2: return make_random_mesh(12, 3.0, rng);
+    default:
+      return make_clos(2, 4, 3, kDefaultLinkDelay, kDefaultLinkDelay,
+                       &opts->level_override);
   }
 }
 
 TreeStrategyConfig make_cfg(TreeStrategyKind kind) {
   TreeStrategyConfig cfg;
   cfg.kind = kind;
-  cfg.max_worms = 3;
-  cfg.candidate_roots = 3;
   return cfg;
 }
 
@@ -58,15 +61,16 @@ void walk_branch(const Topology& t, const UpDownRouting& r, NodeId at,
     walk_branch(t, r, next, child, gone_down || !up, nodes, hosts);
 }
 
+/// Parameters: (fabric index for make_topo, TreeStrategyKind).
 class TreeStrategyPropertyTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(TreeStrategyPropertyTest, PlansCoverLegallyAndDisjointly) {
-  const auto kind = static_cast<TreeStrategyKind>(std::get<0>(GetParam()));
-  const Topology topo = make_topo(std::get<1>(GetParam()));
-  const UpDownRouting base(topo);
-  const auto strategy =
-      make_tree_strategy(make_cfg(kind), topo, base, UpDownOptions());
+  const auto kind = static_cast<TreeStrategyKind>(std::get<1>(GetParam()));
+  UpDownOptions opts;
+  const Topology topo = make_topo(std::get<0>(GetParam()), &opts);
+  const UpDownRouting base(topo, opts);
+  const auto strategy = make_tree_strategy(make_cfg(kind), topo, base, opts);
 
   // Every 2nd host is a member; plan from three different sources.
   std::vector<HostId> members;
@@ -76,21 +80,16 @@ TEST_P(TreeStrategyPropertyTest, PlansCoverLegallyAndDisjointly) {
 
   for (const HostId src : {members[0], members[1], members.back()}) {
     const McastPlan plan = strategy->plan_multicast(g, src, members);
-    ASSERT_FALSE(plan.partitions.empty());
     const UpDownRouting& r = strategy->group_routing(g);
+    std::set<NodeId> nodes;
     std::multiset<HostId> reached;
-    for (const McastPartition& part : plan.partitions) {
-      std::set<NodeId> nodes;
-      std::multiset<HostId> part_hosts;
-      for (const McastRouteTree& br : part.branches)
-        walk_branch(topo, r, topo.switch_of_host(src), br, false, &nodes,
-                    &part_hosts);
-      // The partition's branches terminate at exactly its stated dests.
-      const std::multiset<HostId> stated(part.dests.begin(), part.dests.end());
-      EXPECT_EQ(part_hosts, stated);
-      reached.insert(part_hosts.begin(), part_hosts.end());
-    }
-    // Partitions are host-disjoint and together cover members \ {src}.
+    for (const McastRouteTree& br : plan.branches)
+      walk_branch(topo, r, topo.switch_of_host(src), br, false, &nodes,
+                  &reached);
+    // The branches terminate at exactly the stated dests, each once, and
+    // those are members \ {src}.
+    const std::multiset<HostId> stated(plan.dests.begin(), plan.dests.end());
+    EXPECT_EQ(reached, stated);
     std::multiset<HostId> want;
     for (const HostId h : members)
       if (h != src) want.insert(h);
@@ -99,11 +98,11 @@ TEST_P(TreeStrategyPropertyTest, PlansCoverLegallyAndDisjointly) {
 }
 
 TEST_P(TreeStrategyPropertyTest, LinkDeathInvalidatesCachedPlans) {
-  const auto kind = static_cast<TreeStrategyKind>(std::get<0>(GetParam()));
-  const Topology topo = make_topo(std::get<1>(GetParam()));
-  UpDownRouting base(topo);
-  const auto strategy =
-      make_tree_strategy(make_cfg(kind), topo, base, UpDownOptions());
+  const auto kind = static_cast<TreeStrategyKind>(std::get<1>(GetParam()));
+  UpDownOptions opts;
+  const Topology topo = make_topo(std::get<0>(GetParam()), &opts);
+  UpDownRouting base(topo, opts);
+  const auto strategy = make_tree_strategy(make_cfg(kind), topo, base, opts);
 
   std::vector<HostId> members;
   for (HostId h = 0; h < topo.num_hosts(); h += 3) members.push_back(h);
@@ -117,10 +116,9 @@ TEST_P(TreeStrategyPropertyTest, LinkDeathInvalidatesCachedPlans) {
   LinkId victim = kNoLink;
   std::set<NodeId> nodes;
   std::multiset<HostId> hosts;
-  for (const McastPartition& part : before.partitions)
-    for (const McastRouteTree& br : part.branches)
-      walk_branch(topo, strategy->group_routing(g), topo.switch_of_host(src),
-                  br, false, &nodes, &hosts);
+  for (const McastRouteTree& br : before.branches)
+    walk_branch(topo, strategy->group_routing(g), topo.switch_of_host(src), br,
+                false, &nodes, &hosts);
   for (LinkId l = 0; l < topo.num_links() && victim == kNoLink; ++l) {
     const TopoLink& tl = topo.link(l);
     if (topo.node(tl.node_a).kind != NodeKind::kSwitch ||
@@ -137,23 +135,19 @@ TEST_P(TreeStrategyPropertyTest, LinkDeathInvalidatesCachedPlans) {
   const McastPlan after = strategy->plan_multicast(g, src, members);
 
   // The new plan is complete, legal, and never crosses the dead link.
+  std::set<NodeId> n2;
   std::multiset<HostId> reached;
-  for (const McastPartition& part : after.partitions) {
-    std::set<NodeId> n2;
-    std::multiset<HostId> h2;
-    for (const McastRouteTree& br : part.branches)
-      walk_branch(topo, strategy->group_routing(g), topo.switch_of_host(src),
-                  br, false, &n2, &h2);
-    reached.insert(h2.begin(), h2.end());
-    std::function<void(NodeId, const McastRouteTree&)> no_dead =
-        [&](NodeId at, const McastRouteTree& tr) {
-          EXPECT_NE(topo.link_at(at, tr.port), victim) << "plan uses dead link";
-          const NodeId next = topo.neighbor_via(at, tr.port);
-          for (const McastRouteTree& c : tr.children) no_dead(next, c);
-        };
-    for (const McastRouteTree& br : part.branches)
-      no_dead(topo.switch_of_host(src), br);
-  }
+  for (const McastRouteTree& br : after.branches)
+    walk_branch(topo, strategy->group_routing(g), topo.switch_of_host(src), br,
+                false, &n2, &reached);
+  std::function<void(NodeId, const McastRouteTree&)> no_dead =
+      [&](NodeId at, const McastRouteTree& tr) {
+        EXPECT_NE(topo.link_at(at, tr.port), victim) << "plan uses dead link";
+        const NodeId next = topo.neighbor_via(at, tr.port);
+        for (const McastRouteTree& c : tr.children) no_dead(next, c);
+      };
+  for (const McastRouteTree& br : after.branches)
+    no_dead(topo.switch_of_host(src), br);
   std::multiset<HostId> want;
   for (const HostId h : members)
     if (h != src) want.insert(h);
@@ -162,8 +156,8 @@ TEST_P(TreeStrategyPropertyTest, LinkDeathInvalidatesCachedPlans) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategiesAllTopologies, TreeStrategyPropertyTest,
-    ::testing::Combine(::testing::Range(0, kNumTreeStrategies),
-                       ::testing::Range(0, 3)));
+    ::testing::Combine(::testing::Range(0, 4),
+                       ::testing::Range(0, kNumTreeStrategies)));
 
 TEST(TreeStrategyStructure, SingleRootEmitsOneOnTreeWorm) {
   const Topology topo = make_torus(4, 4);
@@ -172,7 +166,7 @@ TEST(TreeStrategyStructure, SingleRootEmitsOneOnTreeWorm) {
                                     topo, base, UpDownOptions());
   const std::vector<HostId> members{0, 3, 7, 11, 14};
   const McastPlan plan = s->plan_multicast(0, 0, members);
-  ASSERT_EQ(plan.partitions.size(), 1u);
+  EXPECT_EQ(plan.dests, (std::vector<HostId>{3, 7, 11, 14}));
   EXPECT_EQ(s->plan_orientation(0), 0);
   // Every traversed link lies on the strategy routing's spanning tree.
   const UpDownRouting& r = s->group_routing(0);
@@ -182,21 +176,8 @@ TEST(TreeStrategyStructure, SingleRootEmitsOneOnTreeWorm) {
         const NodeId next = topo.neighbor_via(at, tr.port);
         for (const McastRouteTree& c : tr.children) on_tree(next, c);
       };
-  for (const McastRouteTree& br : plan.partitions[0].branches)
+  for (const McastRouteTree& br : plan.branches)
     on_tree(topo.switch_of_host(0), br);
-}
-
-TEST(TreeStrategyStructure, PartitionMergeHonoursWormBudget) {
-  const Topology topo = make_torus(4, 4);
-  const UpDownRouting base(topo);
-  TreeStrategyConfig cfg = make_cfg(TreeStrategyKind::kPartitionMerge);
-  cfg.max_worms = 2;
-  const auto s = make_tree_strategy(cfg, topo, base, UpDownOptions());
-  std::vector<HostId> members;
-  for (HostId h = 0; h < topo.num_hosts(); ++h) members.push_back(h);
-  const McastPlan plan = s->plan_multicast(0, 0, members);
-  EXPECT_LE(plan.partitions.size(), 2u);
-  EXPECT_GE(plan.partitions.size(), 1u);
 }
 
 TEST(TreeStrategyStructure, MultiRootAssignsDepthMinimizingCandidate) {
@@ -206,7 +187,8 @@ TEST(TreeStrategyStructure, MultiRootAssignsDepthMinimizingCandidate) {
   const auto s = make_tree_strategy(cfg, topo, base, UpDownOptions());
   auto* mr = dynamic_cast<detail::MultiRootStrategy*>(s.get());
   ASSERT_NE(mr, nullptr);
-  ASSERT_EQ(mr->candidate_roots().size(), 3u);
+  ASSERT_EQ(mr->candidate_roots().size(),
+            static_cast<std::size_t>(detail::kCandidateRoots));
   // Candidate 0 is the base root, shared with every single-root strategy.
   EXPECT_EQ(mr->candidate_roots()[0], base.root());
   const std::vector<HostId> members{1, 2, 5, 6};
@@ -330,22 +312,6 @@ TEST(TreeStrategyConfigTest, NamesRoundTripAndParse) {
   }
   TreeStrategyKind out;
   EXPECT_FALSE(parse_tree_strategy("no-such-strategy", &out));
-}
-
-TEST(TreeStrategyConfigTest, PerGroupOverridesDispatch) {
-  const Topology topo = make_torus(4, 4);
-  const UpDownRouting base(topo);
-  TreeStrategyConfig cfg = make_cfg(TreeStrategyKind::kSingleRoot);
-  cfg.per_group.emplace_back(1, TreeStrategyKind::kPartitionMerge);
-  const auto s = make_tree_strategy(cfg, topo, base, UpDownOptions());
-  std::vector<HostId> members;
-  for (HostId h = 0; h < 16; ++h) members.push_back(h);
-  s->plan_group(0, members);
-  s->plan_group(1, members);
-  // Group 0 rides the default single worm; group 1 may split.
-  EXPECT_EQ(s->plan_multicast(0, 0, members).partitions.size(), 1u);
-  EXPECT_GE(s->plan_multicast(1, 0, members).partitions.size(), 1u);
-  EXPECT_LE(s->plan_multicast(1, 0, members).partitions.size(), 3u);
 }
 
 }  // namespace

@@ -10,28 +10,12 @@
 namespace wormcast {
 namespace {
 
-using Mode = IdlePoller::Mode;
-
 // --- grid semantics on a bare simulator --------------------------------
-
-TEST(IdlePoller, LegacyPollsEveryPeriodRegardlessOfBound) {
-  Simulator sim;
-  std::vector<Time> at;
-  IdlePoller p(sim, 100, 50, Mode::kLegacy,
-               [&] {
-                 at.push_back(sim.now());
-                 return kTimeNever;  // legacy ignores the bound
-               },
-               /*stop_at=*/300);
-  p.start();
-  sim.run();
-  EXPECT_EQ(at, (std::vector<Time>{100, 150, 200, 250, 300}));
-}
 
 TEST(IdlePoller, FastForwardParksOnNeverAndWakeReArmsStrictlyAfter) {
   Simulator sim;
   std::vector<Time> at;
-  IdlePoller p(sim, 100, 50, Mode::kFastForward,
+  IdlePoller p(sim, 100, 50,
                [&] {
                  at.push_back(sim.now());
                  return kTimeNever;
@@ -49,7 +33,7 @@ TEST(IdlePoller, FastForwardParksOnNeverAndWakeReArmsStrictlyAfter) {
 TEST(IdlePoller, WakeExactlyOnGridPointSkipsToNext) {
   Simulator sim;
   std::vector<Time> at;
-  IdlePoller p(sim, 100, 50, Mode::kFastForward,
+  IdlePoller p(sim, 100, 50,
                [&] {
                  at.push_back(sim.now());
                  return kTimeNever;
@@ -67,7 +51,7 @@ TEST(IdlePoller, WakeExactlyOnGridPointSkipsToNext) {
 TEST(IdlePoller, FastForwardJumpsToFirstGridPointAtOrAfterBound) {
   Simulator sim;
   std::vector<Time> at;
-  IdlePoller p(sim, 100, 50, Mode::kFastForward,
+  IdlePoller p(sim, 100, 50,
                [&]() -> Time {
                  at.push_back(sim.now());
                  // Deadline at 430: first grid point >= 430 is 450 (a naive
@@ -83,7 +67,7 @@ TEST(IdlePoller, FastForwardJumpsToFirstGridPointAtOrAfterBound) {
 TEST(IdlePoller, BoundOnGridPointIsTakenExactly) {
   Simulator sim;
   std::vector<Time> at;
-  IdlePoller p(sim, 100, 50, Mode::kFastForward,
+  IdlePoller p(sim, 100, 50,
                [&]() -> Time {
                  at.push_back(sim.now());
                  return sim.now() == 100 ? Time{400} : kTimeNever;
@@ -97,7 +81,7 @@ TEST(IdlePoller, BoundOnGridPointIsTakenExactly) {
 TEST(IdlePoller, StaleBoundMeansPollNextPeriod) {
   Simulator sim;
   std::vector<Time> at;
-  IdlePoller p(sim, 100, 50, Mode::kFastForward,
+  IdlePoller p(sim, 100, 50,
                [&]() -> Time {
                  at.push_back(sim.now());
                  // A bound at or below now: condition was true but there may
@@ -113,7 +97,7 @@ TEST(IdlePoller, StaleBoundMeansPollNextPeriod) {
 TEST(IdlePoller, WakeWhileArmedIsANoOp) {
   Simulator sim;
   std::vector<Time> at;
-  IdlePoller p(sim, 100, 50, Mode::kFastForward,
+  IdlePoller p(sim, 100, 50,
                [&]() -> Time {
                  at.push_back(sim.now());
                  return sim.now() == 100 ? Time{300} : kTimeNever;
@@ -130,7 +114,7 @@ TEST(IdlePoller, WakeWhileArmedIsANoOp) {
 TEST(IdlePoller, StopAtBoundsBothArmsAndWakes) {
   Simulator sim;
   int polls = 0;
-  IdlePoller p(sim, 100, 50, Mode::kFastForward,
+  IdlePoller p(sim, 100, 50,
                [&] {
                  ++polls;
                  return kTimeNever;
@@ -146,9 +130,10 @@ TEST(IdlePoller, StopAtBoundsBothArmsAndWakes) {
 TEST(IdlePoller, StopCancelsPendingPoll) {
   Simulator sim;
   int polls = 0;
-  IdlePoller p(sim, 100, 50, Mode::kLegacy, [&] {
+  // A bound of 0 (<= now) re-arms every period, never parking.
+  IdlePoller p(sim, 100, 50, [&] {
     ++polls;
-    return kTimeNever;
+    return Time{0};
   });
   p.start();
   sim.at(160, [&] { p.stop(); });
@@ -160,9 +145,11 @@ TEST(IdlePoller, StopCancelsPendingPoll) {
 //
 // Fast-forward must change how fast the simulation runs, never what it
 // computes: identical throughput, loss, wire bytes, and worm-pool traffic
-// versus legacy polling — while actually skipping idle polls. Covers both
-// application shapes: saturating (park-until-drain-wake) and rate-limited
-// (deadline jumps).
+// versus the reference that polls every grid point (the testbed discards
+// the body's bound when fast_forward is off) — while actually skipping
+// idle polls. Covers both application shapes: saturating
+// (park-until-drain-wake) and rate-limited (deadline jumps), plus a
+// 256-host torus at rest.
 
 bench::TestbedResult run_mode(bool fast_forward, Time inject_period) {
   bench::TestbedOptions opts;
@@ -171,6 +158,18 @@ bench::TestbedResult run_mode(bool fast_forward, Time inject_period) {
   opts.span = 300'000;
   opts.fast_forward = fast_forward;
   opts.inject_period = inject_period;
+  return bench::run_testbed(opts);
+}
+
+bench::TestbedResult run_torus(bool fast_forward) {
+  bench::TestbedOptions opts;
+  opts.torus = 16;
+  opts.senders = 16 * 16;
+  opts.packet_size = 512;
+  opts.group_size = 4;
+  opts.inject_period = 500'000;
+  opts.span = 2'000'000;
+  opts.fast_forward = fast_forward;
   return bench::run_testbed(opts);
 }
 
@@ -202,6 +201,17 @@ TEST(IdlePollerEquivalence, RateLimitedTestbedMatchesLegacy) {
   // In the at-rest shape nearly every poll is idle: the reduction is large,
   // not marginal.
   EXPECT_LT(ff.app_polls * 10, legacy.app_polls);
+}
+
+TEST(IdlePollerEquivalence, TorusAtRestMatchesLegacy) {
+  // Every host of a 16x16 torus multicasts to its 4-host group once per
+  // 500k byte-times: the scale shape sim_hotpath times, at a quarter of
+  // the hosts.
+  const auto legacy = run_torus(/*fast_forward=*/false);
+  const auto ff = run_torus(/*fast_forward=*/true);
+  expect_same_physics(legacy, ff);
+  EXPECT_GT(legacy.bytes_on_wire, 0);
+  EXPECT_LT(ff.app_polls * 100, legacy.app_polls);
 }
 
 }  // namespace

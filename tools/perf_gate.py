@@ -31,7 +31,6 @@ SKIP_PAT = re.compile(r"(wall|per_sec|ns_per_op|_ms$)")
 # regression when it rises above baseline*(1+band) (overheads must not grow).
 RATIO_RULES = {
     "speedup_wall": "lower",
-    "hotpath_speedup_wall": "lower",
     "tracing_overhead_wall": "upper",
 }
 # Relative tolerance for deterministic metrics: %.17g round-trips exactly,
