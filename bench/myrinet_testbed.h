@@ -25,7 +25,7 @@
 #include "bench_util.h"
 #include "core/network.h"
 #include "net/topologies.h"
-#include "sim/idle_poller.h"
+#include "idle_poller.h"
 #include "traffic/groups.h"
 
 namespace wormcast::bench {
@@ -63,7 +63,7 @@ struct TestbedResult {
 /// paper's configuration; the engine knobs (burst_channels, fast_forward)
 /// change only how fast the simulation runs, never what it computes —
 /// burst mode and fast_forward do change event counts (fewer
-/// channel events; skipped idle app polls, see sim/idle_poller.h).
+/// channel events; skipped idle app polls, see bench/idle_poller.h).
 struct TestbedOptions {
   int senders = 1;
   std::int64_t packet_size = 8 * 1024;

@@ -10,7 +10,7 @@
 //  2. Scale point (32x32 torus, 1024 hosts, LAN at rest): every host
 //     runs a rate-limited app multicasting a 512-byte packet to its own
 //     4-host group once per 10M byte-times, under idle fast-forward
-//     (sim/idle_poller.h). Without it the 512-byte-time app-poll grid IS
+//     (bench/idle_poller.h). Without it the 512-byte-time app-poll grid IS
 //     the event stream at this duty cycle: a thousand mostly-idle hosts
 //     burn ~2 events per byte-time asking "anything to do?". The last
 //     measured comparison against that naive polling is frozen in

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/ip_mapping.h"
+#include "ip_mapping.h"
 #include "core/network.h"
 #include "net/topologies.h"
 #include "sim/random.h"

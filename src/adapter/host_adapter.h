@@ -135,7 +135,7 @@ class HostAdapter final : public ByteFeed, public RxSink {
 
   /// Fires whenever a transmitted tail leaves queued_own_originations() at
   /// zero — the wake signal for fast-forwarded saturating applications
-  /// (sim/idle_poller.h). Only covers the transmit path: a crash or purge
+  /// (bench/idle_poller.h). Only covers the transmit path: a crash or purge
   /// can also drain the queue without a tail, so drivers that inject
   /// faults should poll in legacy mode instead.
   void set_drain_listener(std::function<void()> listener) {

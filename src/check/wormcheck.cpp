@@ -309,7 +309,7 @@ std::vector<Expectation> standard_rules(const CheckConfig& cfg) {
   const Time w_nack = cfg.ack_timeout + cfg.backoff_cap() + cfg.slack;
   const Time w_timeout = cfg.backoff_cap() + cfg.slack;
   const Time l_suspect = cfg.suspicion_timeout +
-                         std::max(cfg.probe_interval, cfg.ack_timeout) +
+                         std::max(cfg.probe_gap, cfg.ack_timeout) +
                          cfg.slack;
   // Worst honest hold: the full attempt budget of timeout+back-off rounds,
   // doubled because a repair resets the attempt counter once per dead

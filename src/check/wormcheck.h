@@ -211,7 +211,7 @@ struct CheckConfig {
   Time retry_jitter = 2000;
   int max_attempts = 0;
   Time suspicion_timeout = 0;
-  Time probe_interval = 0;  // resolved value (never 0 while suspicion is on)
+  Time probe_gap = 0;  // resolved probe interval (never 0 while suspicion is on)
   Time repair_grace = 100'000;
   Time idle_flush_threshold = 0;  // scheme (c); 0 disables the flush rule
   Time join_grace = 0;            // membership churn; 0 disables join-grace

@@ -1,30 +1,13 @@
+// HostProtocol: origination, successor planning and reception.
 #include "core/host_protocol.h"
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <utility>
 
 #include "sim/trace.h"
 
 namespace wormcast {
-
-namespace {
-/// ACK/NACK and transmit-completion bookkeeping is keyed by
-/// (message, successor).
-std::uint64_t send_key(std::uint64_t message_id, HostId to) {
-  return message_id * 1000003ULL + static_cast<std::uint64_t>(to);
-}
-}  // namespace
-
-bool HostProtocol::is_confirmation(const McastHeader& h) const {
-  // A circuit worm that returned to its originator with no hop budget left
-  // is the delivery confirmation (Section 5). On a serialized circuit or a
-  // tree the originator's own copy can arrive mid-structure and must still
-  // be forwarded.
-  return scheme_uses_circuit(config_.scheme) && h.origin == host_ &&
-         !h.relay_phase && h.hops_remaining <= 1;
-}
 
 HostProtocol::HostProtocol(Simulator& sim, HostAdapter& adapter,
                            const UpDownRouting& routing,
@@ -39,16 +22,14 @@ HostProtocol::HostProtocol(Simulator& sim, HostAdapter& adapter,
       config_(config),
       rng_(std::move(rng)),
       host_(adapter.host()),
+      n_hosts_(n_hosts),
       pool_(config.buffer_classes ? BufferPool(config.pool_bytes, 2)
                                   : BufferPool::unpartitioned(config.pool_bytes)),
-      n_hosts_(n_hosts) {
+      detector_(config) {
   adapter_.set_client(this);
   if (config_.scheme == Scheme::kCentralizedCredit &&
-      host_ == config_.credit_manager) {
-    credit_mgr_ = std::make_unique<CreditManager>();
-    credit_mgr_->credits.assign(static_cast<std::size_t>(n_hosts_),
-                                config_.credits_per_host);
-  }
+      host_ == kCreditManagerHost)
+    credit_.become_manager(n_hosts_, config_.credits_per_host);
 }
 
 // --- origination -------------------------------------------------------------
@@ -63,24 +44,15 @@ void HostProtocol::originate(const Demand& demand) {
 }
 
 void HostProtocol::on_unicast_flushed(const WormPtr& worm) {
-  const Time backoff =
-      config_.retry_backoff +
-      (config_.retry_jitter > 0 ? rng_.uniform(0, config_.retry_jitter) : 0);
-  sim_.after(backoff, [this, worm] {
+  sim_.after(retry_backoff_delay(config_, 0, rng_), [this, worm] {
     if (dead_) return;
     if (removed_peers_.count(worm->dst) > 0) {
       metrics_.abandon_message(worm->message);
       return;
     }
     metrics_.on_retransmit();
-    auto copy = new_worm();
-    copy->id = worm->id;
-    copy->kind = WormKind::kData;
-    copy->src = host_;
-    copy->dst = worm->dst;
-    copy->payload = worm->payload;
-    copy->header = worm->header;
-    routing_.route_into(host_, worm->dst, copy->route);
+    WormPtr copy = make_worm(WormKind::kData, worm->dst, worm->payload,
+                             worm->header, worm->id);
     copy->mcast = worm->mcast;
     copy->message = worm->message;
     copy->created_at = worm->created_at;
@@ -96,16 +68,7 @@ void HostProtocol::originate_unicast(const Demand& d) {
     metrics_.abandon_message(ctx);
     return;
   }
-  auto worm = new_worm();
-  worm->kind = WormKind::kData;
-  worm->src = host_;
-  worm->dst = d.dst;
-  worm->payload = d.length;
-  routing_.route_into(host_, d.dst, worm->route);
-  worm->message = ctx;
-  worm->created_at = ctx->created_at;
-  worm->id = ctx->message_id;
-  adapter_.send(std::move(worm));
+  adapter_.send(make_data_worm(d.dst, d.length, 0, ctx));
 }
 
 void HostProtocol::originate_multicast(const Demand& d) {
@@ -122,19 +85,8 @@ void HostProtocol::originate_multicast(const Demand& d) {
   if (config_.scheme == Scheme::kRepeatedUnicast) {
     // Myrinet's stock behaviour: one plain unicast per member, back to back
     // out of the source adapter.
-    for (const HostId m : circuit.order()) {
-      if (m == host_) continue;
-      auto worm = new_worm();
-      worm->kind = WormKind::kData;
-      worm->src = host_;
-      worm->dst = m;
-      worm->payload = d.length;
-      routing_.route_into(host_, m, worm->route);
-      worm->message = ctx;
-      worm->created_at = ctx->created_at;
-      worm->id = ctx->message_id;
-      adapter_.send(std::move(worm));
-    }
+    for (const HostId m : circuit.order())
+      if (m != host_) adapter_.send(make_data_worm(m, d.length, 0, ctx));
     return;
   }
 
@@ -152,13 +104,12 @@ void HostProtocol::originate_multicast(const Demand& d) {
   if (config_.scheme == Scheme::kCentralizedCredit) {
     // [VLB96]: obtain a cumulative buffer credit for every destination from
     // the manager before transmitting anything.
-    if (host_ == config_.credit_manager) {
-      credit_mgr_->pending.push_back(
-          CreditManager::Pending{ctx->message_id, d.group, host_});
+    if (host_ == kCreditManagerHost) {
+      credit_.request({ctx->message_id, d.group, host_});
       try_credit_grants();
     } else {
       adapter_.send_control(make_credit_worm(CreditOp::kRequest,
-                                             config_.credit_manager, d.group,
+                                             kCreditManagerHost, d.group,
                                              ctx->message_id, -1));
     }
     return;
@@ -167,38 +118,46 @@ void HostProtocol::originate_multicast(const Demand& d) {
   begin_serialized_dispatch(task);
 }
 
+HostId HostProtocol::serializer(GroupId g) const {
+  return scheme_uses_tree(config_.scheme) ? tables_.tree(g).root()
+                                          : tables_.circuit(g).lowest();
+}
+
 void HostProtocol::begin_serialized_dispatch(const TaskPtr& task) {
   const bool serialized =
       scheme_uses_tree(config_.scheme)
           ? config_.scheme != Scheme::kTreeBroadcast
           : config_.total_ordering;
-  const HostId serializer = scheme_uses_tree(config_.scheme)
-                                ? tables_.tree(task->group).root()
-                                : tables_.circuit(task->group).lowest();
-
-  if (serialized && host_ != serializer) {
-    // Relay to the serializer; the multicast proper starts there.
-    Task::Send relay;
-    relay.to = serializer;
-    relay.header.group = task->group;
-    relay.header.message_id = task->message_id;
-    relay.header.origin = host_;
-    relay.header.seq = task->seq;
-    relay.header.relay_phase = true;
-    relay.header.buffer_class = 1;  // the one "reversal" class (Section 4)
-    task->sends.push_back(relay);
-    metrics_.on_relay();
-    issue_send(task, task->sends.front(), /*cut_through=*/false);
+  if (serialized && host_ != serializer(task->group)) {
+    relay_to_serializer(task);  // the multicast proper starts there
     return;
   }
 
   if (serialized && task->seq < 0) {
     task->seq = seq_counters_[task->group]++;
   }
-  task->sends = plan_successors(task->group, host_, task->message_id,
-                                task->seq,
-                                /*hops_remaining=*/0, /*incoming_class=*/0,
+  task->sends = plan_successors(*task, /*incoming_class=*/0,
                                 /*at_serializer=*/serialized, kNoHost);
+  launch_sends(task, /*allow_cut_through=*/false);
+  maybe_release(task);
+}
+
+void HostProtocol::relay_to_serializer(const TaskPtr& task) {
+  // The relay travels in the one "reversal" buffer class (Section 4).
+  task->sends.assign(1, task->send_to(serializer(task->group), 1));
+  task->sends.front().header.relay_phase = true;
+  metrics_.on_relay();
+  dispatch(task, 0, /*cut_through=*/false);
+}
+
+void HostProtocol::start_serialized(const TaskPtr& task) {
+  // Credit-scheme messages already carry the manager's sequence number.
+  if (task->seq < 0) task->seq = seq_counters_[task->group]++;
+  deliver_locally(task);
+  // The relay send lives at the origin, not here: install the
+  // circuit/tree successors.
+  task->sends = plan_successors(*task, /*incoming_class=*/0,
+                                /*at_serializer=*/true, kNoHost);
   launch_sends(task, /*allow_cut_through=*/false);
   maybe_release(task);
 }
@@ -206,22 +165,16 @@ void HostProtocol::begin_serialized_dispatch(const TaskPtr& task) {
 // --- successor planning ------------------------------------------------------
 
 std::vector<HostProtocol::Task::Send> HostProtocol::plan_successors(
-    GroupId group, HostId origin, std::uint64_t message_id, std::int64_t seq,
-    int hops_remaining, int incoming_class, bool at_serializer,
+    const Task& task, int incoming_class, bool at_serializer,
     HostId from) const {
   std::vector<Task::Send> sends;
-  const auto base_header = [&](HostId to) {
-    McastHeader h;
-    h.group = group;
-    h.message_id = message_id;
-    h.origin = origin;
-    h.seq = seq;
-    (void)to;
-    return h;
+  const HostId origin = task.origin;
+  const auto add = [&](HostId to, int cls) -> Task::Send& {
+    return sends.emplace_back(task.send_to(to, cls));
   };
 
   if (scheme_uses_circuit(config_.scheme)) {
-    const CircuitTable& circuit = tables_.circuit(group);
+    const CircuitTable& circuit = tables_.circuit(task.group);
     const int members = circuit.size();
     int hops;
     if (from == kNoHost) {
@@ -235,32 +188,28 @@ std::vector<HostProtocol::Task::Send> HostProtocol::plan_successors(
         hops = members - 1 + (config_.circuit_confirm ? 1 : 0);
       }
     } else {
-      hops = hops_remaining - 1;
+      hops = task.hops_remaining - 1;
     }
     if (hops >= 1) {
       const HostId to = circuit.next(host_);
-      Task::Send s;
-      s.to = to;
-      s.header = base_header(to);
-      s.header.hops_remaining = hops;
+      // A serialized circuit runs from its lowest member up to its highest
+      // and never wraps. A budget sized before a splice upstream would take
+      // one stale hop back into the serializer's relay buffers (class 1),
+      // whose class-0 forwards wait on this very chain: a buffer cycle.
+      if (config_.total_ordering && to < host_) return sends;
       // Class 0 while host IDs ascend; class 1 from the wrap-around on
       // (the single ID-order reversal, Figure 7).
-      s.header.buffer_class = (to > host_) ? incoming_class : 1;
-      sends.push_back(s);
+      add(to, (to > host_) ? incoming_class : 1).header.hops_remaining = hops;
     }
     return sends;
   }
 
   // Tree schemes.
-  const TreeTable& tree = tables_.tree(group);
+  const TreeTable& tree = tables_.tree(task.group);
   const auto add_child = [&](HostId child, int cls) {
     // A leaf child that is the message's originator needs no copy.
     if (child == origin && tree.children(child).empty()) return;
-    Task::Send s;
-    s.to = child;
-    s.header = base_header(child);
-    s.header.buffer_class = cls;
-    sends.push_back(s);
+    add(child, cls);
   };
 
   if (config_.scheme == Scheme::kTreeBroadcast) {
@@ -268,13 +217,8 @@ std::vector<HostProtocol::Task::Send> HostProtocol::plan_successors(
     // (one class while climbing, the other while descending; Section 6).
     const bool arrived_from_child = (from != kNoHost && from > host_);
     const bool at_origin = (from == kNoHost);
-    if ((at_origin || arrived_from_child) && host_ != tree.root()) {
-      Task::Send s;
-      s.to = tree.parent(host_);
-      s.header = base_header(s.to);
-      s.header.buffer_class = 0;
-      sends.push_back(s);
-    }
+    if ((at_origin || arrived_from_child) && host_ != tree.root())
+      add(tree.parent(host_), 0);
     const bool descending = (from != kNoHost && from < host_);
     for (const HostId child : tree.children(host_)) {
       if (child == from) continue;
@@ -288,212 +232,20 @@ std::vector<HostProtocol::Task::Send> HostProtocol::plan_successors(
   return sends;
 }
 
-// --- sending machinery -------------------------------------------------------
+// --- reception ---------------------------------------------------------------
 
-WormPtr HostProtocol::make_data_worm(const TaskPtr& task,
-                                     const Task::Send& send) const {
-  auto worm = new_worm();
-  worm->kind = WormKind::kData;
-  worm->src = host_;
-  worm->dst = send.to;
-  worm->payload = task->payload;
-  worm->header = config_.mcast_header_bytes;
-  routing_.route_into(host_, send.to, worm->route);
-  worm->mcast = send.header;
-  worm->message = task->ctx;
-  worm->created_at = task->ctx->created_at;
-  worm->id = task->message_id;
-  return worm;
-}
-
-WormPtr HostProtocol::make_control_worm(WormKind kind,
-                                        const WormPtr& data_worm) const {
-  // Every ACK/NACK this host emits goes through here — the single choke
-  // point is the natural trace site.
-  if (kind == WormKind::kAck)
-    WORMTRACE(sim_, kProtoAckSent, host_, -1, data_worm->id, data_worm->src);
-  else if (kind == WormKind::kNack)
-    WORMTRACE(sim_, kProtoNackSent, host_, -1, data_worm->id, data_worm->src);
-  auto worm = new_worm();
-  worm->kind = kind;
-  worm->src = host_;
-  worm->dst = data_worm->src;
-  worm->payload = config_.control_payload;
-  worm->header = config_.mcast_header_bytes;
-  routing_.route_into(host_, data_worm->src, worm->route);
-  worm->mcast = data_worm->mcast;
-  worm->message = data_worm->message;
-  worm->id = data_worm->id;
-  return worm;
-}
-
-void HostProtocol::launch_sends(const TaskPtr& task, bool allow_cut_through) {
-  for (std::size_t i = 0; i < task->sends.size(); ++i) {
-    Task::Send& send = task->sends[i];
-    if (send.started) continue;
-    const bool ct = allow_cut_through && scheme_cut_through(config_.scheme) &&
-                    !task->rx_complete;
-    // Strict total ordering also constrains the retransmission path: at most
-    // one un-ACKed send per (group, successor) so a NACKed message cannot be
-    // overtaken. Costs pipelining, so only when the application asked.
-    const bool ordered = config_.total_ordering && serialized_scheme() &&
-                         !send.header.relay_phase;
-    if (ordered)
-      window_push(task, i, ct);
-    else
-      issue_send(task, send, ct);
-    if (ct) break;  // cut-through starts the first successor only
-  }
-}
-
-void HostProtocol::issue_send(const TaskPtr& task, Task::Send& send,
-                              bool cut_through) {
-  assert(!send.started);
-  send.started = true;
-  send.first_tx = sim_.now();
-  WormPtr worm = make_data_worm(task, send);
-  ack_wait_.emplace(send_key(task->message_id, send.to), task);
-  if (cut_through && task->rx != nullptr && !task->rx->complete)
-    adapter_.send_cut_through(std::move(worm), task->rx);
-  else
-    adapter_.send(std::move(worm));
-  if (recovery_enabled())
-    arm_ack_timer(task,
-                  static_cast<std::size_t>(&send - task->sends.data()));
-}
-
-void HostProtocol::retransmit_later(const TaskPtr& task,
-                                    std::size_t send_index) {
-  // Exponential back-off (capped) keeps NACK storms from starving each
-  // other under extreme contention; the jitter breaks retry lockstep.
-  Task::Send& pending = task->sends[send_index];
-  if (pending.retry_pending) return;  // a NACK crossed a fired timer
-  pending.retry_pending = true;
-  const Time backoff = retry_backoff_delay(config_, pending.attempts++, rng_);
-  sim_.after(backoff, [this, task, send_index] {
-    Task::Send& send = task->sends[send_index];
-    send.retry_pending = false;
-    // The send may have resolved during the back-off: a slow ACK arrived,
-    // the send was abandoned, the whole task was torn down, or this host
-    // crashed. A repair may also have retargeted `send.to` meanwhile — the
-    // worm below is built from the mutated send, so the retransmission
-    // automatically takes the healed structure and route.
-    if (send.acked || send.failed || task->aborted || dead_) return;
-    assert(send.started);
-    metrics_.on_retransmit();
-    WORMTRACE(sim_, kProtoRetransmit, host_, -1, task->message_id, send.to);
-    WormPtr worm = make_data_worm(task, send);
-    // The retransmission streams from the (possibly still arriving)
-    // reception; when reception has finished this is a plain buffered send.
-    if (task->rx != nullptr && !task->rx->complete)
-      adapter_.send_cut_through(std::move(worm), task->rx);
-    else
-      adapter_.send(std::move(worm));
-    if (recovery_enabled()) arm_ack_timer(task, send_index);
-  });
-}
-
-void HostProtocol::arm_ack_timer(const TaskPtr& task, std::size_t send_index) {
-  Task::Send& send = task->sends[send_index];
-  send.timer = sim_.after(config_.ack_timeout, [this, task, send_index] {
-    on_ack_timeout(task, send_index);
-  });
-}
-
-void HostProtocol::on_ack_timeout(const TaskPtr& task, std::size_t send_index) {
-  Task::Send& send = task->sends[send_index];
-  if (send.acked || send.failed || send.retry_pending || task->aborted || dead_)
-    return;
-  metrics_.on_ack_timeout();
-  WORMTRACE(sim_, kProtoAckTimeout, host_, -1, task->message_id, send.to);
-  // Suspicion: the send has been un-ACKed past the suspicion timeout AND
-  // the peer has been totally silent for as long — an overdue send alone
-  // can be our own congestion (the retransmissions queued behind a local
-  // TX backlog), so a peer that is still talking is never accused.
-  // Declare it dead; the network's repair retargets this very send (so no
-  // retransmission is scheduled here).
-  // NOTE: the listener repairs the structures, which can reallocate
-  // task->sends — `send` must not be touched after the call.
-  if (suspicion_enabled() && failure_listener_ &&
-      removed_peers_.count(send.to) == 0 && send.first_tx != kTimeNever &&
-      sim_.now() - send.first_tx >= config_.suspicion_timeout &&
-      peer_silent(send.to)) {
-    const HostId suspect = send.to;
-    metrics_.on_suspicion(sim_.now());
-    WORMTRACE(sim_, kProtoSuspect, host_, -1, task->message_id, suspect);
-    failure_listener_(suspect);
-    return;
-  }
-  if (config_.max_attempts > 0 && send.attempts + 1 >= config_.max_attempts) {
-    fail_send(task, send_index);
-    return;
-  }
-  retransmit_later(task, send_index);
-}
-
-void HostProtocol::fail_send(const TaskPtr& task, std::size_t send_index) {
-  Task::Send& send = task->sends[send_index];
-  assert(send.started && !send.acked && !send.failed);
-  send.failed = true;
-  ack_wait_.erase(send_key(task->message_id, send.to));
-  metrics_.on_delivery_failed(task->ctx);
-  WORMTRACE(sim_, kProtoSendFailed, host_, -1, task->message_id, send.to);
-  if (config_.total_ordering && serialized_scheme() && !send.header.relay_phase)
-    window_advance(task->group, send.to);
-  maybe_release(task);
-}
-
-void HostProtocol::abort_task(const TaskPtr& task) {
-  assert(!task->aborted);
-  task->aborted = true;
-  for (Task::Send& s : task->sends) {
-    if (!s.started || s.acked || s.failed) continue;
-    if (s.timer.valid()) {
-      sim_.cancel(s.timer);
-      s.timer = EventHandle{};
-    }
-    ack_wait_.erase(send_key(task->message_id, s.to));
-    if (config_.total_ordering && serialized_scheme() && !s.header.relay_phase)
-      window_advance(task->group, s.to);
-  }
-  if (task->reserved > 0) {
-    WORMTRACE(sim_, kProtoRelease, host_, -1, task->message_id, task->reserved);
-    pool_.release(task->cls, task->reserved);
-    task->reserved = 0;
-    if (config_.scheme == Scheme::kCentralizedCredit) ++freed_credits_;
-  }
-  (task->originator ? origin_tasks_ : tasks_).erase(task->message_id);
+bool HostProtocol::is_confirmation(const McastHeader& h) const {
+  // A circuit worm that returned to its originator with no hop budget left
+  // is the delivery confirmation (Section 5). On a serialized circuit or a
+  // tree the originator's own copy can arrive mid-structure and must still
+  // be forwarded.
+  return scheme_uses_circuit(config_.scheme) && h.origin == host_ &&
+         !h.relay_phase && h.hops_remaining <= 1;
 }
 
 DedupWindow& HostProtocol::dedup_for(GroupId g) {
-  auto it = done_.find(g);
-  if (it == done_.end())
-    it = done_
-             .emplace(g, DedupWindow(static_cast<std::size_t>(
-                             std::max(config_.dedup_window, 1))))
-             .first;
-  return it->second;
+  return done_.try_emplace(g, kDedupWindow).first->second;
 }
-
-void HostProtocol::remember_done(GroupId g, std::uint64_t key) {
-  dedup_for(g).insert(key);
-}
-
-void HostProtocol::maybe_release(const TaskPtr& task) {
-  if (!task->delivered || !task->rx_complete) return;
-  for (const Task::Send& s : task->sends)
-    if (!s.started || (!s.acked && !s.failed)) return;
-  if (task->reserved > 0) {
-    WORMTRACE(sim_, kProtoRelease, host_, -1, task->message_id, task->reserved);
-    pool_.release(task->cls, task->reserved);
-    task->reserved = 0;
-    // Credit scheme: the freed slot rides home on the next token visit.
-    if (config_.scheme == Scheme::kCentralizedCredit) ++freed_credits_;
-  }
-  (task->originator ? origin_tasks_ : tasks_).erase(task->message_id);
-}
-
-// --- reception ---------------------------------------------------------------
 
 RxDecision HostProtocol::on_rx_head(const WormPtr& worm,
                                     const std::shared_ptr<RxProgress>& rx) {
@@ -512,24 +264,19 @@ RxDecision HostProtocol::on_rx_head(const WormPtr& worm,
   if (recovery) {
     // Duplicate suppression: a retransmitted copy whose predecessor's ACK
     // was lost must be re-ACKed — its sender is still waiting — but never
-    // re-delivered or re-forwarded.
-    if (dedup_for(h.group).contains(dedup_key(h.message_id, h.relay_phase))) {
-      metrics_.on_duplicate();
-      WORMTRACE(sim_, kProtoDuplicate, host_, -1, worm->id, worm->src);
-      adapter_.send_control(make_control_worm(WormKind::kAck, worm));
-      return RxDecision::kDrop;
-    }
-    // A copy of a message this host already has a task for. If the first
-    // copy has fully arrived (the task lingers only for its own forwards —
-    // common right after a repair retargets senders) re-ACK so the sender
-    // stops retrying; while it is still arriving the sender's timeout was
-    // merely premature, so drop silently — the ACK goes out when the first
-    // copy completes.
+    // re-delivered or re-forwarded. The same holds for a copy of a message
+    // this host still has a task for once the first copy fully arrived
+    // (the task lingers only for its own forwards — common right after a
+    // repair retargets senders); while the first copy is still arriving
+    // the sender's timeout was merely premature, so drop silently — the
+    // ACK goes out when the first copy completes.
+    const bool done =
+        dedup_for(h.group).contains(dedup_key(h.message_id, h.relay_phase));
     const auto existing = tasks_.find(h.message_id);
-    if (!is_confirmation(h) && existing != tasks_.end()) {
+    if (done || (!is_confirmation(h) && existing != tasks_.end())) {
       metrics_.on_duplicate();
       WORMTRACE(sim_, kProtoDuplicate, host_, -1, worm->id, worm->src);
-      if (existing->second->rx_complete)
+      if (done || existing->second->rx_complete)
         adapter_.send_control(make_control_worm(WormKind::kAck, worm));
       return RxDecision::kDrop;
     }
@@ -585,8 +332,7 @@ RxDecision HostProtocol::on_rx_head(const WormPtr& worm,
     adapter_.send_control(make_control_worm(WormKind::kAck, worm));
 
   if (!h.relay_phase) {
-    task->sends = plan_successors(h.group, h.origin, h.message_id, h.seq,
-                                  h.hops_remaining, h.buffer_class,
+    task->sends = plan_successors(*task, h.buffer_class,
                                   /*at_serializer=*/false, worm->src);
     // Cut-through: start forwarding to the first successor immediately,
     // while the worm is still arriving (Sections 5-6).
@@ -608,7 +354,9 @@ void HostProtocol::on_rx_complete(const WormPtr& worm,
       handle_nack(worm);
       return;
     case WormKind::kProbe:
-      adapter_.send_control(make_probe_worm(worm->src, WormKind::kProbeAck));
+      adapter_.send_control(make_worm(WormKind::kProbeAck, worm->src,
+                                      kControlPayloadBytes, kMcastHeaderBytes,
+                                      0));
       return;
     case WormKind::kProbeAck:
       return;  // note_heard above is the whole point
@@ -623,10 +371,7 @@ void HostProtocol::on_rx_complete(const WormPtr& worm,
       assert(got <= ctx->payload && "switch mcast over-delivery");
       if (got == ctx->payload) {
         switch_mcast_rx_.erase(ctx->message_id);
-        WORMTRACE(sim_, kProtoDeliver, host_, -1, ctx->message_id, ctx->origin);
-        metrics_.on_delivered(ctx, host_, sim_.now());
-        if (ctx->group != kNoGroup)
-          metrics_.record_order(host_, ctx->group, ctx->message_id);
+        deliver(ctx, ctx->origin);
       }
       return;
     }
@@ -635,10 +380,7 @@ void HostProtocol::on_rx_complete(const WormPtr& worm,
   }
   if (!worm->mcast.has_value()) {
     // Plain unicast delivery (includes the repeated-unicast baseline).
-    WORMTRACE(sim_, kProtoDeliver, host_, -1, worm->id, worm->src);
-    metrics_.on_delivered(worm->message, host_, sim_.now());
-    if (worm->message->group != kNoGroup)
-      metrics_.record_order(host_, worm->message->group, worm->message->message_id);
+    deliver(worm->message, worm->src);
     return;
   }
   handle_mcast_data(worm);
@@ -655,7 +397,7 @@ void HostProtocol::handle_mcast_data(const WormPtr& worm) {
   // retransmitted duplicate is re-ACKed instead of re-processed.
   if (is_confirmation(h)) {
     if (recovery_enabled()) {
-      remember_done(h.group, dedup_key(h.message_id, h.relay_phase));
+      dedup_for(h.group).insert(dedup_key(h.message_id, h.relay_phase));
       adapter_.send_control(make_control_worm(WormKind::kAck, worm));
     }
     metrics_.on_confirmation(worm->message, sim_.now());
@@ -672,9 +414,10 @@ void HostProtocol::handle_mcast_data(const WormPtr& worm) {
     // flood copy behind a processed relay). Forwarding duties remain —
     // orphaned subtrees may depend on the re-flood — but the local
     // delivery must not repeat.
-    if (dedup_for(h.group).contains(dedup_key(h.message_id, !h.relay_phase)))
+    DedupWindow& done = dedup_for(h.group);
+    if (done.contains(dedup_key(h.message_id, !h.relay_phase)))
       task->delivered = true;
-    remember_done(h.group, dedup_key(h.message_id, h.relay_phase));
+    done.insert(dedup_key(h.message_id, h.relay_phase));
     adapter_.send_control(make_control_worm(WormKind::kAck, worm));
   }
 
@@ -684,14 +427,7 @@ void HostProtocol::handle_mcast_data(const WormPtr& worm) {
       // was arriving. It still holds the full payload, so pass the relay on
       // to the current serializer rather than strand the message.
       task->delivered = true;  // an ex-member is not a destination
-      Task::Send relay;
-      relay.to = scheme_uses_tree(config_.scheme)
-                     ? tables_.tree(h.group).root()
-                     : tables_.circuit(h.group).lowest();
-      relay.header = h;
-      metrics_.on_relay();
-      task->sends.assign(1, relay);
-      issue_send(task, task->sends.front(), /*cut_through=*/false);
+      relay_to_serializer(task);
       return;
     }
     // We are the serializer: stamp the sequence number and start the
@@ -705,21 +441,6 @@ void HostProtocol::handle_mcast_data(const WormPtr& worm) {
   maybe_release(task);
 }
 
-void HostProtocol::start_serialized(const TaskPtr& task) {
-  // Credit-scheme messages already carry the manager's sequence number.
-  if (task->seq < 0) task->seq = seq_counters_[task->group]++;
-  deliver_locally(task);
-  auto sends = plan_successors(task->group, task->origin, task->message_id,
-                               task->seq, /*hops_remaining=*/0,
-                               /*incoming_class=*/0,
-                               /*at_serializer=*/true, kNoHost);
-  // Keep the already-finished relay bookkeeping (none: the relay send lives
-  // at the origin, not here) and install the circuit/tree successors.
-  task->sends = std::move(sends);
-  launch_sends(task, /*allow_cut_through=*/false);
-  maybe_release(task);
-}
-
 void HostProtocol::deliver_locally(const TaskPtr& task) {
   if (task->delivered) return;
   task->delivered = true;
@@ -727,83 +448,15 @@ void HostProtocol::deliver_locally(const TaskPtr& task) {
   const auto floor = view_floor_.find(task->group);
   if (floor != view_floor_.end() && task->ctx->created_at < floor->second)
     return;  // pre-join message: forward-only, this host is not a destination
-  WORMTRACE(sim_, kProtoDeliver, host_, -1, task->message_id, task->origin);
-  metrics_.on_delivered(task->ctx, host_, sim_.now());
-  metrics_.record_order(host_, task->group, task->message_id);
+  deliver(task->ctx, task->origin);
 }
 
-void HostProtocol::handle_ack(const WormPtr& worm) {
-  const std::uint64_t key = send_key(worm->mcast->message_id, worm->src);
-  const auto it = ack_wait_.find(key);
-  if (it == ack_wait_.end()) {
-    // Legitimate in recovery mode: the re-ACK of a duplicate crossed with
-    // the original (slow) ACK, or the send was abandoned / its task aborted
-    // while the ACK was in flight.
-    assert(recovery_enabled() && "ACK without outstanding send");
-    return;
-  }
-  TaskPtr task = it->second;
-  ack_wait_.erase(it);
-  for (Task::Send& s : task->sends) {
-    if (s.to == worm->src && s.started && !s.acked && !s.failed) {
-      s.acked = true;
-      s.attempts = 0;  // success clears the back-off history
-      if (s.timer.valid()) {
-        sim_.cancel(s.timer);
-        s.timer = EventHandle{};
-      }
-      break;
-    }
-  }
-  if (config_.total_ordering && serialized_scheme())
-    window_advance(task->group, worm->src);
-  maybe_release(task);
-}
-
-void HostProtocol::handle_nack(const WormPtr& worm) {
-  const std::uint64_t key = send_key(worm->mcast->message_id, worm->src);
-  const auto it = ack_wait_.find(key);
-  if (it == ack_wait_.end()) {
-    assert(recovery_enabled() && "NACK without outstanding send");
-    return;
-  }
-  TaskPtr task = it->second;
-  for (std::size_t i = 0; i < task->sends.size(); ++i) {
-    Task::Send& s = task->sends[i];
-    if (s.to == worm->src && s.started && !s.acked && !s.failed) {
-      if (s.timer.valid()) {
-        sim_.cancel(s.timer);
-        s.timer = EventHandle{};
-      }
-      if (config_.max_attempts > 0 && s.attempts + 1 >= config_.max_attempts) {
-        fail_send(task, i);
-      } else {
-        retransmit_later(task, i);
-      }
-      return;
-    }
-  }
-  assert(recovery_enabled() && "NACK did not match a pending send");
-}
-
-void HostProtocol::on_tx_done(const WormPtr& worm) {
-  if (config_.reservation) return;
-  if (worm->kind != WormKind::kData || !worm->mcast.has_value()) return;
-  // Reservation-less mode (the Section 8 Myrinet implementation): the
-  // forwarding buffer is freed as soon as the copy has left the adapter —
-  // there is no acknowledgement.
-  const std::uint64_t key = send_key(worm->mcast->message_id, worm->dst);
-  const auto it = ack_wait_.find(key);
-  if (it == ack_wait_.end()) return;
-  TaskPtr task = it->second;
-  ack_wait_.erase(it);
-  for (Task::Send& s : task->sends) {
-    if (s.to == worm->dst && s.started && !s.acked) {
-      s.acked = true;
-      break;
-    }
-  }
-  maybe_release(task);
+void HostProtocol::deliver(const std::shared_ptr<MessageContext>& ctx,
+                           HostId from) {
+  WORMTRACE(sim_, kProtoDeliver, host_, -1, ctx->message_id, from);
+  metrics_.on_delivered(ctx, host_, sim_.now());
+  if (ctx->group != kNoGroup)
+    metrics_.record_order(host_, ctx->group, ctx->message_id);
 }
 
 void HostProtocol::on_rx_truncated(const WormPtr& worm) {
@@ -821,569 +474,6 @@ void HostProtocol::on_rx_truncated(const WormPtr& worm) {
   // after the first copy completed must not kill the live task.
   if (task->rx == nullptr || !task->rx->truncated) return;
   abort_task(task);
-}
-
-// --- failure detection & repair ----------------------------------------------
-
-void HostProtocol::on_crash() {
-  if (dead_) return;
-  dead_ = true;
-  WORMTRACE(sim_, kProtoCrash, host_, -1, 0, 0);
-  // Queued (uncommitted) transmissions vanish; a worm mid-DMA finishes.
-  adapter_.drop_queued_tx();
-  // Ordered-forwarding queues die with the host; cleared first so the task
-  // teardown below cannot pop and re-issue a queued send.
-  windows_.clear();
-  window_busy_.clear();
-  std::vector<TaskPtr> all;
-  all.reserve(tasks_.size() + origin_tasks_.size());
-  for (const auto& [id, t] : tasks_) all.push_back(t);
-  for (const auto& [id, t] : origin_tasks_) all.push_back(t);
-  for (const TaskPtr& task : all)
-    if (!task->aborted) abort_task(task);
-  ack_wait_.clear();
-  last_heard_.clear();
-  probe_sent_.clear();
-  assert(pool_.total_used() == 0 && "crash must drain the buffer pool");
-}
-
-void HostProtocol::on_peer_removed(
-    HostId dead, const std::vector<GroupTables::Reattachment>& adopted) {
-  if (dead_ || dead == host_) return;
-  if (!removed_peers_.insert(dead).second) return;
-  WORMTRACE(sim_, kProtoRepair, host_, -1, 0, dead);
-  last_heard_.erase(dead);
-  probe_sent_.erase(dead);
-  // Drop the stale TX backlog addressed to the dead host: retargeted
-  // retransmissions must not queue behind worms nobody will ever ACK.
-  adapter_.purge_tx_to(dead);
-  // Drain every ordered window aimed at the dead successor: its queued
-  // sends are retargeted below and re-enter the windows under new keys.
-  for (auto& [key, queue] : windows_) {
-    if (static_cast<HostId>(static_cast<std::uint32_t>(key)) != dead) continue;
-    queue.clear();
-    window_busy_[key] = false;
-  }
-  std::vector<TaskPtr> all;
-  all.reserve(tasks_.size() + origin_tasks_.size());
-  for (const auto& [id, t] : tasks_) all.push_back(t);
-  for (const auto& [id, t] : origin_tasks_) all.push_back(t);
-  for (const TaskPtr& task : all)
-    if (!task->aborted) repair_task_sends(task, dead, adopted);
-}
-
-// --- membership churn --------------------------------------------------------
-
-void HostProtocol::on_self_joined(GroupId g, bool rejoin) {
-  if (dead_) return;
-  view_floor_[g] = sim_.now();
-  if (rejoin) {
-    // Fresh dedup epoch: the old window remembers pre-leave message IDs
-    // that a rejoin may legitimately re-see; without the reset those
-    // deliveries would be silently swallowed as duplicates. Scoped to this
-    // group — other groups' duplicate memory must survive.
-    dedup_for(g).reset();
-    WORMTRACE(sim_, kProtoDedupReset, host_, -1, 0, g);
-  }
-  maybe_arm_prober();
-}
-
-void HostProtocol::on_self_left(GroupId g) {
-  if (dead_) return;
-  // Finish forwarding what is already held, but never deliver it locally:
-  // the network's accounting stopped counting this host as a destination
-  // the moment the leave was applied.
-  std::vector<TaskPtr> held;
-  for (const auto& [id, t] : tasks_)
-    if (t->group == g && !t->aborted) held.push_back(t);
-  for (const TaskPtr& t : held) {
-    t->delivered = true;
-    maybe_release(t);  // delivery may have been the task's last duty
-  }
-}
-
-void HostProtocol::on_member_joined(GroupId g, HostId joiner) {
-  if (dead_ || joiner == host_) return;
-  // Tree joins move no existing edge (the joiner attaches as a leaf, or
-  // adopts the old root as its only child), so in-flight tree sends need
-  // no patching. Circuit joins add one stop: any unresolved send whose
-  // remaining hop window now spans the joiner must grow its budget by one,
-  // or the members behind the joiner would be starved of their copy.
-  if (!scheme_uses_circuit(config_.scheme)) return;
-  const CircuitTable& circuit = tables_.circuit(g);
-  const auto patch = [&](const TaskPtr& task) {
-    if (task->group != g || task->aborted) return;
-    for (Task::Send& s : task->sends) {
-      if (s.acked || s.failed || s.header.relay_phase) continue;
-      // The copy addressed to s.to covers hops_remaining consecutive stops
-      // starting at s.to on the (already spliced) circuit.
-      HostId cur = s.to;
-      for (int k = 0; k < s.header.hops_remaining; ++k) {
-        if (cur == joiner) {
-          ++s.header.hops_remaining;
-          break;
-        }
-        cur = circuit.next(cur);
-      }
-    }
-  };
-  for (const auto& [id, t] : tasks_) patch(t);
-  for (const auto& [id, t] : origin_tasks_) patch(t);
-}
-
-void HostProtocol::on_member_left(
-    HostId leaver, GroupId g,
-    const std::vector<GroupTables::Reattachment>& adopted) {
-  if (dead_ || leaver == host_) return;
-  // A voluntary leave is not a failure: the leaver stays alive (no
-  // removed_peers_ entry, no TX purge, no suspicion-state burn) and only
-  // this group's structure was repaired. Sends aimed at the leaver are
-  // retargeted along the repaired structure exactly like a crash repair,
-  // scoped to this group's tasks.
-  const std::uint64_t key = window_key(g, leaver);
-  const auto wit = windows_.find(key);
-  if (wit != windows_.end()) wit->second.clear();
-  window_busy_[key] = false;
-  std::vector<TaskPtr> affected;
-  affected.reserve(tasks_.size() + origin_tasks_.size());
-  for (const auto& [id, t] : tasks_)
-    if (t->group == g) affected.push_back(t);
-  for (const auto& [id, t] : origin_tasks_)
-    if (t->group == g) affected.push_back(t);
-  for (const TaskPtr& task : affected)
-    if (!task->aborted) repair_task_sends(task, leaver, adopted);
-}
-
-void HostProtocol::dispatch_send(const TaskPtr& task, std::size_t send_index) {
-  Task::Send& send = task->sends[send_index];
-  if (send.started) return;
-  const bool ordered = config_.total_ordering && serialized_scheme() &&
-                       !send.header.relay_phase;
-  if (ordered)
-    window_push(task, send_index, /*cut_through=*/false);
-  else
-    issue_send(task, send, /*cut_through=*/false);
-}
-
-void HostProtocol::repair_task_sends(
-    const TaskPtr& task, HostId dead,
-    const std::vector<GroupTables::Reattachment>& adopted) {
-  bool touched = false;
-  std::vector<std::size_t> to_dispatch;
-  for (std::size_t i = 0; i < task->sends.size(); ++i) {
-    Task::Send& s = task->sends[i];
-    if (s.to != dead || s.acked || s.failed) continue;
-    touched = true;
-    if (s.timer.valid()) {
-      sim_.cancel(s.timer);
-      s.timer = EventHandle{};
-    }
-    const bool was_started = s.started;
-    if (was_started) ack_wait_.erase(send_key(task->message_id, s.to));
-    metrics_.on_send_rerouted();
-
-    if (s.header.relay_phase) {
-      // The serializer died. Relay to its successor — unless that is us.
-      const HostId serializer = scheme_uses_tree(config_.scheme)
-                                    ? tables_.tree(task->group).root()
-                                    : tables_.circuit(task->group).lowest();
-      if (serializer == host_) {
-        task->sends.clear();
-        begin_serialized_dispatch(task);
-        return;
-      }
-      s.to = serializer;
-    } else if (scheme_uses_circuit(config_.scheme)) {
-      // The splice removed one stop, so the hop budget shrinks with it.
-      const CircuitTable& circuit = tables_.circuit(task->group);
-      const int hops = s.header.hops_remaining - 1;
-      if (hops <= 0 || circuit.size() < 2) {
-        s.started = true;  // resolved: the repaired circuit ends here
-        s.acked = true;
-        continue;
-      }
-      // successor_of, not next: this host may itself be an ex-member
-      // still relaying (its own leave keeps in-flight duties alive), so
-      // its position on the repaired circuit is positional, not a lookup.
-      const HostId to = circuit.successor_of(host_);
-      // Two-buffer-class rule on the repaired circuit: still class 0 while
-      // IDs keep ascending past the splice; the wrap turns it to class 1.
-      if (s.header.buffer_class == 0 && to < host_) s.header.buffer_class = 1;
-      s.header.hops_remaining = hops;
-      s.to = to;
-    } else {
-      // Tree schemes. A dead child's subtree was re-parented (its adoptive
-      // parent's pass below covers it); a dead parent means this subtree
-      // re-attached — climb to the new parent unless we became the root.
-      const TreeTable& tree = tables_.tree(task->group);
-      if (dead > host_ || host_ == tree.root()) {
-        s.started = true;  // resolved
-        s.acked = true;
-        continue;
-      }
-      // An ex-member still relaying has no tree position any more: hand
-      // the upward copy to the root, which floods the whole repaired
-      // tree (already-holding members re-ACK the duplicates away).
-      s.to = tree.contains(host_) ? tree.parent(host_) : tree.root();
-    }
-    s.attempts = 0;  // fresh back-off history toward the new target
-    s.first_tx = sim_.now();
-    if (was_started) {
-      ack_wait_.emplace(send_key(task->message_id, s.to), task);
-      retransmit_later(task, i);
-    } else {
-      to_dispatch.push_back(i);
-    }
-  }
-
-  // Adoption pass (tree schemes): a subtree this host adopted in the
-  // repair needs copies of every message still held here — and ONLY the
-  // adopted ones: a pre-existing child absent from the sends means the
-  // message arrived *from* that child (flood direction), not that it was
-  // missed. Receivers that already hold a copy ACK the duplicate away.
-  if (scheme_uses_tree(config_.scheme) && !task->aborted) {
-    bool is_relay_task = false;
-    for (const Task::Send& s : task->sends)
-      if (s.header.relay_phase) is_relay_task = true;
-    if (!is_relay_task) {
-      for (const GroupTables::Reattachment& r : adopted) {
-        if (r.group != task->group || r.new_parent != host_) continue;
-        bool have = false;
-        for (const Task::Send& s : task->sends)
-          if (s.to == r.orphan) have = true;
-        // The origin's subtree already has the message by construction.
-        if (have || r.orphan == task->origin) continue;
-        Task::Send s;
-        s.to = r.orphan;
-        s.header.group = task->group;
-        s.header.message_id = task->message_id;
-        s.header.origin = task->origin;
-        s.header.seq = task->seq;
-        // Descent copy: the broadcast flood's descending class is 1, the
-        // root-serialized descent's single class is 0.
-        s.header.buffer_class =
-            config_.scheme == Scheme::kTreeBroadcast ? 1 : 0;
-        task->sends.push_back(s);
-        to_dispatch.push_back(task->sends.size() - 1);
-        touched = true;
-        metrics_.on_send_rerouted();
-      }
-    }
-  }
-
-  // Not-yet-received tasks launch their sends when reception completes;
-  // everything already complete dispatches now.
-  if (task->rx_complete)
-    for (const std::size_t i : to_dispatch) dispatch_send(task, i);
-  if (touched) maybe_release(task);
-}
-
-bool HostProtocol::peer_silent(HostId peer) const {
-  const auto it = last_heard_.find(peer);
-  return it == last_heard_.end() ||
-         sim_.now() - it->second >= config_.suspicion_timeout;
-}
-
-void HostProtocol::note_heard(HostId peer) {
-  if (!suspicion_enabled() || peer == host_ || peer == kNoHost) return;
-  last_heard_[peer] = sim_.now();
-  probe_sent_.erase(peer);
-}
-
-void HostProtocol::maybe_arm_prober() {
-  if (!suspicion_enabled() || dead_ || prober_armed_) return;
-  prober_armed_ = true;
-  sim_.after(probe_interval(), [this] { probe_tick(); });
-}
-
-void HostProtocol::probe_tick() {
-  prober_armed_ = false;
-  if (dead_) return;
-  // Probe only while a silent death could wedge in-flight traffic. With
-  // the network quiescent, go dormant instead of probing: a probe would
-  // arm the receiver's prober, which would probe *its* successor, and the
-  // cascade around the circuit would keep the simulation alive forever.
-  if (metrics_.outstanding() == 0 && ack_wait_.empty()) return;
-  const Time now = sim_.now();
-  for (const HostId n : probe_targets()) {
-    if (removed_peers_.count(n) > 0) continue;  // removed earlier this tick
-    const auto heard = last_heard_.find(n);
-    if (heard == last_heard_.end()) {
-      // First tick this neighbour matters: start its clock, probe later.
-      last_heard_.emplace(n, now);
-      continue;
-    }
-    if (now - heard->second < probe_interval()) continue;  // recently heard
-    auto sent = probe_sent_.find(n);
-    if (sent != probe_sent_.end() &&
-        now - sent->second.last > 2 * probe_interval()) {
-      // Continuity broken: the prober went dormant, or this peer dropped
-      // out of the neighbor set (membership churn) and came back. The
-      // stale pending probe is no evidence — restart the maturity clock
-      // from a fresh probe instead of accusing on ancient history.
-      sent->second.first = now;
-    }
-    if (sent != probe_sent_.end() &&
-        now - sent->second.first >= config_.suspicion_timeout) {
-      metrics_.on_suspicion(now);
-      WORMTRACE(sim_, kProtoSuspect, host_, -1, 0, n);
-      if (failure_listener_) failure_listener_(n);
-      continue;
-    }
-    if (sent == probe_sent_.end())
-      sent = probe_sent_.emplace(n, ProbeClock{now, now}).first;
-    sent->second.last = now;
-    try {
-      WORMTRACE(sim_, kProtoProbe, host_, -1, 0, n);
-      adapter_.send_control(make_probe_worm(n, WormKind::kProbe));
-    } catch (const std::logic_error&) {
-      // Unreachable after a partitioning link death: keep the clock
-      // running; the unanswered probe matures into a suspicion.
-    }
-  }
-  // Keep ticking while traffic is in flight that a silent death could
-  // wedge; otherwise go quiescent (the next origination re-arms).
-  if (metrics_.outstanding() > 0 || !ack_wait_.empty()) maybe_arm_prober();
-}
-
-std::vector<HostId> HostProtocol::probe_targets() const {
-  std::vector<HostId> out;
-  for (const GroupId g : tables_.groups_containing(host_)) {
-    if (scheme_uses_circuit(config_.scheme)) {
-      const CircuitTable& c = tables_.circuit(g);
-      if (c.size() > 1) out.push_back(c.next(host_));
-    } else if (scheme_uses_tree(config_.scheme)) {
-      const TreeTable& t = tables_.tree(g);
-      if (host_ != t.root()) out.push_back(t.parent(host_));
-      const std::vector<HostId>& kids = t.children(host_);
-      out.insert(out.end(), kids.begin(), kids.end());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  out.erase(std::remove_if(
-                out.begin(), out.end(),
-                [this](HostId h) { return removed_peers_.count(h) > 0; }),
-            out.end());
-  return out;
-}
-
-WormPtr HostProtocol::make_probe_worm(HostId dst, WormKind kind) const {
-  auto worm = new_worm();
-  worm->kind = kind;
-  worm->src = host_;
-  worm->dst = dst;
-  worm->payload = config_.control_payload;
-  worm->header = config_.mcast_header_bytes;
-  routing_.route_into(host_, dst, worm->route);
-  return worm;
-}
-
-HostProtocol::DebugSnapshot HostProtocol::debug_snapshot() const {
-  DebugSnapshot snap;
-  const auto add_task = [&snap](const TaskPtr& task) {
-    TaskDebug t;
-    t.message_id = task->message_id;
-    t.origin = task->origin;
-    t.group = task->group;
-    t.reserved = task->reserved;
-    t.rx_complete = task->rx_complete;
-    t.delivered = task->delivered;
-    t.originator = task->originator;
-    for (const Task::Send& s : task->sends)
-      t.sends.push_back(
-          SendDebug{s.to, s.started, s.acked, s.failed, s.attempts});
-    snap.tasks.push_back(std::move(t));
-  };
-  for (const auto& [id, task] : tasks_) add_task(task);
-  for (const auto& [id, task] : origin_tasks_) add_task(task);
-  std::sort(snap.tasks.begin(), snap.tasks.end(),
-            [](const TaskDebug& a, const TaskDebug& b) {
-              return a.message_id < b.message_id;
-            });
-  snap.pool_used = pool_.total_used();
-  for (const auto& [key, task] : ack_wait_) snap.ack_wait_keys.push_back(key);
-  std::sort(snap.ack_wait_keys.begin(), snap.ack_wait_keys.end());
-  return snap;
-}
-
-// --- [VLB96] centralized credit scheme ---------------------------------------
-
-WormPtr HostProtocol::make_credit_worm(CreditOp op, HostId dst, GroupId group,
-                                       std::uint64_t message_id,
-                                       std::int64_t seq) const {
-  auto worm = new_worm();
-  worm->kind = WormKind::kData;
-  worm->src = host_;
-  worm->dst = dst;
-  worm->payload = config_.control_payload;
-  worm->header = config_.mcast_header_bytes;
-  routing_.route_into(host_, dst, worm->route);
-  McastHeader h;
-  h.group = group;
-  h.message_id = message_id;
-  h.origin = host_;
-  h.seq = seq;
-  h.credit = op;
-  worm->mcast = h;
-  worm->id = message_id;
-  return worm;
-}
-
-void HostProtocol::handle_credit_op(const WormPtr& worm) {
-  const McastHeader& h = *worm->mcast;
-  switch (h.credit) {
-    case CreditOp::kRequest: {
-      assert(credit_mgr_ != nullptr && "credit request at a non-manager host");
-      credit_mgr_->pending.push_back(
-          CreditManager::Pending{h.message_id, h.group, h.origin});
-      try_credit_grants();
-      return;
-    }
-    case CreditOp::kGrant: {
-      const auto it = origin_tasks_.find(h.message_id);
-      assert(it != origin_tasks_.end() && "grant for unknown message");
-      apply_grant(it->second, h.seq);
-      return;
-    }
-    case CreditOp::kToken: {
-      if (host_ == config_.credit_manager) {
-        // The token came home: bank the collected credits (including the
-        // manager's own freed slots) and regrant.
-        assert(credit_mgr_ != nullptr);
-        for (std::size_t i = 0; i < credit_mgr_->credits.size(); ++i)
-          credit_mgr_->credits[i] += (*worm->token_counts)[i];
-        credit_mgr_->credits[host_] += freed_credits_;
-        freed_credits_ = 0;
-        token_active_ = false;
-        try_credit_grants();
-      } else {
-        forward_token(worm);
-      }
-      return;
-    }
-    case CreditOp::kNone:
-      break;
-  }
-  assert(false && "unhandled credit operation");
-}
-
-void HostProtocol::apply_grant(const TaskPtr& task, std::int64_t seq) {
-  task->seq = seq;
-  begin_serialized_dispatch(task);
-}
-
-std::vector<HostId> HostProtocol::credit_slots_needed(GroupId group,
-                                                      HostId origin) const {
-  // One worm slot at every host that will hold the message for forwarding
-  // or delivery: the root buffers the relay (when the origin is not the
-  // root); every other member buffers its tree copy — except the origin
-  // itself when it is a leaf (its copy is skipped entirely).
-  const TreeTable& tree = tables_.tree(group);
-  std::vector<HostId> hosts;
-  for (const HostId m : tree.members()) {
-    if (m == tree.root()) {
-      if (origin != tree.root()) hosts.push_back(m);
-      continue;
-    }
-    if (m == origin && tree.children(m).empty()) continue;
-    hosts.push_back(m);
-  }
-  return hosts;
-}
-
-void HostProtocol::try_credit_grants() {
-  assert(credit_mgr_ != nullptr);
-  while (!credit_mgr_->pending.empty()) {
-    const CreditManager::Pending& req = credit_mgr_->pending.front();
-    const std::vector<HostId> slots =
-        credit_slots_needed(req.group, req.origin);
-    bool enough = true;
-    for (const HostId m : slots) {
-      if (credit_mgr_->credits[m] < 1) {
-        enough = false;
-        break;
-      }
-    }
-    // Grants are sequenced, so requests are served strictly FIFO.
-    if (!enough) break;
-    for (const HostId m : slots) --credit_mgr_->credits[m];
-    const std::int64_t seq = seq_counters_[req.group]++;
-    if (req.origin == host_) {
-      const auto it = origin_tasks_.find(req.message_id);
-      assert(it != origin_tasks_.end());
-      apply_grant(it->second, seq);
-    } else {
-      adapter_.send_control(make_credit_worm(CreditOp::kGrant, req.origin,
-                                             req.group, req.message_id, seq));
-    }
-    credit_mgr_->pending.pop_front();
-  }
-  maybe_start_token();
-}
-
-void HostProtocol::maybe_start_token() {
-  assert(credit_mgr_ != nullptr);
-  if (token_active_ || n_hosts_ < 2) return;
-  // Circulate only while credits are out in the field or requests wait —
-  // this keeps the simulation quiescent when the network is idle.
-  std::int64_t total = 0;
-  for (const std::int64_t c : credit_mgr_->credits) total += c;
-  const std::int64_t full =
-      static_cast<std::int64_t>(config_.credits_per_host) * n_hosts_;
-  if (credit_mgr_->pending.empty() && total >= full) return;
-  token_active_ = true;
-  sim_.after(config_.token_interval, [this] { emit_token(); });
-}
-
-void HostProtocol::emit_token() {
-  assert(credit_mgr_ != nullptr && n_hosts_ > 1);
-  const auto next = static_cast<HostId>((host_ + 1) % n_hosts_);
-  WormPtr token = make_credit_worm(CreditOp::kToken, next, kNoGroup, 0, -1);
-  token->token_counts =
-      std::make_shared<std::vector<std::int64_t>>(n_hosts_, 0);
-  adapter_.send_control(std::move(token));
-}
-
-void HostProtocol::forward_token(const WormPtr& token) {
-  (*token->token_counts)[host_] += freed_credits_;
-  freed_credits_ = 0;
-  const auto next = static_cast<HostId>((host_ + 1) % n_hosts_);
-  WormPtr hop = make_credit_worm(CreditOp::kToken, next, kNoGroup, 0, -1);
-  hop->token_counts = token->token_counts;
-  adapter_.send_control(std::move(hop));
-}
-
-// --- ordered forwarding window ----------------------------------------------
-
-std::uint64_t HostProtocol::window_key(GroupId g, HostId to) const {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(g)) << 32) |
-         static_cast<std::uint32_t>(to);
-}
-
-void HostProtocol::window_push(const TaskPtr& task, std::size_t send_index,
-                               bool cut_through) {
-  const std::uint64_t key = window_key(task->group, task->sends[send_index].to);
-  if (window_busy_[key]) {
-    windows_[key].push_back(WindowEntry{task, send_index, cut_through});
-    return;
-  }
-  window_busy_[key] = true;
-  issue_send(task, task->sends[send_index], cut_through);
-}
-
-void HostProtocol::window_advance(GroupId g, HostId to) {
-  const std::uint64_t key = window_key(g, to);
-  auto& queue = windows_[key];
-  while (!queue.empty()) {
-    WindowEntry entry = std::move(queue.front());
-    queue.pop_front();
-    if (entry.task->aborted) continue;  // torn down while queued
-    issue_send(entry.task, entry.task->sends[entry.send_index],
-               entry.cut_through);
-    return;
-  }
-  window_busy_[key] = false;
 }
 
 }  // namespace wormcast

@@ -1,36 +1,39 @@
 // Per-host multicast protocol engine (the paper's contribution,
 // Sections 4-6), implemented as the policy client of a HostAdapter.
 //
-// Responsibilities:
-//  * originate unicast and multicast messages handed down by the
-//    application / traffic generator;
-//  * run the selected multicast structure (repeated unicast, Hamiltonian
-//    circuit, rooted tree) hop by hop;
-//  * implicit buffer reservation: accept + ACK when the forwarding pool has
-//    room for the whole worm, drop + NACK otherwise (Figure 5), with
-//    retransmission after a back-off;
-//  * two-buffer-class allocation so reservation waits cannot cycle
-//    (Figure 7);
-//  * optional total ordering by serializing through the lowest-ID member /
-//    root, with per-successor in-order forwarding.
+// Responsibilities, one translation unit each:
+//  * host_protocol.cpp — originate unicast and multicast messages, plan
+//    each hop's successors (repeated unicast, Hamiltonian circuit, rooted
+//    tree) and receive copies: implicit buffer reservation accepts a worm
+//    when the forwarding pool has room for all of it and refuses it
+//    otherwise (Figure 5), in two buffer classes so reservation waits
+//    cannot cycle (Figure 7);
+//  * host_send.cpp — the reliable send: one dispatch path, ACK/NACK,
+//    retransmission after a capped back-off, ACK timers, and the ordered
+//    window that gives total ordering per successor;
+//  * host_repair.cpp — crash-stop failure detection and the repair and
+//    membership-churn hooks that retarget in-flight sends;
+//  * credit_scheme.cpp — the [VLB96] centralized credit baseline.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "adapter/buffer_pool.h"
 #include "adapter/host_adapter.h"
+#include "core/credit_scheme.h"
 #include "core/dedup_window.h"
+#include "core/failure_detector.h"
 #include "core/group_tables.h"
 #include "core/metrics.h"
 #include "core/protocol_config.h"
+#include "core/send_task.h"
 #include "net/updown.h"
 #include "net/worm.h"
 #include "sim/arena.h"
@@ -71,13 +74,13 @@ class HostProtocol final : public AdapterClient {
     failure_listener_ = std::move(listener);
   }
 
-  /// The network declared `dead` crashed and already repaired the group
-  /// tables. Rescue this host's in-flight sends: every unresolved send
-  /// addressed to the dead peer is retargeted along the repaired structure
+  /// The network removed `gone` from the already repaired tables: a crash
+  /// (no `group`: every group, dead for good) or a voluntary leave of
+  /// `group` (alive: nothing is purged, no suspicion state burns). Every
+  /// unresolved send to `gone` is retargeted along the repaired structure
   /// (circuit successor past the splice, new tree parent, adopted
-  /// children), resolved when the structure ends there, and retransmitted
-  /// through the PR-1 retry machinery.
-  void on_peer_removed(HostId dead,
+  /// children), or resolved where it now ends, and dispatched again.
+  void on_peer_removed(HostId gone, std::optional<GroupId> group,
                        const std::vector<GroupTables::Reattachment>& adopted);
 
   // --- membership churn (join/leave/rejoin) ----------------------------------
@@ -100,19 +103,11 @@ class HostProtocol final : public AdapterClient {
   /// (the splice added one stop), so the circuit tail is not starved.
   void on_member_joined(GroupId g, HostId joiner);
 
-  /// Another host voluntarily left group `g`; the shared tables are already
-  /// repaired. Like on_peer_removed but scoped to one group and without
-  /// declaring the leaver dead: sends aimed at it are retargeted along the
-  /// repaired structure, nothing is purged, no suspicion state burns.
-  void on_member_left(HostId leaver, GroupId g,
-                      const std::vector<GroupTables::Reattachment>& adopted);
-
   /// Points the protocol at the network's shared worm arena (sim/arena.h);
   /// without one (unit tests building protocols directly) worms fall back
   /// to plain make_shared.
   void set_worm_pool(RecyclePool<Worm>* pool) { worm_pool_ = pool; }
 
-  [[nodiscard]] HostId host() const { return host_; }
   [[nodiscard]] const BufferPool& pool() const { return pool_; }
   /// Forwarding tasks currently holding buffer space.
   [[nodiscard]] std::size_t active_tasks() const { return tasks_.size(); }
@@ -126,157 +121,142 @@ class HostProtocol final : public AdapterClient {
 
   /// Snapshot of this host's recovery-relevant state, for the watchdog's
   /// stall diagnostics and for tests that need to observe in-flight sends.
-  struct SendDebug {
-    HostId to = kNoHost;
-    bool started = false;
-    bool acked = false;
-    bool failed = false;
-    int attempts = 0;
-  };
-  struct TaskDebug {
-    std::uint64_t message_id = 0;
-    HostId origin = kNoHost;
-    GroupId group = kNoGroup;
-    std::int64_t reserved = 0;
-    bool rx_complete = false;
-    bool delivered = false;
-    bool originator = false;
-    std::vector<SendDebug> sends;
-  };
+  using SendDebug = SendTask::Send;
+  using TaskDebug = SendTask;
   struct DebugSnapshot {
     std::vector<TaskDebug> tasks;  // forwarding + originator, by message id
     std::int64_t pool_used = 0;
-    std::vector<std::uint64_t> ack_wait_keys;  // sorted
+    std::size_t ack_waiting = 0;  // sends awaiting an ACK
   };
   [[nodiscard]] DebugSnapshot debug_snapshot() const;
 
  private:
-  /// One message being held at this adapter for forwarding: the reservation
-  /// plus the list of successors still to be sent / acknowledged.
-  struct Task {
-    std::shared_ptr<MessageContext> ctx;
-    GroupId group = kNoGroup;
-    std::uint64_t message_id = 0;
-    HostId origin = kNoHost;
-    std::int64_t payload = 0;
-    std::int64_t seq = -1;
-    int hops_remaining = 0;  // circuit hop budget of the *received* copy
-    std::shared_ptr<RxProgress> rx;  // reception progress (cut-through)
-    int cls = 0;
-    std::int64_t reserved = 0;  // pool bytes held (0 for originator tasks)
-    /// Successor sends: target plus the header to stamp on the copy.
-    struct Send {
-      HostId to = kNoHost;
-      McastHeader header;
-      bool started = false;
-      bool acked = false;
-      bool failed = false;       // gave up after max_attempts
-      bool retry_pending = false;  // a back-off retransmission is scheduled
-      int attempts = 0;  // NACKed / timed-out tries (drives the back-off)
-      EventHandle timer;  // ACK timeout (recovery mode only)
-      Time first_tx = kTimeNever;  // first transmission (suspicion clock)
-    };
-    std::vector<Send> sends;
-    bool delivered = false;    // local delivery (or none needed) finished
-    bool rx_complete = false;  // full worm present at this adapter
-    bool originator = false;   // task created by originate(), holds no pool
-    bool aborted = false;      // torn down (truncated reception)
-  };
-  using TaskPtr = std::shared_ptr<Task>;
+  using Task = SendTask;
+  using TaskPtr = SendTaskPtr;
 
-  /// All worm construction funnels through here so the arena can recycle.
-  [[nodiscard]] WormPtr new_worm() const {
-    return worm_pool_ != nullptr ? worm_pool_->make()
-                                 : std::make_shared<Worm>();
-  }
-
+  // --- origination and successor planning (host_protocol.cpp) ---------------
   void originate_unicast(const Demand& d);
   void originate_multicast(const Demand& d);
-
-  /// Builds the successor list + headers for a multicast copy arriving at
-  /// (or originated by) this host. `from` is the previous hop (kNoHost at
-  /// the originator / serializer start).
-  [[nodiscard]] std::vector<Task::Send> plan_successors(
-      GroupId group, HostId origin, std::uint64_t message_id, std::int64_t seq,
-      int hops_remaining, int incoming_class, bool at_serializer, HostId from) const;
-
+  /// Relays to the serializer, or (at the serializer, or with no
+  /// serialization) plans and launches the multicast proper.
+  void begin_serialized_dispatch(const TaskPtr& task);
+  void relay_to_serializer(const TaskPtr& task);
   /// Serializer (lowest-ID member / root) starts the multicast proper.
   void start_serialized(const TaskPtr& task);
+  /// The group's serializer: the tree root, or the circuit's lowest member.
+  [[nodiscard]] HostId serializer(GroupId g) const;
+  /// Builds the successor sends of `task`'s message arriving at (or
+  /// originated by) this host. `from` is the previous hop (kNoHost at the
+  /// originator / serializer start).
+  [[nodiscard]] std::vector<Task::Send> plan_successors(
+      const Task& task, int incoming_class, bool at_serializer,
+      HostId from) const;
 
-  void launch_sends(const TaskPtr& task, bool allow_cut_through);
-  void issue_send(const TaskPtr& task, Task::Send& send, bool cut_through);
-  void retransmit_later(const TaskPtr& task, std::size_t send_index);
-  void maybe_release(const TaskPtr& task);
-
-  // --- end-to-end loss recovery (ack_timeout > 0) ----------------------------
-  /// Recovery changes the ACK protocol (ACK on full reception instead of on
-  /// the head) so it is only meaningful with reservations on.
-  [[nodiscard]] bool recovery_enabled() const {
-    return config_.reservation && config_.ack_timeout > 0;
-  }
-  void arm_ack_timer(const TaskPtr& task, std::size_t send_index);
-  void on_ack_timeout(const TaskPtr& task, std::size_t send_index);
-  /// Gives up on a send (max_attempts exhausted): releases its claim on the
-  /// window, abandons the message in the metrics, and lets the task drain.
-  void fail_send(const TaskPtr& task, std::size_t send_index);
-  /// Tears down a forwarding task whose reception was truncated: cancels
-  /// timers, releases the reservation, frees its window slots.
-  void abort_task(const TaskPtr& task);
+  // --- reception (host_protocol.cpp) -----------------------------------------
+  [[nodiscard]] bool is_confirmation(const McastHeader& h) const;
+  void handle_mcast_data(const WormPtr& worm);
+  void deliver_locally(const TaskPtr& task);
+  void deliver(const std::shared_ptr<MessageContext>& ctx, HostId from);
   /// Duplicate-suppression memory of completed receptions.
   [[nodiscard]] static std::uint64_t dedup_key(std::uint64_t message_id,
                                                bool relay_phase) {
     return message_id * 2 + (relay_phase ? 1 : 0);
   }
-  void remember_done(GroupId g, std::uint64_t key);
-  /// The group's dedup window, created on first use. Per-group so a rejoin
-  /// epoch reset cannot forget another group's duplicate memory.
   [[nodiscard]] DedupWindow& dedup_for(GroupId g);
 
-  WormPtr make_data_worm(const TaskPtr& task, const Task::Send& send) const;
-  WormPtr make_control_worm(WormKind kind, const WormPtr& data_worm) const;
+  // --- reliable send (host_send.cpp) -----------------------------------------
+  /// Every worm this host emits starts here (recycled through the arena).
+  [[nodiscard]] WormPtr make_worm(WormKind kind, HostId dst,
+                                  std::int64_t payload, std::int64_t header,
+                                  std::uint64_t id) const;
+  [[nodiscard]] WormPtr make_data_worm(
+      HostId dst, std::int64_t payload, std::int64_t header,
+      const std::shared_ptr<MessageContext>& msg) const;
+  [[nodiscard]] WormPtr make_control_worm(WormKind kind,
+                                          const WormPtr& data_worm) const;
 
-  // --- failure detector (suspicion_timeout > 0) ------------------------------
+  /// Recovery changes the ACK protocol (ACK on full reception instead of on
+  /// the head) so it is only meaningful with reservations on.
+  [[nodiscard]] bool recovery_enabled() const {
+    return config_.reservation && config_.ack_timeout > 0;
+  }
+  /// Strict total ordering on the circuit or a root-serialized tree passes
+  /// every send but the relay to the serializer through the ordered
+  /// window. Costs pipelining, so only when the application asked.
+  [[nodiscard]] bool windowed() const {
+    return config_.total_ordering && (scheme_uses_circuit(config_.scheme) ||
+                                      config_.scheme == Scheme::kTreeSF ||
+                                      config_.scheme == Scheme::kTreeCT);
+  }
+  [[nodiscard]] bool ordered(const Task::Send& send) const {
+    return windowed() && !send.header.relay_phase;
+  }
+
+  /// ACK/NACK and transmit-completion bookkeeping is keyed by
+  /// (message, successor).
+  [[nodiscard]] static std::uint64_t send_key(std::uint64_t message_id,
+                                              HostId to) {
+    return message_id * 1000003ULL + static_cast<std::uint64_t>(to);
+  }
+  void launch_sends(const TaskPtr& task, bool allow_cut_through);
+  /// The one place a successor send goes out: its first transmission, or
+  /// the resend of a started send a repair retargeted. An ordered send
+  /// first claims its window and waits there while another send holds it.
+  void dispatch(const TaskPtr& task, std::size_t send_index, bool cut_through);
+  /// Sends (or, retargeted, resends) a send that holds its window.
+  void transmit(const TaskPtr& task, std::size_t send_index, bool cut_through);
+  void send_copy(const TaskPtr& task, const Task::Send& send, bool cut_through);
+  void retransmit_later(const TaskPtr& task, std::size_t send_index);
+  void retry_or_fail(const TaskPtr& task, std::size_t send_index);
+  void arm_ack_timer(const TaskPtr& task, std::size_t send_index);
+  void cancel_timer(Task::Send& send);
+  void on_ack_timeout(const TaskPtr& task, std::size_t send_index);
+  /// Gives up on a send (max_attempts exhausted).
+  void fail_send(const TaskPtr& task, std::size_t send_index);
+  /// A resolved ordered send hands its window to the next waiter.
+  void release_window(const Task& task, const Task::Send& send);
+  /// The task awaiting `to`'s answer about `worm`'s message and its
+  /// unresolved send there; `resolve` also ends the wait.
+  [[nodiscard]] std::pair<TaskPtr, Task::Send*> pending_send(
+      const WormPtr& worm, HostId to, bool resolve);
+  void handle_ack(const WormPtr& worm);
+  void handle_nack(const WormPtr& worm);
+  void maybe_release(const TaskPtr& task);
+  /// Tears down a task: timers, window slots, reservation.
+  void abort_task(const TaskPtr& task);
+  /// Returns the task's reservation to the pool and forgets the task.
+  void retire(const TaskPtr& task);
+
+  // --- failure detection, repair and churn (host_repair.cpp) -----------------
+  /// Snapshot of the forwarding then originator tasks (of group `g` only,
+  /// unless kNoGroup), safe to resolve or abort while walking it.
+  [[nodiscard]] std::vector<TaskPtr> all_tasks(GroupId g = kNoGroup) const;
+  /// on_peer_removed for one task; also adds sends to adopted children.
+  void repair_task_sends(const TaskPtr& task, HostId gone,
+                         const std::vector<GroupTables::Reattachment>& adopted);
   /// The detector piggybacks on recovery: a peer is suspected when it stays
   /// silent past the suspicion timeout despite the ACK-timeout retries, or
   /// when it ignores explicit probes while no send would expose it.
   [[nodiscard]] bool suspicion_enabled() const {
     return recovery_enabled() && config_.suspicion_timeout > 0;
   }
-  [[nodiscard]] Time probe_interval() const {
-    return config_.probe_interval > 0
-               ? config_.probe_interval
-               : std::max<Time>(1, config_.suspicion_timeout / 4);
-  }
-  /// Any worm from `peer` proves it was alive when it sent.
-  [[nodiscard]] bool peer_silent(HostId peer) const;
   void note_heard(HostId peer);
+  void accuse(HostId peer, std::uint64_t message_id);
   void maybe_arm_prober();
   void probe_tick();
-  /// Protocol neighbours (circuit successor; tree parent and children) in
-  /// every group this host belongs to, minus already-removed peers.
+  /// Circuit successor or tree parent and children, in every group, minus
+  /// removed peers.
   [[nodiscard]] std::vector<HostId> probe_targets() const;
-  WormPtr make_probe_worm(HostId dst, WormKind kind) const;
 
-  /// Retargets/resolves every unresolved send of one task that addresses
-  /// the (spliced-out) dead peer; appends sends for tree children adopted
-  /// during the repair; dispatches what became ready.
-  void repair_task_sends(const TaskPtr& task, HostId dead,
-                         const std::vector<GroupTables::Reattachment>& adopted);
-  /// Starts a not-yet-started send through the ordered window when total
-  /// ordering demands it, directly otherwise (repair-path dispatch).
-  void dispatch_send(const TaskPtr& task, std::size_t send_index);
-
-  [[nodiscard]] bool is_confirmation(const McastHeader& h) const;
-  void deliver_locally(const TaskPtr& task);
-  void handle_ack(const WormPtr& worm);
-  void handle_nack(const WormPtr& worm);
-  void handle_mcast_data(const WormPtr& worm);
-
-  /// Ordered-forwarding window (total ordering): at most one un-ACKed send
-  /// per (group, successor); later sends queue behind it.
-  [[nodiscard]] std::uint64_t window_key(GroupId g, HostId to) const;
-  void window_push(const TaskPtr& task, std::size_t send_index, bool cut_through);
-  void window_advance(GroupId g, HostId to);
+  // --- [VLB96] centralized credit scheme (credit_scheme.cpp) ----------------
+  void handle_credit_op(const WormPtr& worm);
+  void try_credit_grants();
+  void maybe_start_token();
+  /// Hands the token, carrying `collected`, to the next host on the ring.
+  void pass_token(std::shared_ptr<std::vector<std::int64_t>> collected);
+  [[nodiscard]] WormPtr make_credit_worm(CreditOp op, HostId dst, GroupId group,
+                                         std::uint64_t message_id,
+                                         std::int64_t seq) const;
 
   Simulator& sim_;
   HostAdapter& adapter_;
@@ -286,16 +266,10 @@ class HostProtocol final : public AdapterClient {
   ProtocolConfig config_;
   RandomStream rng_;
   HostId host_;
+  int n_hosts_ = 0;
+  bool dead_ = false;  // crash-stopped
   BufferPool pool_;
   RecyclePool<Worm>* worm_pool_ = nullptr;  // Network-owned; may be null
-
-  /// True when the scheme delivers in a globally agreed order (trees are
-  /// root-serialized by construction; the circuit when total_ordering).
-  [[nodiscard]] bool serialized_scheme() const {
-    if (config_.scheme == Scheme::kTreeSF || config_.scheme == Scheme::kTreeCT)
-      return true;
-    return scheme_uses_circuit(config_.scheme) && config_.total_ordering;
-  }
 
   /// Forwarding tasks by message id (at most one per message: each member
   /// appears once in the circuit/tree).
@@ -306,80 +280,29 @@ class HostProtocol final : public AdapterClient {
   /// Sends awaiting ACK (or transmit completion when reservation is off),
   /// keyed by (message id, successor).
   std::unordered_map<std::uint64_t, TaskPtr> ack_wait_;
-  /// Per-group sequence counter (only advanced at the serializer).
+  /// Per-group sequence counter (advanced at the serializer, or by the
+  /// credit manager's grants).
   std::unordered_map<GroupId, std::int64_t> seq_counters_;
-  /// Ordered-forwarding queues (total ordering only).
-  struct WindowEntry {
-    TaskPtr task;
-    std::size_t send_index = 0;
-    bool cut_through = false;
-  };
-  std::unordered_map<std::uint64_t, std::deque<WindowEntry>> windows_;
-  std::unordered_map<std::uint64_t, bool> window_busy_;
+  OrderedWindow window_;
   /// Switch-level multicast reassembly: payload bytes received so far per
   /// message (scheme (b) delivers a message as several fragments).
   std::unordered_map<std::uint64_t, std::int64_t> switch_mcast_rx_;
   /// Recovery-mode dedup memory: keys of fully received (message, phase)
-  /// pairs, bounded to config_.dedup_window entries per group. A duplicate
-  /// of a remembered key is re-ACKed (its ACK was evidently lost), never
+  /// pairs, bounded to kDedupWindow entries per group. A duplicate of a
+  /// remembered key is re-ACKed (its ACK was evidently lost), never
   /// re-delivered or re-forwarded. Per-group so a rejoin resets only its
   /// own group's epoch (see dedup_for / on_self_joined).
   std::unordered_map<GroupId, DedupWindow> done_;
-
   /// Per-group delivery view floor: messages created before this host's
   /// join time are forwarded but never delivered locally (the destination
   /// count was fixed at creation, before this host was a member).
   std::unordered_map<GroupId, Time> view_floor_;
 
-  // --- failure detection state ----------------------------------------------
-  bool dead_ = false;  // crash-stopped
   std::function<void(HostId)> failure_listener_;
   /// Peers declared dead by the network; sends are never aimed at them.
   std::unordered_set<HostId> removed_peers_;
-  /// Last time any worm from a peer arrived here (suspicion clocks).
-  std::unordered_map<HostId, Time> last_heard_;
-  /// Unanswered-probe clock per peer; erased whenever the peer is heard.
-  /// `first` anchors the suspicion maturity deadline, `last` proves the
-  /// probing was continuous: a gap (prober dormant, or the peer churned
-  /// out of and back into the neighbor set) restarts the clock, so an
-  /// ancient pending probe can never mature into an instant accusation.
-  struct ProbeClock {
-    Time first = 0;
-    Time last = 0;
-  };
-  std::unordered_map<HostId, ProbeClock> probe_sent_;
-  bool prober_armed_ = false;
-
-  // --- [VLB96] centralized credit scheme ------------------------------------
-  void begin_serialized_dispatch(const TaskPtr& task);
-  void handle_credit_op(const WormPtr& worm);
-  void apply_grant(const TaskPtr& task, std::int64_t seq);
-  void try_credit_grants();
-  [[nodiscard]] std::vector<HostId> credit_slots_needed(GroupId group,
-                                                        HostId origin) const;
-  void emit_token();
-  void forward_token(const WormPtr& token);
-  WormPtr make_credit_worm(CreditOp op, HostId dst, GroupId group,
-                           std::uint64_t message_id, std::int64_t seq) const;
-
-  /// Manager-side state (allocated only on the credit-manager host).
-  struct CreditManager {
-    std::vector<std::int64_t> credits;  // manager's view, per host
-    struct Pending {
-      std::uint64_t message_id = 0;
-      GroupId group = kNoGroup;
-      HostId origin = kNoHost;
-    };
-    std::deque<Pending> pending;  // FIFO: grants are sequenced
-  };
-  std::unique_ptr<CreditManager> credit_mgr_;
-  std::int64_t freed_credits_ = 0;  // returned by the next token visit
-  bool token_active_ = false;       // a token is scheduled or circulating
-  int n_hosts_ = 0;
-
-  /// Starts token circulation if credits are outstanding or requests wait
-  /// (and stops the simulation from idling when there is nothing to do).
-  void maybe_start_token();
+  FailureDetector detector_;
+  CreditManager credit_;
 };
 
 }  // namespace wormcast

@@ -4,13 +4,6 @@
 
 namespace wormcast {
 
-namespace {
-std::uint64_t order_key(HostId host, GroupId group) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(host)) << 32) |
-         static_cast<std::uint32_t>(group);
-}
-}  // namespace
-
 std::shared_ptr<MessageContext> Metrics::create_message(HostId origin,
                                                         GroupId group,
                                                         std::int64_t payload,
@@ -102,12 +95,12 @@ void Metrics::on_confirmation(const std::shared_ptr<MessageContext>& /*ctx*/,
 
 void Metrics::record_order(HostId host, GroupId group,
                            std::uint64_t message_id) {
-  orders_[order_key(host, group)].push_back(message_id);
+  orders_[group_host_key(group, host)].push_back(message_id);
 }
 
 const std::vector<std::uint64_t>* Metrics::order_of(HostId host,
                                                     GroupId group) const {
-  const auto it = orders_.find(order_key(host, group));
+  const auto it = orders_.find(group_host_key(group, host));
   return it == orders_.end() ? nullptr : &it->second;
 }
 

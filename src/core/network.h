@@ -374,9 +374,16 @@ class Network {
     int attempts = 0;  // tries consumed (sheds included)
   };
   void enqueue_join(GroupId g, HostId h, Time requested_at, int attempts);
+  void push_membership(const MembershipOp& op);
   void pump_membership();
   void apply_join(const MembershipOp& op);
   void apply_leave(const MembershipOp& op);
+  /// `member` stops being one of `ctx`'s destinations (it died or left):
+  /// the message needs one delivery fewer unless `member` already had it.
+  void drop_destination(const std::shared_ptr<MessageContext>& ctx,
+                        HostId member);
+  /// Adds one table repair's counts to repair_stats_.
+  void count_repair(const GroupTables::RepairStats& stats);
 
   Topology topo_;
   std::vector<MulticastGroupSpec> groups_;

@@ -1,13 +1,10 @@
 #include "core/protocol_config.h"
 
-#include <algorithm>
-
 namespace wormcast {
 
 Time retry_backoff_delay(const ProtocolConfig& config, int prior_attempts,
                          RandomStream& rng) {
-  const int exponent = std::min(prior_attempts, 4);
-  return config.retry_backoff * (Time{1} << exponent) +
+  return capped_backoff(config.retry_backoff, prior_attempts) +
          (config.retry_jitter > 0 ? rng.uniform(0, config.retry_jitter) : 0);
 }
 

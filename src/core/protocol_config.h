@@ -1,6 +1,8 @@
 // Configuration of the host-adapter multicast protocols (Sections 4-6).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/random.h"
@@ -82,12 +84,6 @@ struct ProtocolConfig {
   /// whole slot. Used by the Section 8.2 testbed reproduction.
   std::int64_t input_slot_bytes = 0;
 
-  /// Multicast header bytes added to each hop copy (group, hop count,
-  /// class, message id, sequence).
-  std::int64_t mcast_header_bytes = 8;
-  /// Payload of ACK/NACK control worms.
-  std::int64_t control_payload = 8;
-
   /// Retransmission back-off after a NACK, plus uniform jitter.
   Time retry_backoff = 4000;
   Time retry_jitter = 2000;
@@ -107,11 +103,6 @@ struct ProtocolConfig {
   /// pattern then guarantees eventual delivery).
   int max_attempts = 0;
 
-  /// Receivers remember this many recently completed (message, phase) keys
-  /// for duplicate suppression; a duplicate whose ACK was lost is re-ACKed
-  /// from this memory instead of being re-delivered or re-forwarded.
-  int dedup_window = 4096;
-
   // --- failure detection & repair (crash-stop hosts) ------------------------
   /// When > 0 (requires recovery, i.e. reservation + ack_timeout), a peer
   /// that has stayed silent for this long past a send's first transmission
@@ -119,12 +110,6 @@ struct ProtocolConfig {
   /// suspected crash-stopped: the suspicion is disseminated and every
   /// circuit/tree containing the peer is repaired in place. 0 = off.
   Time suspicion_timeout = 0;
-
-  /// Gap between explicit liveness probes of a host's protocol neighbours
-  /// (circuit successor, tree parent and children) while it has traffic in
-  /// flight; probes catch dead peers that no pending send would expose.
-  /// 0 derives suspicion_timeout / 4 (minimum 1).
-  Time probe_interval = 0;
 
   /// After a repair, in-flight messages that may have lost a hop copy
   /// inside the dead member (received and ACKed but not yet forwarded) get
@@ -136,18 +121,41 @@ struct ProtocolConfig {
   int max_tree_fanout = 0;
 
   // --- kCentralizedCredit ([VLB96]) parameters ------------------------------
-  /// Host adapter acting as the credit manager.
-  HostId credit_manager = 0;
   /// Worm-buffer slots the manager believes each host has.
   int credits_per_host = 4;
   /// Gap between credit-gathering token circulations.
   Time token_interval = 5'000;
 };
 
-/// Delay before retransmission number `prior_attempts + 1`: exponential
-/// back-off, capped at 16x the base so a long-outage survivor still probes
-/// at a bounded rate, plus uniform jitter so hosts never retry in lockstep.
-/// Shared by the NACK and ACK-timeout paths (and unit-tested directly).
+/// Multicast header bytes added to each hop copy (group, hop count,
+/// class, message id, sequence), and the header of every control worm.
+inline constexpr std::int64_t kMcastHeaderBytes = 8;
+/// Payload of ACK/NACK, probe and credit control worms.
+inline constexpr std::int64_t kControlPayloadBytes = 8;
+/// Receivers remember this many recently completed (message, phase) keys
+/// per group for duplicate suppression; a duplicate whose ACK was lost is
+/// re-ACKed from this memory instead of being re-delivered or re-forwarded.
+inline constexpr std::size_t kDedupWindow = 4096;
+/// Host adapter acting as the [VLB96] credit manager.
+inline constexpr HostId kCreditManagerHost = 0;
+
+/// Gap between explicit liveness probes of a host's protocol neighbours
+/// (circuit successor, tree parent and children) while it has traffic in
+/// flight; probes catch dead peers that no pending send would expose.
+[[nodiscard]] constexpr Time probe_interval(const ProtocolConfig& config) {
+  return std::max<Time>(1, config.suspicion_timeout / 4);
+}
+
+/// `base` doubled per prior attempt, capped at 16x so a long-outage
+/// survivor still retries at a bounded rate. The NACK/ACK-timeout
+/// retransmissions and the membership coordinator's join retries share it.
+[[nodiscard]] constexpr Time capped_backoff(Time base, int prior_attempts) {
+  return base * (Time{1} << std::min(prior_attempts, 4));
+}
+
+/// Delay before retransmission number `prior_attempts + 1`: the capped
+/// back-off plus uniform jitter so hosts never retry in lockstep. Shared by
+/// the NACK and ACK-timeout paths (and unit-tested directly).
 [[nodiscard]] Time retry_backoff_delay(const ProtocolConfig& config,
                                        int prior_attempts, RandomStream& rng);
 

@@ -11,12 +11,6 @@
 
 namespace wormcast::detail {
 
-/// Key for per-(group, source) plan caches.
-[[nodiscard]] inline std::uint64_t plan_key(GroupId g, HostId src) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(g)) << 32) |
-         static_cast<std::uint32_t>(src);
-}
-
 /// kMultiRoot: candidate root count (clamped to the switch count). The
 /// general routing's root is always candidate 0.
 inline constexpr int kCandidateRoots = 4;

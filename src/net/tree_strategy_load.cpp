@@ -205,7 +205,7 @@ McastPlan LoadAwareStrategy::plan_multicast(
     throw std::invalid_argument("multicast with no destinations");
   std::sort(want.begin(), want.end());
 
-  const std::uint64_t key = plan_key(g, src);
+  const std::uint64_t key = group_host_key(g, src);
   if (const auto it = plan_cache_.find(key); it != plan_cache_.end()) {
     if (it->second.dests == want) {
       ++worms_planned_;

@@ -44,4 +44,10 @@ using GroupId = std::int32_t;
 inline constexpr GroupId kNoGroup = -1;
 inline constexpr GroupId kBroadcastGroup = 255;
 
+/// One key per (group, host) pair: the group in the high 32 bits.
+[[nodiscard]] constexpr std::uint64_t group_host_key(GroupId g, HostId h) {
+  return (std::uint64_t{static_cast<std::uint32_t>(g)} << 32) |
+         static_cast<std::uint32_t>(h);
+}
+
 }  // namespace wormcast

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/network.h"
@@ -469,6 +471,107 @@ TEST(FailureRepair, LeaveRacingInFlightRepairStaysClean) {
   EXPECT_TRUE(rep.ok()) << rep.format();
   EXPECT_GT(rep.obligations, 0);
 }
+
+// --- total ordering across repair --------------------------------------------
+
+/// Every pair of hosts agrees on the order of the messages both delivered.
+void expect_common_order(Network& net, GroupId group,
+                         const std::set<HostId>& dead) {
+  const std::vector<std::uint64_t>* reference = nullptr;
+  HostId ref_host = kNoHost;
+  for (HostId h = 0; h < net.num_hosts(); ++h) {
+    if (dead.count(h) > 0) continue;
+    const auto* order = net.metrics().order_of(h, group);
+    if (order == nullptr) continue;
+    if (reference == nullptr) {
+      reference = order;
+      ref_host = h;
+      continue;
+    }
+    const std::set<std::uint64_t> in_ref(reference->begin(), reference->end());
+    const std::set<std::uint64_t> in_order(order->begin(), order->end());
+    std::vector<std::uint64_t> a;
+    std::vector<std::uint64_t> b;
+    for (const auto id : *reference)
+      if (in_order.count(id) > 0) a.push_back(id);
+    for (const auto id : *order)
+      if (in_ref.count(id) > 0) b.push_back(id);
+    EXPECT_EQ(a, b) << "hosts " << ref_host << " and " << h
+                    << " disagree on order";
+  }
+}
+
+enum class RepairEvent { kCrashHost3, kCrashSerializer, kLeaveHost4, kLeaveHost0 };
+
+const char* repair_event_name(RepairEvent e) {
+  switch (e) {
+    case RepairEvent::kCrashHost3: return "crash_host3";
+    case RepairEvent::kCrashSerializer: return "crash_serializer";
+    case RepairEvent::kLeaveHost4: return "leave_host4";
+    case RepairEvent::kLeaveHost0: return "leave_host0";
+  }
+  return "unknown";
+}
+
+class OrderedRepairTest
+    : public ::testing::TestWithParam<std::tuple<Scheme, RepairEvent>> {};
+
+// A crash or a leave lands mid-stream while total ordering is on. Every
+// retargeted ordered send must join its new successor's window (at most
+// one un-ACKed ordered send per group and successor), so the survivors
+// still agree on one order and every message arrives exactly once.
+TEST_P(OrderedRepairTest, TotalOrderSurvivesRepair) {
+  const auto [scheme, event] = GetParam();
+  ExperimentConfig cfg = repair_config(scheme);
+  cfg.protocol.total_ordering = true;
+  Network net(make_myrinet_testbed(), {full_group(8)}, cfg);
+  const Time event_at = 9'000;
+  std::set<HostId> dead;
+  switch (event) {
+    case RepairEvent::kCrashHost3:
+      net.crash_host(3, event_at);
+      dead = {3};
+      break;
+    case RepairEvent::kCrashSerializer:
+      net.crash_host(0, event_at);
+      dead = {0};
+      break;
+    case RepairEvent::kLeaveHost4:
+      net.request_leave(0, 4, event_at);
+      break;
+    case RepairEvent::kLeaveHost0:
+      net.request_leave(0, 0, event_at);
+      break;
+  }
+  for (int i = 0; i < 30; ++i) {
+    const auto src = static_cast<HostId>((i * 3) % 8);
+    net.sim().at(1'000 + i * 1'500,
+                 [&net, src] { inject_group_mcast(net, 0, src, 300); });
+  }
+  net.run_to_quiescence();
+
+  expect_survivors_clean(net, dead);
+  expect_exactly_once(net, 0, dead);
+  expect_common_order(net, 0, dead);
+  EXPECT_GT(net.metrics().messages_completed(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, OrderedRepairTest,
+    ::testing::Combine(::testing::Values(Scheme::kHamiltonianSF,
+                                         Scheme::kHamiltonianCT,
+                                         Scheme::kTreeSF, Scheme::kTreeCT),
+                       ::testing::Values(RepairEvent::kCrashHost3,
+                                         RepairEvent::kCrashSerializer,
+                                         RepairEvent::kLeaveHost4,
+                                         RepairEvent::kLeaveHost0)),
+    [](const ::testing::TestParamInfo<std::tuple<Scheme, RepairEvent>>& p) {
+      std::string s = std::string(scheme_name(std::get<0>(p.param))) + "_" +
+                      repair_event_name(std::get<1>(p.param));
+      for (char& c : s)
+        if (c == '-') c = '_';
+      return s;
+    });
 
 }  // namespace
 }  // namespace wormcast

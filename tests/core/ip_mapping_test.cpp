@@ -1,4 +1,4 @@
-#include "core/ip_mapping.h"
+#include "ip_mapping.h"
 
 #include <gtest/gtest.h>
 

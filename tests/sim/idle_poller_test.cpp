@@ -1,4 +1,4 @@
-#include "sim/idle_poller.h"
+#include "idle_poller.h"
 
 #include <gtest/gtest.h>
 
