@@ -27,7 +27,7 @@ namespace wormcast {
 /// plans that cut through (forward while receiving).
 struct RxProgress {
   std::int64_t payload_total = 0;
-  /// Payload bytes physically delivered (a burst lands all at once).
+  /// Payload bytes physically delivered (a run lands all at once).
   std::int64_t payload_received = 0;
   bool complete = false;
   bool dropped = false;
@@ -36,7 +36,7 @@ struct RxProgress {
   /// reception); cut-through transmit plans following this reception close
   /// out early so the stub propagates instead of wedging the channel.
   bool truncated = false;
-  /// Logical arrival time of the newest delivered byte (a burst delivered
+  /// Logical arrival time of the newest delivered byte (a run delivered
   /// at t carries arrival times t..t+n-1).
   Time run_end = 0;
 
@@ -86,10 +86,11 @@ struct AdapterConfig {
   /// inserted before each transmission. The Myrinet-testbed benches
   /// calibrate this to SPARCstation-5-era LANai/driver costs.
   Time tx_overhead = 16;
-  /// Processing between full reception and earliest possible retransmission
-  /// (store-and-forward path only; cut-through bypasses it).
-  Time rx_overhead = 8;
 };
+
+/// Processing between full reception and earliest possible retransmission
+/// (store-and-forward path only; cut-through bypasses it).
+inline constexpr Time kRxOverhead = 8;
 
 /// One host's network interface card.
 class HostAdapter final : public ByteFeed, public RxSink {
@@ -137,7 +138,7 @@ class HostAdapter final : public ByteFeed, public RxSink {
   /// zero — the wake signal for fast-forwarded saturating applications
   /// (bench/idle_poller.h). Only covers the transmit path: a crash or purge
   /// can also drain the queue without a tail, so drivers that inject
-  /// faults should poll in legacy mode instead.
+  /// faults should poll naively instead, with a body bound <= now.
   void set_drain_listener(std::function<void()> listener) {
     drain_listener_ = std::move(listener);
   }
@@ -168,21 +169,18 @@ class HostAdapter final : public ByteFeed, public RxSink {
   }
 
   // ByteFeed (transmit side; called by the host's uplink channel).
-  [[nodiscard]] bool byte_available() const override;
-  TxByte take_byte() override;
+  [[nodiscard]] std::int64_t run_available() const override;
+  TxByte take(std::int64_t n) override;
   void on_tail_sent() override;
-  [[nodiscard]] std::int64_t burst_available() const override;
-  std::int64_t take_bytes(std::int64_t max) override;
   [[nodiscard]] Time next_byte_time() const override;
 
   // RxSink (receive side; called by the host's downlink channel).
   void on_head(const WormPtr& worm, std::int64_t wire_len, bool tail) override;
-  void on_body(bool tail) override;
+  void on_body(std::int64_t n, bool tail) override;
   /// Tail-byte completion: closes the in-progress reception (also invoked
   /// straight from on_head for single-byte trailer-only fragments).
   void finish_rx();
   [[nodiscard]] std::int64_t rx_burst_budget() const override;
-  void on_body_burst(std::int64_t n, bool tail) override;
 
  private:
   struct TxPlan {
@@ -195,14 +193,12 @@ class HostAdapter final : public ByteFeed, public RxSink {
   void enqueue(TxPlan plan, bool priority);
   void start_next();
   [[nodiscard]] bool done_is_switch_mcast() const;
-  [[nodiscard]] const TxPlan* active_plan() const;
-  /// Bytes of the plan sendable by now under per-byte semantics (a
-  /// cut-through follow only exposes logically-arrived payload).
-  [[nodiscard]] std::int64_t sendable_bytes(const TxPlan& plan) const;
-  /// Bytes sendable counting physically-buffered payload too — the burst
+  /// Bytes of the plan sendable by `by` under per-byte semantics: a
+  /// cut-through follow only exposes the payload logically arrived by then.
+  /// At kTimeNever it counts all physically buffered payload — the run
   /// commitment bound (pending bytes arrive one per byte-time, matching
   /// the send rate, so they are committable once one byte has arrived).
-  [[nodiscard]] std::int64_t sendable_bytes_physical(const TxPlan& plan) const;
+  [[nodiscard]] std::int64_t sendable_bytes(const TxPlan& plan, Time by) const;
   [[nodiscard]] bool follow_closed(const TxPlan& plan) const;
 
   Simulator& sim_;

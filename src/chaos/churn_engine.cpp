@@ -25,7 +25,7 @@ void ChurnEngine::tick() {
   const GroupId g = rng_.pick(groups_);
   // Draw both decisions every tick so the stream consumed is independent
   // of which branch ends up eligible (steadier sequences under replay).
-  const bool leave = rng_.chance(config_.leave_bias);
+  const bool leave = rng_.chance(kChurnLeaveBias);
   if (leave) {
     issue_leave(g);
   } else {
@@ -37,12 +37,12 @@ void ChurnEngine::tick() {
 
 void ChurnEngine::issue_leave(GroupId g) {
   const CircuitTable& circuit = net_.tables().circuit(g);
-  if (circuit.size() <= config_.min_members) return;
+  if (circuit.size() <= kChurnMinMembers) return;
   std::vector<HostId> eligible;
   for (const HostId h : circuit.order())
     if (!net_.host_removed(h) && !net_.faults().host_dead(h))
       eligible.push_back(h);
-  if (static_cast<int>(eligible.size()) <= config_.min_members) return;
+  if (static_cast<int>(eligible.size()) <= kChurnMinMembers) return;
   const HostId h = rng_.pick(eligible);
   net_.request_leave(g, h, net_.sim().now());
   parked_[g].push_back(h);
@@ -56,7 +56,7 @@ void ChurnEngine::issue_join(GroupId g) {
     return net_.host_removed(h) || net_.faults().host_dead(h);
   });
   HostId h = kNoHost;
-  if (!parked.empty() && rng_.chance(config_.rejoin_bias)) {
+  if (!parked.empty() && rng_.chance(kChurnRejoinBias)) {
     const auto idx = static_cast<std::size_t>(
         rng_.keyed_uniform(0, static_cast<std::int64_t>(parked.size()) - 1,
                            0xC0FFEEull, static_cast<std::uint64_t>(g),

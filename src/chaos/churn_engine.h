@@ -18,17 +18,18 @@ struct ChurnConfig {
   /// Operations are issued in [from, until).
   Time from = 0;
   Time until = 0;
-  /// Probability an operation is a leave (otherwise a join attempt). The
-  /// engine keeps groups between min_members and the full host set, so
-  /// the realized mix self-balances around the bias.
-  double leave_bias = 0.5;
-  /// Probability a join re-admits a member the engine previously made
-  /// leave (a *rejoin*, exercising the dedup-epoch path) rather than a
-  /// never-member host.
-  double rejoin_bias = 0.75;
-  /// Never shrink a group below this size with engine-issued leaves.
-  int min_members = 2;
 };
+
+/// Probability a churn operation is a leave (otherwise a join attempt).
+/// The engine keeps groups between kChurnMinMembers and the full host set,
+/// so the realized mix self-balances around the bias.
+inline constexpr double kChurnLeaveBias = 0.5;
+/// Probability a join re-admits a member the engine previously made leave
+/// (a *rejoin*, exercising the dedup-epoch path) rather than a never-member
+/// host.
+inline constexpr double kChurnRejoinBias = 0.75;
+/// Never shrink a group below this size with engine-issued leaves.
+inline constexpr int kChurnMinMembers = 2;
 
 /// Drives churn dynamically: each tick inspects the *current* tables
 /// (membership may have shifted under repairs and earlier churn), picks a

@@ -223,7 +223,7 @@ void HostProtocol::note_heard(HostId peer) {
 }
 
 void HostProtocol::accuse(HostId peer, std::uint64_t message_id) {
-  metrics_.on_suspicion(sim_.now());
+  metrics_.on_suspicion();
   WORMTRACE(sim_, kProtoSuspect, host_, -1, message_id, peer);
   if (failure_listener_) failure_listener_(peer);
 }

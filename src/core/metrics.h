@@ -65,7 +65,7 @@ class Metrics {
   void on_leave_applied() { ++leaves_; }
 
   // Failure-detection & repair accounting.
-  void on_suspicion(Time now) { ++suspicions_; last_suspicion_ = now; }
+  void on_suspicion() { ++suspicions_; }
   void on_repair(Time now) { ++repairs_; last_repair_ = now; }
   void on_send_rerouted() { ++sends_rerouted_; }
   void on_link_failed() { ++links_failed_; }
@@ -123,7 +123,6 @@ class Metrics {
   [[nodiscard]] std::int64_t joins_abandoned() const { return joins_abandoned_; }
   [[nodiscard]] std::int64_t rejoins() const { return rejoins_; }
   [[nodiscard]] std::int64_t leaves() const { return leaves_; }
-  [[nodiscard]] Time last_suspicion_time() const { return last_suspicion_; }
   [[nodiscard]] Time last_repair_time() const { return last_repair_; }
   [[nodiscard]] std::int64_t messages_created() const { return created_; }
   [[nodiscard]] std::int64_t messages_completed() const { return completed_; }
@@ -177,7 +176,6 @@ class Metrics {
   std::int64_t rejoins_ = 0;
   std::int64_t leaves_ = 0;
   Time last_completion_ = 0;
-  Time last_suspicion_ = 0;
   Time last_repair_ = 0;
   // Live contexts so repair can triage in-flight messages, not just ages.
   std::unordered_map<std::uint64_t, std::shared_ptr<MessageContext>> outstanding_;

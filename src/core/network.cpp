@@ -359,8 +359,8 @@ check::CheckReport Network::check_expectations() const {
   ccfg.max_attempts = p.max_attempts;
   ccfg.suspicion_timeout = p.suspicion_timeout;
   ccfg.probe_gap = probe_interval(p);
-  ccfg.repair_grace = p.repair_grace;
-  ccfg.join_grace = config_.membership.join_grace;
+  ccfg.repair_grace = kRepairGrace;
+  ccfg.join_grace = kJoinGrace;
   // The idle-flush rule only applies when scheme (c) can actually flush.
   ccfg.idle_flush_threshold =
       config_.switch_mcast.scheme == SwitchMcastScheme::kFlushUnicast

@@ -55,13 +55,14 @@ struct MembershipConfig {
   /// attempt, capped at 16x the base).
   Time retry_backoff = 8'000;
   Time retry_jitter = 4'000;
-  /// Obligation window: a join request must be applied or shed within
-  /// this long (wormcheck's join-grace rule), and a freshly applied join
-  /// gives pre-join in-flight messages this long to finish before the
-  /// settle sweep writes them off (mirrors repair_grace: a worm already
-  /// in a channel carries a hop budget sized for the pre-join circuit).
-  Time join_grace = 150'000;
 };
+
+/// Obligation window: a join request must be applied or shed within this
+/// long (wormcheck's join-grace rule), and a freshly applied join gives
+/// pre-join in-flight messages this long to finish before the settle sweep
+/// writes them off (mirrors kRepairGrace: a worm already in a channel
+/// carries a hop budget sized for the pre-join circuit).
+inline constexpr Time kJoinGrace = 150'000;
 
 struct ExperimentConfig {
   FabricConfig fabric;

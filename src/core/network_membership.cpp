@@ -102,12 +102,12 @@ void Network::apply_join(const MembershipOp& op) {
   // Settle sweep (circuit schemes only): a worm already inside a channel
   // or adapter queue carries a hop budget sized for the pre-join circuit,
   // so the members past the splice point can miss that copy — the one
-  // race no table patch can reach. Give such pre-join messages join_grace
+  // race no table patch can reach. Give such pre-join messages kJoinGrace
   // to finish honestly, then write the stragglers off as disrupted so the
-  // run drains (the exact repair_grace discipline, for joins).
+  // run drains (the exact kRepairGrace discipline, for joins).
   const Time joined_at = sim_.now();
   const GroupId g = op.group;
-  sim_.after(config_.membership.join_grace, [this, joined_at, g] {
+  sim_.after(kJoinGrace, [this, joined_at, g] {
     for (const std::shared_ptr<MessageContext>& ctx :
          metrics_.outstanding_messages())
       if (ctx->group == g && ctx->created_at <= joined_at)
@@ -211,7 +211,7 @@ void Network::declare_host_dead(HostId dead) {
   // repaired structures a grace period to finish honest stragglers, then
   // write the rest off as disrupted so quiescence drains.
   const Time repaired_at = sim_.now();
-  sim_.after(config_.protocol.repair_grace, [this, repaired_at] {
+  sim_.after(kRepairGrace, [this, repaired_at] {
     for (const std::shared_ptr<MessageContext>& ctx :
          metrics_.outstanding_messages())
       if (ctx->created_at <= repaired_at) metrics_.abandon_message(ctx);

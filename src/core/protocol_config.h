@@ -111,11 +111,6 @@ struct ProtocolConfig {
   /// circuit/tree containing the peer is repaired in place. 0 = off.
   Time suspicion_timeout = 0;
 
-  /// After a repair, in-flight messages that may have lost a hop copy
-  /// inside the dead member (received and ACKed but not yet forwarded) get
-  /// this long to finish before being abandoned as disrupted.
-  Time repair_grace = 100'000;
-
   /// Cap children per node in the rooted tree (0 = unlimited; 2 mimics the
   /// binary trees of [VLB96]).
   int max_tree_fanout = 0;
@@ -138,6 +133,10 @@ inline constexpr std::int64_t kControlPayloadBytes = 8;
 inline constexpr std::size_t kDedupWindow = 4096;
 /// Host adapter acting as the [VLB96] credit manager.
 inline constexpr HostId kCreditManagerHost = 0;
+/// After a repair, in-flight messages that may have lost a hop copy inside
+/// the dead member (received and ACKed but not yet forwarded) get this long
+/// to finish before being abandoned as disrupted.
+inline constexpr Time kRepairGrace = 100'000;
 
 /// Gap between explicit liveness probes of a host's protocol neighbours
 /// (circuit successor, tree parent and children) while it has traffic in

@@ -23,18 +23,18 @@ void Channel::kick() {
 }
 
 void Channel::schedule_pump() {
-  // Respect the one-byte-per-byte-time line rate. After a burst committed
+  // Respect the one-byte-per-byte-time line rate. After a run committed
   // through last_send_, the next pump lands right after the run.
   const Time when = std::max(sim_.now(), last_send_ + 1);
   pump_scheduled_ = true;
-  // Late class: a pump scheduled a whole burst ahead must still run after
+  // Late class: a pump scheduled a whole run ahead must still run after
   // the same-tick deliveries and protocol events, exactly like a per-byte
   // pump scheduled one byte-time ahead would.
   sim_.at_late(when, [this] { pump(); });
 }
 
 std::int64_t Channel::bytes_sent() const {
-  // A burst committed at t counts its bytes at logical times t..t+n-1;
+  // A run committed at t counts its bytes at logical times t..t+n-1;
   // subtract the not-yet-logically-sent tail so mid-run reads (the
   // utilization window edges) match per-byte stepping exactly.
   const Time pending = std::max<Time>(0, last_send_ - sim_.now());
@@ -50,13 +50,14 @@ void Channel::pump() {
   pump_scheduled_ = false;
   if (feed_ == nullptr || stopped_) return;
   if (last_send_ >= sim_.now()) {
-    // This tick is already claimed (a burst's logical run extends through
+    // This tick is already claimed (a run's logical sends extend through
     // last_send_, or a byte went out this tick): hold the line rate and
     // resume right after the run.
     if (!pump_scheduled_) schedule_pump();
     return;
   }
-  if (!feed_->byte_available()) {
+  const std::int64_t run = feed_->run_available();
+  if (run == 0) {
     // Starved either for a kick (feed will call kick() when ready) or only
     // by bytes that have not logically arrived yet — in the latter case no
     // kick will ever come, so self-schedule at the next logical arrival.
@@ -67,16 +68,20 @@ void Channel::pump() {
     }
     return;
   }
+  // A feed's run of n > 1 is plain body bytes of a worm whose fault mode
+  // its head fixed; the channel's own limits cut it, down to one byte in
+  // per-byte mode.
+  const std::int64_t n =
+      run > 1 ? std::max<std::int64_t>(1, std::min(run, burst_headroom())) : 1;
 
-  if (burst_ && try_burst()) return;
-
-  // Claim this tick before calling into the feed: take_byte() can free
+  // Claim this tick before calling into the feed: take() can free
   // slack-buffer space and re-entrantly kick() this channel, and that kick
   // must see last_send_ current so it schedules the next tick, not this one.
   last_send_ = sim_.now();
-  const TxByte b = feed_->take_byte();
+  TxByte b = feed_->take(n);
+  assert(b.count == n);
+  last_send_ = sim_.now() + n - 1;  // logical sends at now .. now+n-1
   if (b.head && faults_ != nullptr && faults_->armed()) classify_fault(b);
-#if !defined(WORMCAST_TRACE_DISABLED)
   if (sim_.tracer().enabled()) {
     if (b.head) {
       trace_worm_ = b.worm != nullptr ? b.worm->id : 0;
@@ -86,40 +91,36 @@ void Channel::pump() {
         sim_.tracer().record(sim_.now(), TraceEventType::kChanSwallow,
                              trace_node_, trace_port_, trace_worm_, 0);
     }
+    if (n > 1)
+      sim_.tracer().record(sim_.now(), TraceEventType::kChanBurst,
+                           trace_node_, trace_port_, trace_worm_, n);
     if (b.tail)
       sim_.tracer().record(sim_.now(), TraceEventType::kChanTail, trace_node_,
                            trace_port_, trace_worm_, 0);
   }
-#endif
 
-  bool deliver = true;
+  // A truncated worm delivers fault_pass_left_ bytes and synthesizes a tail
+  // on the last (a run never reaches it: burst_headroom() stops short).
+  bool deliver = fault_mode_ != FaultMode::kSwallow;
   bool synth_tail = false;
-  switch (fault_mode_) {
-    case FaultMode::kNone:
-      break;
-    case FaultMode::kSwallow:
-      deliver = false;
-      break;
-    case FaultMode::kTruncate:
-      if (fault_pass_left_ > 0) {
-        --fault_pass_left_;
-        synth_tail = (fault_pass_left_ == 0);
-      } else {
-        deliver = false;
-      }
-      break;
+  if (fault_mode_ == FaultMode::kTruncate) {
+    deliver = fault_pass_left_ > 0;
+    if (deliver) {
+      fault_pass_left_ -= n;
+      synth_tail = (fault_pass_left_ == 0);
+    }
   }
   if (deliver) {
-    ++bytes_sent_;
+    bytes_sent_ += n;
     last_run_swallowed_ = false;
-    enqueue_delivery(
-        InFlight{b.head, b.tail || synth_tail, b.worm, b.wire_len, 1});
+    enqueue_delivery(InFlight{b.head, b.tail || synth_tail, std::move(b.worm),
+                              b.wire_len, n});
   } else {
     // Swallowed bytes still count as global progress: the transmitter is
     // draining, so the network is not deadlocked, merely lossy.
-    ++bytes_swallowed_;
+    bytes_swallowed_ += n;
     last_run_swallowed_ = true;
-    sim_.note_progress(1);
+    sim_.note_progress(n);
   }
 
   if (b.tail) {
@@ -141,37 +142,9 @@ std::int64_t Channel::burst_headroom() const {
                                ? fault_pass_left_ - 1
                                : std::numeric_limits<std::int64_t>::max();
   if (fault_mode_ == FaultMode::kSwallow) return cap;
-  // Flow-control safety: never let (in flight + this burst) reach the
+  // Flow-control safety: never let (in flight + this run) reach the
   // receiver's STOP decision point, so no STOP/GO signal can move.
   return std::min(cap, sink_->rx_burst_budget() - in_flight_bytes_);
-}
-
-bool Channel::try_burst() {
-  // A burst may cover only plain body bytes of an already-classified worm:
-  // burst_available() excludes heads and tails by contract, and the fault
-  // mode was fixed when this worm's head went through per-byte.
-  std::int64_t cap = feed_->burst_available();
-  if (cap <= 1) return false;
-  cap = std::min(cap, burst_headroom());
-  if (cap <= 1) return false;
-
-  last_send_ = sim_.now();  // claim the tick across the re-entrant window
-  const std::int64_t n = feed_->take_bytes(cap);
-  assert(n >= 1 && n <= cap);
-  last_send_ = sim_.now() + n - 1;  // logical sends at now .. now+n-1
-  WORMTRACE(sim_, kChanBurst, trace_node_, trace_port_, trace_worm_, n);
-  if (fault_mode_ == FaultMode::kSwallow) {
-    bytes_swallowed_ += n;
-    last_run_swallowed_ = true;
-    sim_.note_progress(n);
-  } else {
-    if (fault_mode_ == FaultMode::kTruncate) fault_pass_left_ -= n;
-    bytes_sent_ += n;
-    last_run_swallowed_ = false;
-    enqueue_delivery(InFlight{false, false, nullptr, 0, n});
-  }
-  if (!pump_scheduled_) schedule_pump();
-  return true;
 }
 
 void Channel::classify_fault(const TxByte& b) {
@@ -240,10 +213,8 @@ void Channel::deliver_front() {
   assert(sink_ != nullptr && "channel delivered into the void");
   if (b.head)
     sink_->on_head(b.worm, b.wire_len, b.tail);
-  else if (b.count > 1)
-    sink_->on_body_burst(b.count, /*tail=*/false);
   else
-    sink_->on_body(b.tail);
+    sink_->on_body(b.count, b.tail);
 }
 
 void Channel::signal_stop() {

@@ -1,29 +1,30 @@
 // One direction of a full-duplex link, at byte granularity.
 //
 // The transmitter end pulls bytes from a ByteFeed (a switch crossbar
-// connection or a host adapter's transmit engine) at one byte per
-// byte-time while not STOPped. Bytes arrive at the receiver end after the
-// link's propagation delay and are handed to an RxSink (a switch input
-// port's slack buffer or a host adapter's receive engine). STOP/GO control
-// symbols (Figure 1) travel against the data flow with the same propagation
-// delay; they are modeled out of band (Myrinet interleaves them in the byte
-// stream; the bandwidth cost is negligible).
+// connection, a switch-multicast branch or a host adapter's transmit
+// engine) at one byte per byte-time while not STOPped. Bytes arrive at the
+// receiver end after the link's propagation delay and are handed to an
+// RxSink (a switch input port's slack buffer or a host adapter's receive
+// engine). STOP/GO control symbols (Figure 1) travel against the data flow
+// with the same propagation delay; they are modeled out of band (Myrinet
+// interleaves them in the byte stream; the bandwidth cost is negligible).
 //
-// Burst mode (the simulation hot path): when the transmitter is un-STOPped,
-// the worm's fault classification is already decided, and the receiver's
-// slack buffer provably cannot cross a STOP/GO threshold, the channel moves
-// a whole run of contiguous body bytes in ONE pump event and ONE delivery
-// event instead of one pair per byte. A burst taken at time t stands for
-// per-byte transmissions at t, t+1, ..., t+n-1; the delivery carries the
+// The transport moves *runs*: one pump takes a run of n bytes from the
+// feed and one delivery hands the same run to the sink. A run committed at
+// time t stands for per-byte sends at t, t+1, ..., t+n-1 and carries the
 // same logical arrival times, and every consumer is rate-limited to one
-// byte per byte-time starting at the first arrival, so nothing downstream
-// can observe the difference — results are bit-for-bit identical to
-// per-byte stepping (the determinism-equivalence suite pins this). Head
-// bytes, tail bytes, STOP/GO transitions, and truncation boundaries always
-// step per-byte. Whether a run is available is the feed's call alone
-// (burst_available()); switch-level multicast branches burst too, as a
-// gang: the replication engine commits one run for every branch channel
-// of a connection in the same tick (switch_mcast_engine.h).
+// byte per byte-time from the first arrival, so nothing downstream can
+// tell a run from n single bytes. The feed says how long a run it can
+// commit (ByteFeed::run_available); heads, tails and every byte that must
+// step alone are runs of one. The channel caps the run at 1 in per-byte
+// mode (FabricConfig::burst_channels = false, the spec) and otherwise at
+// burst_headroom(): the worm's fault classification is fixed, no
+// truncation boundary falls inside, and the receiver's slack buffer
+// provably cannot cross a STOP/GO threshold. Results are bit-for-bit
+// identical in both modes (the equivalence suite pins this). Switch-level
+// multicast branches commit runs as a gang: the replication engine gives
+// every branch channel of a connection the same run in the same tick
+// (switch_mcast_engine.h).
 #pragma once
 
 #include <cstdint>
@@ -38,47 +39,37 @@
 
 namespace wormcast {
 
-/// One byte as granted by a ByteFeed.
+/// One run as granted by a ByteFeed: a single byte (count 1), which may be
+/// a worm's head or tail, or `count` plain body bytes.
 struct TxByte {
   bool head = false;               // first byte of a worm on this channel
   bool tail = false;               // last byte of the worm on this channel
   WormPtr worm;                    // set on head only
   std::int64_t wire_len = 0;       // set on head only: bytes on this channel
+  std::int64_t count = 1;          // bytes in the run; > 1 only for body
 };
 
 /// Supplies bytes to a Channel's transmitter. Implemented by switch
-/// crossbar connections and adapter transmit engines.
+/// crossbar connections, multicast branches and adapter transmit engines.
 class ByteFeed {
  public:
   virtual ~ByteFeed() = default;
-  /// True if a byte can be sent right now.
-  [[nodiscard]] virtual bool byte_available() const = 0;
-  /// Takes the next byte. Called only when byte_available().
-  virtual TxByte take_byte() = 0;
+  /// Longest run the feed can commit to sends at now, now+1, ...: 0 when
+  /// nothing is sendable now, 1 for a head, a tail or any byte that must
+  /// step alone, n for plain body bytes. A run may include bytes that are
+  /// buffered but have not logically arrived yet: once one byte of a
+  /// contiguous run has arrived, the rest arrive one per byte-time,
+  /// matching the send rate.
+  [[nodiscard]] virtual std::int64_t run_available() const = 0;
+  /// Takes the next `n` bytes, 1 <= n <= run_available().
+  virtual TxByte take(std::int64_t n) = 0;
   /// Called by the channel after the feed's tail byte has been accepted;
   /// the feed is detached before this call (safe to re-attach a new feed).
   virtual void on_tail_sent() = 0;
 
-  // --- burst extensions (default: per-byte only) -----------------------------
-
-  /// Upper bound on plain body bytes (no head, no tail) the feed can commit
-  /// to consecutive sends at now, now+1, ... — bytes it *guarantees* will be
-  /// available at those logical times even if some have not logically
-  /// arrived yet (contiguous runs arrive at exactly one byte per byte-time,
-  /// so one arrived byte plus a physically buffered run is committable in
-  /// full). 0 means step per-byte.
-  [[nodiscard]] virtual std::int64_t burst_available() const { return 0; }
-
-  /// Takes up to `max` plain body bytes at once (1 <= result <= max).
-  /// Called only when burst_available() > 0 with max <= burst_available().
-  virtual std::int64_t take_bytes(std::int64_t max) {
-    (void)max;
-    return 0;  // feeds that never advertise a burst are never asked
-  }
-
-  /// When byte_available() is false *only because* physically buffered
-  /// bytes have not logically arrived yet, the time at which the next one
-  /// does (the channel self-schedules a pump there — no kick will come).
+  /// When run_available() is 0 *only because* physically buffered bytes
+  /// have not logically arrived yet, the time at which the next one does
+  /// (the channel self-schedules a pump there — no kick will come).
   /// kTimeNever when a kick will announce the next byte instead.
   [[nodiscard]] virtual Time next_byte_time() const { return kTimeNever; }
 };
@@ -95,25 +86,17 @@ class RxSink {
   /// complete with this call (no on_body follows).
   virtual void on_head(const WormPtr& worm, std::int64_t wire_len,
                        bool tail) = 0;
-  /// Every subsequent byte; `tail` marks the last one.
-  virtual void on_body(bool tail) = 0;
-
-  // --- burst extensions (default: per-byte only) -----------------------------
+  /// The next `n` bytes of the worm: the first arrives now, the rest at
+  /// logical times now+1 .. now+n-1 (the sink's availability accounting
+  /// must respect that). `tail` marks the worm's last byte; a tail always
+  /// arrives alone (n == 1).
+  virtual void on_body(std::int64_t n, bool tail) = 0;
 
   /// How many more bytes the sink can absorb — beyond everything already
   /// in flight toward it — without any possibility of a STOP/GO transition.
-  /// The channel never lets (in-flight + burst) exceed this, so a burst
-  /// delivery can never move a flow-control signal. 0 disables bursts.
+  /// The channel never lets (in-flight + run) exceed this, so a run can
+  /// never move a flow-control signal. 0 limits every run to one byte.
   [[nodiscard]] virtual std::int64_t rx_burst_budget() const { return 0; }
-
-  /// `n` body bytes delivered in one event: the first arrives now, the rest
-  /// at logical times now+1 .. now+n-1 (the sink's availability accounting
-  /// must respect that). The channel always delivers tails per-byte, so
-  /// `tail` is false today; the parameter keeps the signature future-proof.
-  virtual void on_body_burst(std::int64_t n, bool tail) {
-    for (std::int64_t i = 1; i < n; ++i) on_body(false);
-    on_body(tail);
-  }
 };
 
 /// A directed byte pipe with propagation delay and STOP/GO backpressure.
@@ -148,10 +131,9 @@ class Channel {
   /// as if a real link had corrupted the worm downstream of it.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
-  /// Enables/disables the burst fast path (results are identical either
-  /// way; per-byte mode exists for the equivalence suite and debugging).
+  /// Lets runs longer than one byte through (results are identical either
+  /// way; per-byte mode is the spec the equivalence suite checks against).
   void set_burst_enabled(bool on) { burst_ = on; }
-  [[nodiscard]] bool burst_enabled() const { return burst_; }
 
   /// Names this channel's trace track: the (node, port) of its transmitter
   /// end. Set once at fabric wiring; purely observational (wormtrace).
@@ -166,19 +148,19 @@ class Channel {
   void signal_go();
   [[nodiscard]] bool tx_stopped() const { return stopped_; }
 
-  /// Longest run a burst committed at the current tick may carry: 0 unless
+  /// Longest run the channel may commit at the current tick: 0 unless
   /// burst mode is on and the transmitter can send now (feed attached,
   /// un-STOPped, tick not yet claimed); otherwise the truncation boundary
   /// and the receiver's flow-control headroom net of bytes in flight. The
-  /// channel's own burst path and the multicast engine's gang check (which
+  /// channel's own send path and the multicast engine's gang check (which
   /// must know every branch channel can take the same run) both use it.
   [[nodiscard]] std::int64_t burst_headroom() const;
 
   /// Bytes *delivered* to the receiver by now (link utilization
   /// accounting). Bytes a fault swallowed do not count — a dead link must
-  /// not inflate measured utilization; see bytes_swallowed(). A burst
+  /// not inflate measured utilization; see bytes_swallowed(). A run
   /// committed at t counts one byte per logical send time, so reading this
-  /// mid-burst matches per-byte stepping exactly.
+  /// mid-run matches per-byte stepping exactly.
   [[nodiscard]] std::int64_t bytes_sent() const;
 
   /// Bytes swallowed by faults (link outages, control drops, the cut
@@ -202,7 +184,7 @@ class Channel {
     bool tail = false;
     WormPtr worm;               // head only
     std::int64_t wire_len = 0;  // head only
-    std::int64_t count = 1;     // >1: a burst of plain body bytes
+    std::int64_t count = 1;     // >1: a run of plain body bytes
     Time land = 0;              // arrival of the run's first byte
     std::uint64_t key = 0;      // the delivery event's reserved queue key
   };
@@ -216,7 +198,6 @@ class Channel {
 
   void pump();
   void schedule_pump();
-  bool try_burst();
   /// Puts a run on the wire toward the local sink: reserves its delivery
   /// key now and schedules the delivery if the lane was empty.
   void enqueue_delivery(InFlight b);
@@ -233,7 +214,7 @@ class Channel {
   bool stopped_ = false;
   bool burst_ = true;
   bool pump_scheduled_ = false;
-  /// Logical send time of the newest committed byte; a burst at t commits
+  /// Logical send time of the newest committed byte; a run at t commits
   /// sends through t+n-1, so this can sit in the future.
   Time last_send_ = -1;
   std::int64_t bytes_sent_ = 0;

@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "net/switch_mcast.h"
+#include "net/switch_mcast_engine.h"
 
 namespace wormcast {
 
@@ -63,7 +63,7 @@ SwitchRt& Fabric::switch_at(NodeId node) {
   return *switches_[node];
 }
 
-void Fabric::install_mcast_engine(McastEngine* engine) {
+void Fabric::install_mcast_engine(SwitchMcastEngine* engine) {
   for (auto& sw : switches_)
     if (sw) sw->set_mcast_engine(engine);
 }

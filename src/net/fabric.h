@@ -44,7 +44,7 @@ class Fabric {
   [[nodiscard]] Channel& channel_from(LinkId l, NodeId from);
 
   /// Installs a switch-level multicast engine on every switch.
-  void install_mcast_engine(McastEngine* engine);
+  void install_mcast_engine(SwitchMcastEngine* engine);
 
   /// Installs the experiment's fault injector on every channel.
   void install_fault_injector(FaultInjector* faults);

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "net/channel.h"
-#include "net/switch_rt.h"
 #include "sim/trace.h"
 
 namespace wormcast {
@@ -14,17 +12,13 @@ class SwitchMcastEngine::BranchFeed final : public ByteFeed {
   BranchFeed(SwitchMcastEngine& engine, Conn& conn, std::size_t idx)
       : engine_(engine), conn_(conn), idx_(idx) {}
 
-  [[nodiscard]] bool byte_available() const override {
-    return engine_.branch_byte_available(conn_, idx_);
+  [[nodiscard]] std::int64_t run_available() const override {
+    return engine_.branch_run(conn_, idx_);
   }
-  TxByte take_byte() override { return engine_.branch_take(conn_, idx_); }
+  TxByte take(std::int64_t n) override {
+    return engine_.branch_take(conn_, idx_, n);
+  }
   void on_tail_sent() override { engine_.branch_tail_sent(conn_, idx_); }
-  [[nodiscard]] std::int64_t burst_available() const override {
-    return engine_.branch_burst_available(conn_, idx_);
-  }
-  std::int64_t take_bytes(std::int64_t max) override {
-    return engine_.branch_take_run(conn_, idx_, max);
-  }
   [[nodiscard]] Time next_byte_time() const override {
     return engine_.branch_next_byte_time(conn_, idx_);
   }
@@ -162,10 +156,10 @@ void SwitchMcastEngine::on_input_bytes(InPort& in) {
 
 void SwitchMcastEngine::consume_prefix(Conn& c) {
   // Encoding bytes are consumed as they physically arrive (parsed by the
-  // switch). Bytes of a burst still logically in flight are released
-  // early, like a unicast drain commit: no STOP/GO decision can fall
-  // inside a burst's logical window, and copies wait for the logical
-  // arrival of the whole encoding (branch_byte_available).
+  // switch). Bytes of a run still logically in flight are released early,
+  // like a unicast drain commit: no STOP/GO decision can fall inside a
+  // run's logical window, and copies wait for the logical arrival of the
+  // whole encoding (branch_run).
   const std::int64_t upto =
       std::min(c.encoding_len, c.in->front_received());
   if (c.prefix_consumed >= upto) return;
@@ -225,19 +219,24 @@ void SwitchMcastEngine::claim_complete(Conn& c, std::size_t idx) {
   ch->attach_feed(b.feed.get());
 }
 
-bool SwitchMcastEngine::branch_byte_available(const Conn& c,
-                                              std::size_t idx) const {
+std::int64_t SwitchMcastEngine::branch_run(const Conn& c,
+                                           std::size_t idx) const {
   const Branch& b = c.branches[idx];
-  if (b.gang_pending) return true;  // a sibling committed this tick's run
-  if (b.done || !b.open || !b.holding_port) return false;
+  if (b.gang_pending) {  // a sibling committed this tick's run
+    assert(c.gang_at == sim_.now() && "gang run not taken in its tick");
+    return c.gang_n;
+  }
+  if (b.done || !b.open || !b.holding_port) return 0;
   // The whole route encoding must have arrived before copies flow.
-  if (c.in->front_arrived() < c.encoding_len) return false;
-  if (b.frag_prefix_sent < static_cast<std::int64_t>(b.prefix.size()))
-    return true;
-  if (b.closing) return true;
-  const std::int64_t i = b.body_taken;
-  if (i >= c.body_arrived()) return false;
-  return i == c.min_taken;  // lockstep: only the laggard(s) advance
+  if (c.in->front_arrived() < c.encoding_len) return 0;
+  if (b.frag_prefix_sent < static_cast<std::int64_t>(b.prefix.size()) ||
+      b.closing)
+    return 1;
+  if (b.body_taken >= c.body_arrived()) return 0;
+  // Lockstep: only the laggard(s) advance, and only a laggard can open the
+  // tick's gang run (a leader waits for the minimum to move).
+  if (b.body_taken != c.min_taken) return 0;
+  return std::max<std::int64_t>(1, gang_room(c));
 }
 
 Time SwitchMcastEngine::branch_next_byte_time(const Conn& c,
@@ -279,56 +278,11 @@ std::int64_t SwitchMcastEngine::gang_room(const Conn& c) const {
   return n > 1 ? n : 0;
 }
 
-std::int64_t SwitchMcastEngine::branch_burst_available(const Conn& c,
-                                                       std::size_t idx) const {
-  const Branch& b = c.branches[idx];
-  if (b.gang_pending) {
-    assert(c.gang_at == sim_.now() && "gang run not taken in its tick");
-    return c.gang_n;
-  }
-  // Only a laggard can open the tick's run: a leader is not byte-available
-  // until the minimum moves, so its pump never gets here first.
-  if (b.body_taken != c.min_taken) return 0;
-  return gang_room(c);
-}
-
-std::int64_t SwitchMcastEngine::branch_take_run(Conn& c, std::size_t idx,
-                                                std::int64_t max) {
+TxByte SwitchMcastEngine::branch_take(Conn& c, std::size_t idx,
+                                      std::int64_t n) {
   Branch& b = c.branches[idx];
-  std::int64_t n = max;
-  if (b.gang_pending) {
-    assert(c.gang_at == sim_.now() && max == c.gang_n &&
-           "every branch must take the same run in the same tick");
-    b.gang_pending = false;
-  } else {
-    // First branch of the tick: commit the run for the whole connection.
-    // Every branch advances by n, so the lockstep minimum does too, and
-    // the input releases the run's bytes now (drain_burst_limit allowed
-    // it); the channels deliver them one per byte-time.
-    assert(n >= 2);
-    c.gang_at = sim_.now();
-    c.gang_n = n;
-    c.min_taken += n;
-    c.in->mcast_consume(n);
-    for (std::size_t i = 0; i < c.branches.size(); ++i) {
-      if (i == idx) continue;
-      c.branches[i].gang_pending = true;
-      // Its channel has not sent this tick (burst_headroom checked), so
-      // this lands a pump in the same tick if none is scheduled yet.
-      c.sw->out_port(c.branches[i].port).channel->kick();
-    }
-  }
-  b.body_taken += n;
-  b.frag_sent += n;
-  // The run's newest byte leaves at now + n - 1, as InPort::take_bytes.
-  c.sw->out_port(b.port).last_data_byte = sim_.now() + n - 1;
-  return n;
-}
-
-TxByte SwitchMcastEngine::branch_take(Conn& c, std::size_t idx) {
-  Branch& b = c.branches[idx];
-  assert(!b.gang_pending && "gang run must be taken as a burst");
   TxByte out;
+  out.count = n;
   out.head = (b.frag_sent == 0);
   if (out.head) {
     out.worm = b.frag_worm;
@@ -337,26 +291,55 @@ TxByte SwitchMcastEngine::branch_take(Conn& c, std::size_t idx) {
                    std::max<std::int64_t>(2, c.in_wire - c.encoding_len -
                                                  b.body_taken);
   }
-  ++b.frag_sent;
-  c.sw->out_port(b.port).last_data_byte = sim_.now();
+  b.frag_sent += n;
+  // A run's newest byte leaves at now + n - 1, as in InPort::take.
+  c.sw->out_port(b.port).last_data_byte = sim_.now() + n - 1;
   if (b.frag_prefix_sent < static_cast<std::int64_t>(b.prefix.size())) {
+    assert(n == 1);
     ++b.frag_prefix_sent;
     return out;
   }
   if (b.closing) {
     // Synthetic fragment trailer.
+    assert(n == 1);
     out.tail = true;
     b.closing = false;
     return out;
   }
-  assert(b.body_taken == c.min_taken && "only laggards take body bytes");
-  ++b.body_taken;
+  if (b.gang_pending) {
+    assert(c.gang_at == sim_.now() && n == c.gang_n &&
+           "every branch must take the same run in the same tick");
+    b.gang_pending = false;
+  } else if (n > 1) {
+    commit_gang(c, idx, n);
+  } else {
+    assert(b.body_taken == c.min_taken && "only laggards take body bytes");
+  }
+  b.body_taken += n;
   if (c.body_final() && b.body_taken == c.body_arrived()) {
     out.tail = true;
     b.done = true;
   }
-  after_body_take(c);
+  if (n == 1) after_body_take(c);
   return out;
+}
+
+void SwitchMcastEngine::commit_gang(Conn& c, std::size_t idx, std::int64_t n) {
+  // First branch of the tick: commit the run for the whole connection.
+  // Every branch advances by n, so the lockstep minimum does too, and the
+  // input releases the run's bytes now (drain_burst_limit allowed it); the
+  // channels deliver them one per byte-time.
+  c.gang_at = sim_.now();
+  c.gang_n = n;
+  c.min_taken += n;
+  c.in->mcast_consume(n);
+  for (std::size_t i = 0; i < c.branches.size(); ++i) {
+    if (i == idx) continue;
+    c.branches[i].gang_pending = true;
+    // Its channel has not sent this tick (burst_headroom checked), so this
+    // lands a pump in the same tick if none is scheduled yet.
+    c.sw->out_port(c.branches[i].port).channel->kick();
+  }
 }
 
 void SwitchMcastEngine::after_body_take(Conn& c) {
@@ -461,16 +444,10 @@ void SwitchMcastEngine::periodic_check(InPort* key) {
 bool SwitchMcastEngine::maybe_flush_unicast(SwitchRt& sw, InPort& in,
                                             PortId out) {
   if (config_.scheme != SwitchMcastScheme::kFlushUnicast) return false;
-  const WormPtr& worm = in.front_worm();
-  if (worm->kind != WormKind::kData) return false;
-  const OutPort& op = sw.out_port(out);
-  if (sim_.now() - op.last_data_byte >= config_.idle_flush_threshold) {
-    ++flushed_;
-    WormPtr flushed_worm = worm;
-    WORMTRACE(sim_, kMcastIdleFlush, sw.node(), out, flushed_worm->id,
-              flushed_worm->src);
-    in.flush_front();
-    if (flush_handler_) flush_handler_(flushed_worm);
+  if (in.front_worm()->kind != WormKind::kData) return false;
+  if (sim_.now() - sw.out_port(out).last_data_byte >=
+      config_.idle_flush_threshold) {
+    flush(sw, in, out);
     return true;
   }
   // Not yet multicast-IDLE: let the unicast queue, and keep watching until
@@ -486,16 +463,19 @@ void SwitchMcastEngine::watch_for_flush(SwitchRt* sw, InPort* in, PortId out) {
     if (!sw->is_waiting(*in, out)) return;  // the unicast got through
     if (sim_.now() - port.last_data_byte >= config_.idle_flush_threshold) {
       sw->cancel_request(*in, out);
-      WormPtr flushed_worm = in->front_worm();
-      WORMTRACE(sim_, kMcastIdleFlush, sw->node(), out, flushed_worm->id,
-                flushed_worm->src);
-      in->flush_front();
-      ++flushed_;
-      if (flush_handler_) flush_handler_(flushed_worm);
+      flush(*sw, *in, out);
       return;
     }
     watch_for_flush(sw, in, out);
   });
+}
+
+void SwitchMcastEngine::flush(SwitchRt& sw, InPort& in, PortId out) {
+  WormPtr worm = in.front_worm();
+  WORMTRACE(sim_, kMcastIdleFlush, sw.node(), out, worm->id, worm->src);
+  in.flush_front();
+  ++flushed_;
+  if (flush_handler_) flush_handler_(worm);
 }
 
 }  // namespace wormcast

@@ -1,37 +1,45 @@
-// The concrete switch-level multicast engine (Section 3).
+// Switch-level multicasting (Section 3 of the paper).
 //
-// One engine instance serves the whole fabric. For every kSwitchMcast worm
-// that reaches the head of a switch input port it builds a *connection*:
-// one branch per output port named by the worm's encoded route (or, for a
-// broadcast worm past its climb, one branch per down-link of the up/down
-// spanning tree). Branches replicate the incoming byte stream in lockstep —
-// the worm advances at the pace of the slowest branch, which is exactly the
-// paper's "the time for all destinations is determined by the slowest
-// path". Scheme behaviour:
+// A kSwitchMcast worm carries its delivery tree as an EncodedMcastRoute
+// (Figure 2). One engine instance serves the whole fabric. For every such
+// worm that reaches the head of a switch input port it builds a
+// *connection*: one branch per output port named by the worm's encoded
+// route (or, for a broadcast worm past its climb, one branch per down-link
+// of the up/down spanning tree). Branches replicate the incoming byte
+// stream in lockstep — the worm advances at the pace of the slowest
+// branch, which is exactly the paper's "the time for all destinations is
+// determined by the slowest path". Three deadlock-avoidance schemes are
+// modeled:
 //
-//  * kIdleFill: branches hold their ports while stalled (IDLE fill).
-//  * kInterrupt: when any branch is backpressured, the other branches end
-//    their current *fragment* (a self-contained worm carrying the stamped
+//  * kIdleFill (scheme a): non-blocked branches hold their ports and idle
+//    (IDLE fill) while a sibling is stalled. Deadlock freedom requires
+//    every worm — unicast included — to be routed on the up/down spanning
+//    tree only; the route construction enforces it.
+//  * kInterrupt (scheme b): multicasts are serialized through the up/down
+//    root; when any branch is backpressured, the other branches end their
+//    current *fragment* (a self-contained worm carrying the stamped
 //    subroute) and release their ports; they re-acquire and resume with a
-//    fresh fragment when the stall clears. Destination adapters reassemble.
-//  * kFlushUnicast: as kIdleFill, but a port that has carried no data for
-//    idle_flush_threshold byte-times while held by a multicast flags
-//    multicast-IDLE; a unicast worm blocked on it is flushed from the
-//    network and its source notified to retransmit after a random timeout.
+//    fresh fragment when the stall clears. Destination adapters reassemble
+//    fragments; total ordering makes reassembly unambiguous.
+//  * kFlushUnicast (scheme c): as kIdleFill, but a port that has carried
+//    no data for idle_flush_threshold byte-times while held by a multicast
+//    flags multicast-IDLE; a unicast worm blocked on it is flushed from the
+//    network (backward reset) and its source retransmits after a random
+//    timeout.
 //
-// Gang bursts (the burst-mode hot path, DESIGN §6b). Lockstep means a
-// branch advances only while it sits at the connection's minimum
-// body_taken, so every branch is at the minimum L or one ahead at L+1.
-// When, at tick t, every branch is mid-body (open, holding its port, prefix
-// sent, not closing), every branch channel can take a burst of n bytes
-// now, and the input holds the bytes and may release n of them without a
-// STOP/GO decision moving, each branch would send one body byte per tick
-// for the next n ticks under per-byte stepping. The first branch channel
-// to pump in tick t then commits that run for the whole connection, the
-// input releases its n bytes at once, and every sibling's pump in the same
-// tick takes exactly the same n. Heads, prefixes, fragment trailers, final
-// tails and ticks where the condition fails step per-byte through the same
-// Branch state machine; results are bit-identical either way.
+// Gang runs (burst mode, DESIGN §6b). Lockstep means a branch advances
+// only while it sits at the connection's minimum body_taken, so every
+// branch is at the minimum L or one ahead at L+1. When, at tick t, every
+// branch is mid-body (open, holding its port, prefix sent, not closing),
+// every branch channel can take a run of n bytes now, and the input holds
+// the bytes and may release n of them without a STOP/GO decision moving,
+// each branch would send one body byte per tick for the next n ticks under
+// per-byte stepping. The first branch channel to pump in tick t then
+// commits that run for the whole connection, the input releases its n
+// bytes at once, and every sibling's pump in the same tick takes exactly
+// the same n. Heads, prefixes, fragment trailers, final tails and ticks
+// where the condition fails are runs of one through the same Branch state
+// machine; results are bit-identical either way.
 #pragma once
 
 #include <cstdint>
@@ -40,13 +48,20 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/switch_mcast.h"
+#include "net/channel.h"
+#include "net/switch_rt.h"
 #include "net/topology.h"
 #include "net/updown.h"
 #include "net/worm.h"
 #include "sim/arena.h"
 
 namespace wormcast {
+
+enum class SwitchMcastScheme : std::uint8_t {
+  kIdleFill,      // scheme (a): hold all branches, fill with IDLEs
+  kInterrupt,     // scheme (b): release non-blocked branches, fragment
+  kFlushUnicast,  // scheme (c): flush unicasts blocked on multicast-IDLE ports
+};
 
 struct SwitchMcastConfig {
   SwitchMcastScheme scheme = SwitchMcastScheme::kIdleFill;
@@ -57,18 +72,23 @@ struct SwitchMcastConfig {
   Time interrupt_check = 64;
 };
 
-class SwitchMcastEngine final : public McastEngine {
+class SwitchMcastEngine {
  public:
   SwitchMcastEngine(Simulator& sim, const Topology& topo,
                     const UpDownRouting& routing,
                     SwitchMcastConfig config = SwitchMcastConfig());
-  ~SwitchMcastEngine() override;
+  ~SwitchMcastEngine();
   SwitchMcastEngine(const SwitchMcastEngine&) = delete;
   SwitchMcastEngine& operator=(const SwitchMcastEngine&) = delete;
 
-  void start(InPort& in) override;
-  void on_input_bytes(InPort& in) override;
-  bool maybe_flush_unicast(SwitchRt& sw, InPort& in, PortId out) override;
+  /// The front worm of `in` is a routed kSwitchMcast worm; take it over.
+  void start(InPort& in);
+  /// More bytes of the front worm arrived at `in`.
+  void on_input_bytes(InPort& in);
+  /// A unicast worm at `in` requested output `out`, which a multicast
+  /// branch holds. Returns true when it flushed the unicast (scheme (c));
+  /// false lets it wait in the arbitration queue.
+  bool maybe_flush_unicast(SwitchRt& sw, InPort& in, PortId out);
 
   /// Called when a unicast worm is flushed (scheme (c)); the host side
   /// schedules the retransmission.
@@ -93,19 +113,21 @@ class SwitchMcastEngine final : public McastEngine {
   void claim_complete(Conn& conn, std::size_t idx);
   void close_fragment(Conn& conn, std::size_t idx);
   void branch_tail_sent(Conn& conn, std::size_t idx);
-  [[nodiscard]] bool branch_byte_available(const Conn& conn, std::size_t idx) const;
-  TxByte branch_take(Conn& conn, std::size_t idx);
-  [[nodiscard]] std::int64_t branch_burst_available(const Conn& conn,
-                                                    std::size_t idx) const;
-  std::int64_t branch_take_run(Conn& conn, std::size_t idx, std::int64_t max);
+  [[nodiscard]] std::int64_t branch_run(const Conn& conn,
+                                        std::size_t idx) const;
+  TxByte branch_take(Conn& conn, std::size_t idx, std::int64_t n);
   [[nodiscard]] Time branch_next_byte_time(const Conn& conn,
                                            std::size_t idx) const;
   [[nodiscard]] std::int64_t gang_room(const Conn& conn) const;
+  void commit_gang(Conn& conn, std::size_t idx, std::int64_t n);
   void after_body_take(Conn& conn);
   void consume_prefix(Conn& conn);
   void kick_all(Conn& conn);
   void periodic_check(InPort* key);
   void watch_for_flush(SwitchRt* sw, InPort* in, PortId out);
+  /// Flushes the unicast at the front of `in` blocked on `out`: trace,
+  /// discard, count, notify the host side.
+  void flush(SwitchRt& sw, InPort& in, PortId out);
   void finish(Conn& conn);
   [[nodiscard]] bool any_branch_stopped(const Conn& conn) const;
 

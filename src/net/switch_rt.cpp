@@ -5,7 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "net/switch_mcast.h"
+#include "net/switch_mcast_engine.h"
 #include "net/topology.h"
 #include "sim/trace.h"
 
@@ -28,14 +28,15 @@ void InPort::on_head(const WormPtr& worm, std::int64_t wire_len, bool tail) {
   if (rx_queue_.size() == 1) begin_routing();
 }
 
-void InPort::on_body(bool tail) {
+void InPort::on_body(std::int64_t n, bool tail) {
   assert(!rx_queue_.empty());
+  assert((n == 1 || !tail) && "a tail arrives alone");
   RxWorm& rx = rx_queue_.back();
-  ++rx.received;
-  rx.run_end = sw_.sim().now();
+  rx.received += n;
+  rx.run_end = sw_.sim().now() + n - 1;
   if (tail) rx.tail_seen = true;
   if (rx.discard) {
-    // Flushed worm: swallow the byte. When fully drained and it is still
+    // Flushed worm: swallow the bytes. When fully drained and it is still
     // the front, retire it.
     if (tail && &rx == &rx_queue_.front()) {
       rx_queue_.pop_front();
@@ -43,7 +44,7 @@ void InPort::on_body(bool tail) {
     }
     return;
   }
-  ++buffered_;
+  buffered_ += n;
   if (buffered_ > sw_.slack_capacity(port_)) sw_.note_overflow();
   check_stop();
   if (connected_ && &rx == &rx_queue_.front()) {
@@ -55,7 +56,7 @@ void InPort::on_body(bool tail) {
 
 void InPort::begin_routing() {
   assert(!rx_queue_.empty() && !rx_queue_.front().routed);
-  sw_.sim().after(sw_.config().routing_latency, [this] { do_route(); });
+  sw_.sim().after(kRoutingLatency, [this] { do_route(); });
 }
 
 void InPort::do_route() {
@@ -71,7 +72,7 @@ void InPort::do_route() {
       front.worm->route_offset >= front.worm->route.size()) {
     // Tree-encoded multicast, or a broadcast worm that has finished its
     // climb to the flood point: hand over to the multicast engine.
-    McastEngine* engine = sw_.mcast_engine();
+    SwitchMcastEngine* engine = sw_.mcast_engine();
     if (engine == nullptr)
       throw std::logic_error("switch-level multicast worm but no engine installed");
     engine->start(*this);  // sets mcast_conn_
@@ -84,11 +85,6 @@ void InPort::do_route() {
   const PortId out = route.at(front.worm->route_offset++);
   assert(out >= 0 && out < static_cast<PortId>(sw_.n_ports()));
   sw_.request_output(*this, out);
-}
-
-bool InPort::byte_available() const {
-  if (!connected_ || rx_queue_.empty()) return false;
-  return front_available() > 0;
 }
 
 std::int64_t InPort::front_available() const {
@@ -115,46 +111,16 @@ std::int64_t InPort::rx_burst_budget() const {
   return std::max<std::int64_t>(0, sw_.config().stop_threshold - 1 - buffered_);
 }
 
-void InPort::on_body_burst(std::int64_t n, bool tail) {
-  assert(n >= 2 && !tail && "tails are always delivered per-byte");
-  assert(!rx_queue_.empty());
-  RxWorm& rx = rx_queue_.back();
-  rx.received += n;
-  rx.run_end = sw_.sim().now() + n - 1;
-  if (rx.discard) return;  // flushed worm: the per-byte tail retires it
-  buffered_ += n;
-  if (buffered_ > sw_.slack_capacity(port_)) sw_.note_overflow();
-  check_stop();
-  if (connected_ && &rx == &rx_queue_.front()) {
-    sw_.out_port(out_port_).channel->kick();
-  } else if (mcast_conn_ != nullptr && &rx == &rx_queue_.front()) {
-    sw_.mcast_engine()->on_input_bytes(*this);
-  }
-}
-
-std::int64_t InPort::burst_available() const {
-  if (!connected_ || rx_queue_.empty() || forwarded_ < 1) return 0;
-  if (front_available() < 1) return 0;  // need one logically-arrived byte
+std::int64_t InPort::run_available() const {
+  if (!connected_ || rx_queue_.empty() || front_available() < 1) return 0;
+  if (forwarded_ == 0) return 1;  // the head
   const RxWorm& front = rx_queue_.front();
   // All physically buffered bytes of the front worm are committable once one
   // has logically arrived: pending bytes arrive exactly one per byte-time,
-  // matching the send rate. The tail byte always steps per-byte.
+  // matching the send rate. The tail byte steps alone.
   std::int64_t n = (front.received - 1) - forwarded_;
   if (front.tail_seen) --n;
-  return std::max<std::int64_t>(0, std::min(n, drain_burst_limit()));
-}
-
-std::int64_t InPort::take_bytes(std::int64_t max) {
-  const std::int64_t n = std::min(max, burst_available());
-  assert(n >= 1);
-  forwarded_ += n;
-  buffered_ -= n;
-  after_byte_removed();
-  // The run's newest byte leaves at now + n - 1 (multicast-IDLE detection
-  // compares against "last activity", so a future stamp is conservative
-  // and exact once the run completes).
-  sw_.out_port(out_port_).last_data_byte = sw_.sim().now() + n - 1;
-  return n;
+  return std::max<std::int64_t>(1, std::min(n, drain_burst_limit()));
 }
 
 Time InPort::next_byte_time() const {
@@ -167,22 +133,26 @@ Time InPort::next_byte_time() const {
   return kTimeNever;
 }
 
-TxByte InPort::take_byte() {
-  assert(byte_available());
+TxByte InPort::take(std::int64_t n) {
+  assert(n >= 1 && n <= run_available());
   RxWorm& front = rx_queue_.front();
   TxByte b;
+  b.count = n;
   b.head = (forwarded_ == 0);
   if (b.head) {
     b.worm = front.worm;
     b.wire_len = front.wire_len - 1;  // route byte stripped at this switch
   }
-  ++forwarded_;
+  forwarded_ += n;
   // Framing is tail-driven: the incoming tail symbol is authoritative (the
   // declared wire length is advisory — scheme (b) fragments end early).
   b.tail = front.tail_seen && (forwarded_ == front.received - 1);
-  --buffered_;
+  buffered_ -= n;
   after_byte_removed();
-  sw_.out_port(out_port_).last_data_byte = sw_.sim().now();
+  // The run's newest byte leaves at now + n - 1 (multicast-IDLE detection
+  // compares against "last activity", so a future stamp is conservative
+  // and exact once the run completes).
+  sw_.out_port(out_port_).last_data_byte = sw_.sim().now() + n - 1;
   return b;
 }
 

@@ -23,7 +23,7 @@
 namespace wormcast {
 
 class SwitchRt;
-class McastEngine;
+class SwitchMcastEngine;
 struct McastConn;
 
 /// Per-switch flow-control and timing parameters.
@@ -32,9 +32,10 @@ struct SwitchConfig {
   std::int64_t stop_threshold = 24;
   /// Occupancy at which GO re-opens the upstream transmitter (K_g).
   std::int64_t go_threshold = 8;
-  /// Head routing/arbitration latency in byte-times.
-  Time routing_latency = 4;
 };
+
+/// Head routing/arbitration latency in byte-times.
+inline constexpr Time kRoutingLatency = 4;
 
 /// One switch input port: slack buffer plus forwarding state machine.
 class InPort final : public RxSink, public ByteFeed {
@@ -43,31 +44,25 @@ class InPort final : public RxSink, public ByteFeed {
 
   // RxSink — bytes arriving from the upstream channel.
   void on_head(const WormPtr& worm, std::int64_t wire_len, bool tail) override;
-  void on_body(bool tail) override;
+  void on_body(std::int64_t n, bool tail) override;
   [[nodiscard]] std::int64_t rx_burst_budget() const override;
-  void on_body_burst(std::int64_t n, bool tail) override;
 
   // ByteFeed — bytes leaving through the connected output channel.
-  [[nodiscard]] bool byte_available() const override;
-  TxByte take_byte() override;
+  [[nodiscard]] std::int64_t run_available() const override;
+  TxByte take(std::int64_t n) override;
   void on_tail_sent() override;
-  [[nodiscard]] std::int64_t burst_available() const override;
-  std::int64_t take_bytes(std::int64_t max) override;
   [[nodiscard]] Time next_byte_time() const override;
 
   [[nodiscard]] PortId port() const { return port_; }
   [[nodiscard]] std::int64_t buffered() const { return buffered_; }
-  [[nodiscard]] bool stop_sent() const { return stop_sent_; }
-  /// Worms queued in this port (front one may be mid-forward).
-  [[nodiscard]] std::size_t worms_pending() const { return rx_queue_.size(); }
   /// Estimated resident bytes for this input port (memory audit).
   [[nodiscard]] std::size_t heap_bytes_estimate() const {
     return sizeof(InPort) + rx_queue_.heap_bytes_estimate();
   }
-  /// Bytes of the front worm available to forward right now. Burst-delivered
-  /// bytes whose logical arrival time is still in the future do not count
-  /// (they become forwardable one per byte-time, exactly as if the upstream
-  /// channel had stepped per-byte).
+  /// Bytes of the front worm available to forward right now. Bytes of a
+  /// delivered run whose logical arrival time is still in the future do not
+  /// count (they become forwardable one per byte-time, exactly as if the
+  /// upstream channel had stepped per-byte).
   [[nodiscard]] std::int64_t front_available() const;
   [[nodiscard]] const WormPtr& front_worm() const { return rx_queue_.front().worm; }
 
@@ -98,7 +93,7 @@ class InPort final : public RxSink, public ByteFeed {
     return rx_queue_.front().received;
   }
   /// Bytes of the front worm that have *logically* arrived by now (head
-  /// included): a burst delivered at t carries arrival times t..t+n-1, so
+  /// included): a run delivered at t carries arrival times t..t+n-1, so
   /// its later bytes count only once their time has come.
   [[nodiscard]] std::int64_t front_arrived() const;
   [[nodiscard]] std::int64_t front_wire_len() const {
@@ -125,7 +120,7 @@ class InPort final : public RxSink, public ByteFeed {
     bool routed = false;        // routing decision issued
     bool tail_seen = false;     // tail symbol arrived (authoritative framing)
     bool discard = false;       // flushed: swallow remaining bytes
-    /// Logical arrival time of the newest byte: a burst delivered at t
+    /// Logical arrival time of the newest byte: a run delivered at t
     /// carries arrival times t..t+n-1, so bytes with arrival > now have
     /// not "happened" yet for forwarding purposes.
     Time run_end = 0;
@@ -188,7 +183,7 @@ class SwitchRt {
   /// end-of-tick arbitration pass: same-tick requests are granted in a
   /// canonical (request time, in-port id) order rather than in event
   /// order, so results do not depend on how events interleave within a
-  /// tick (the burst-mode fast path coalesces events and would otherwise
+  /// tick (burst mode coalesces events and would otherwise
   /// perturb FIFO arrival order).
   void request_output(InPort& in, PortId out);
   /// Releases `out` and grants the next waiter, if any.
@@ -226,8 +221,8 @@ class SwitchRt {
 
   /// Installs the switch-level multicast engine (nullptr = multicast worms
   /// are a protocol error at this switch).
-  void set_mcast_engine(McastEngine* engine) { mcast_engine_ = engine; }
-  [[nodiscard]] McastEngine* mcast_engine() { return mcast_engine_; }
+  void set_mcast_engine(SwitchMcastEngine* engine) { mcast_engine_ = engine; }
+  [[nodiscard]] SwitchMcastEngine* mcast_engine() { return mcast_engine_; }
 
   /// Slack-buffer overflow accounting (should stay zero when thresholds
   /// and capacities are consistent; tests assert on it).
@@ -248,7 +243,7 @@ class SwitchRt {
   std::vector<std::unique_ptr<InPort>> in_ports_;
   std::vector<OutPort> out_ports_;
   std::vector<Channel*> in_channels_;
-  McastEngine* mcast_engine_ = nullptr;
+  SwitchMcastEngine* mcast_engine_ = nullptr;
   std::int64_t overflows_ = 0;
 };
 

@@ -146,9 +146,6 @@ class FaultInjector {
 
   // --- counters --------------------------------------------------------------
 
-  [[nodiscard]] std::int64_t worms_killed() const { return worms_killed_; }
-  [[nodiscard]] std::int64_t controls_dropped() const { return controls_dropped_; }
-  [[nodiscard]] std::int64_t rx_dropped() const { return rx_dropped_; }
   [[nodiscard]] std::int64_t outage_drops() const { return outage_drops_; }
   [[nodiscard]] std::int64_t hosts_crashed() const {
     return static_cast<std::int64_t>(dead_hosts_.size());

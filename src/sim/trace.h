@@ -3,10 +3,7 @@
 // A `Tracer` is a fixed-capacity ring buffer of small POD `TraceEvent`
 // records. Components call the WORMTRACE macro at decision points (STOP/GO
 // transitions, arbitration grants, multicast scheme decisions, protocol
-// timers); when tracing is disabled the macro costs one predicted branch,
-// and with -DWORMCAST_TRACE_DISABLED (CMake -DWORMCAST_TRACE=OFF) it
-// compiles out entirely — the burst-equivalence CI job builds that way to
-// pin bit-for-bit results and the zero-overhead claim.
+// timers); when tracing is disabled the macro costs one predicted branch.
 //
 // The ring never allocates after enable(): a full ring overwrites the
 // oldest events, so at any moment it holds the *last N* decisions — what
@@ -147,8 +144,7 @@ class Tracer {
 
 // The instrumentation macro. `sim` is a Simulator&; arguments after `type`
 // are (node, port, worm_id, arg) and are NOT evaluated unless tracing is
-// both compiled in and runtime-enabled.
-#if !defined(WORMCAST_TRACE_DISABLED)
+// enabled.
 #define WORMTRACE(sim, type, node, port, worm, arg)                       \
   do {                                                                    \
     ::wormcast::Tracer& wormtrace_tr_ = (sim).tracer();                   \
@@ -159,8 +155,3 @@ class Tracer {
                            static_cast<std::uint64_t>(worm),              \
                            static_cast<std::int64_t>(arg));               \
   } while (0)
-#else
-#define WORMTRACE(sim, type, node, port, worm, arg) \
-  do {                                              \
-  } while (0)
-#endif

@@ -41,9 +41,8 @@ void TrafficGenerator::fire(HostId h) {
   RandomStream& rng = rngs_[static_cast<std::size_t>(h)];
   Demand d;
   d.src = h;
-  d.length = std::min(config_.max_worm_len,
-                      rng.geometric_length(config_.mean_worm_len,
-                                           config_.min_worm_len));
+  d.length = std::min(kMaxWormLen, rng.geometric_length(config_.mean_worm_len,
+                                                        kMinWormLen));
   const auto& my_groups = groups_of_host_[static_cast<std::size_t>(h)];
   if (!my_groups.empty() && rng.chance(config_.multicast_fraction)) {
     d.multicast = true;

@@ -21,10 +21,12 @@ namespace wormcast {
 struct TrafficConfig {
   double offered_load = 0.05;   // bytes per byte-time per host (= utilization)
   double mean_worm_len = 400.0;
-  std::int64_t min_worm_len = 16;
-  std::int64_t max_worm_len = 9 * 1024;  // Myrinet's LANai worm cap
   double multicast_fraction = 0.10;
 };
+
+/// Bounds of a generated worm's payload length.
+inline constexpr std::int64_t kMinWormLen = 16;
+inline constexpr std::int64_t kMaxWormLen = 9 * 1024;  // Myrinet's LANai worm cap
 
 /// One application send request.
 struct Demand {

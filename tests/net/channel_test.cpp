@@ -19,8 +19,10 @@ class OneWormFeed final : public ByteFeed {
  public:
   OneWormFeed(WormPtr worm, std::int64_t len) : worm_(std::move(worm)), len_(len) {}
 
-  [[nodiscard]] bool byte_available() const override { return sent_ < len_; }
-  TxByte take_byte() override {
+  [[nodiscard]] std::int64_t run_available() const override {
+    return sent_ < len_ ? 1 : 0;
+  }
+  TxByte take(std::int64_t) override {
     TxByte b;
     b.head = sent_ == 0;
     if (b.head) {
@@ -52,8 +54,8 @@ class RecordSink final : public RxSink {
     head_len = wire_len;
     times.push_back(sim_.now());
   }
-  void on_body(bool tail) override {
-    times.push_back(sim_.now());
+  void on_body(std::int64_t n, bool tail) override {
+    for (std::int64_t i = 0; i < n; ++i) times.push_back(sim_.now() + i);
     if (tail) tail_at = sim_.now();
   }
 
@@ -133,10 +135,10 @@ TEST(Channel, KickAfterFeedStarvationResumes) {
   class GappyFeed final : public ByteFeed {
    public:
     explicit GappyFeed(WormPtr w) : worm_(std::move(w)) {}
-    bool byte_available() const override {
-      return sent_ < available_;
+    std::int64_t run_available() const override {
+      return sent_ < available_ ? 1 : 0;
     }
-    TxByte take_byte() override {
+    TxByte take(std::int64_t) override {
       TxByte b;
       b.head = sent_ == 0;
       if (b.head) {
@@ -180,31 +182,27 @@ TEST(Channel, SequentialWormsKeepOneByteSpacing) {
   EXPECT_EQ(sink.times[4], 8);
 }
 
-/// A OneWormFeed that also advertises bursts (everything but head and tail).
+/// A OneWormFeed that offers runs (everything between head and tail).
 class BurstWormFeed final : public ByteFeed {
  public:
   BurstWormFeed(WormPtr worm, std::int64_t len)
       : worm_(std::move(worm)), len_(len) {}
-  [[nodiscard]] bool byte_available() const override { return sent_ < len_; }
-  TxByte take_byte() override {
+  [[nodiscard]] std::int64_t run_available() const override {
+    if (sent_ >= len_) return 0;
+    if (sent_ == 0) return 1;  // the head
+    return std::max<std::int64_t>(1, len_ - 1 - sent_);  // all but the tail
+  }
+  TxByte take(std::int64_t n) override {
     TxByte b;
+    b.count = n;
     b.head = sent_ == 0;
     if (b.head) {
       b.worm = worm_;
       b.wire_len = len_;
     }
-    ++sent_;
+    sent_ += n;
     b.tail = sent_ == len_;
     return b;
-  }
-  [[nodiscard]] std::int64_t burst_available() const override {
-    if (sent_ == 0) return 0;
-    return len_ - 1 - sent_;  // everything but the tail byte
-  }
-  std::int64_t take_bytes(std::int64_t max) override {
-    const std::int64_t n = std::min(max, burst_available());
-    sent_ += n;
-    return n;
   }
   void on_tail_sent() override { tail_sent_ = true; }
   [[nodiscard]] bool tail_sent() const { return tail_sent_; }
@@ -216,20 +214,17 @@ class BurstWormFeed final : public ByteFeed {
   bool tail_sent_ = false;
 };
 
-/// RecordSink that also absorbs bursts (unbounded budget).
+/// RecordSink that also absorbs runs (unbounded budget).
 class BurstRecordSink final : public RxSink {
  public:
   explicit BurstRecordSink(Simulator& sim) : sim_(sim) {}
   void on_head(const WormPtr&, std::int64_t, bool) override { bytes += 1; }
-  void on_body(bool tail) override {
-    bytes += 1;
+  void on_body(std::int64_t n, bool tail) override {
+    bytes += n;
+    if (n > 1) ++burst_events;
     if (tail) tail_at = sim_.now();
   }
   [[nodiscard]] std::int64_t rx_burst_budget() const override { return 1 << 20; }
-  void on_body_burst(std::int64_t n, bool) override {
-    bytes += n;
-    ++burst_events;
-  }
   Simulator& sim_;
   std::int64_t bytes = 0;
   std::int64_t burst_events = 0;
@@ -314,8 +309,8 @@ TEST(Channel, ReentrantKickFromTakePathKeepsLineRate) {
   class KickingFeed final : public ByteFeed {
    public:
     KickingFeed(Channel& ch, WormPtr w) : ch_(ch), worm_(std::move(w)) {}
-    bool byte_available() const override { return sent_ < 12; }
-    TxByte take_byte() override {
+    std::int64_t run_available() const override { return sent_ < 12 ? 1 : 0; }
+    TxByte take(std::int64_t) override {
       TxByte b;
       b.head = sent_ == 0;
       if (b.head) {

@@ -19,8 +19,10 @@ namespace {
 class StreamFeed final : public ByteFeed {
  public:
   explicit StreamFeed(std::int64_t len) : len_(len) {}
-  [[nodiscard]] bool byte_available() const override { return sent_ < len_; }
-  TxByte take_byte() override {
+  [[nodiscard]] std::int64_t run_available() const override {
+    return sent_ < len_ ? 1 : 0;
+  }
+  TxByte take(std::int64_t) override {
     TxByte b;
     b.head = sent_ == 0;
     if (b.head) {
@@ -43,7 +45,7 @@ class TagSink final : public RxSink {
   TagSink(Simulator& sim, int tag, std::vector<std::pair<Time, int>>& log)
       : sim_(sim), tag_(tag), log_(log) {}
   void on_head(const WormPtr&, std::int64_t, bool) override { note(); }
-  void on_body(bool) override { note(); }
+  void on_body(std::int64_t, bool) override { note(); }
   std::int64_t received = 0;
 
  private:

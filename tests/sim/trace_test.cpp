@@ -155,8 +155,6 @@ TEST(CounterRegistry, SnapshotPreservesRegistrationOrder) {
   EXPECT_EQ(snap[1].first, "pi-ish");
 }
 
-#ifndef WORMCAST_TRACE_DISABLED
-
 TEST(TraceEndToEnd, MulticastRunRecordsAllLayers) {
   ExperimentConfig cfg;
   cfg.protocol.scheme = Scheme::kHamiltonianSF;
@@ -241,8 +239,6 @@ TEST(TraceEndToEnd, TracingDoesNotChangeResults) {
   EXPECT_EQ(plain.first, traced.first);    // identical final time
   EXPECT_EQ(plain.second, traced.second);  // identical latency samples
 }
-
-#endif  // WORMCAST_TRACE_DISABLED
 
 }  // namespace
 }  // namespace wormcast

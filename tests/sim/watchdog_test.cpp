@@ -65,7 +65,6 @@ TEST(DeadlockWatchdog, ReportIncludesTraceTailWhenTracerArmed) {
   sim.tracer().enable(64);
   sim.at(40, [&sim] {
     WORMTRACE(sim, kArbGrant, 2, 1, 7, 0);
-    (void)sim;  // WORMTRACE compiles out under WORMCAST_TRACE=OFF
   });
   DeadlockWatchdog dog(
       sim, 100, [] { return 1; }, [] {});
@@ -74,12 +73,10 @@ TEST(DeadlockWatchdog, ReportIncludesTraceTailWhenTracerArmed) {
   sim.run_until(1000);
   ASSERT_TRUE(dog.deadlock_detected());
   EXPECT_NE(dog.report().find("host state"), std::string::npos);
-#ifndef WORMCAST_TRACE_DISABLED
   // The flight-recorder tail rides along with the state dump.
   EXPECT_NE(dog.report().find("trace tail (last 1 of 1 recorded):"),
             std::string::npos);
   EXPECT_NE(dog.report().find("arb.grant worm=7"), std::string::npos);
-#endif
 }
 
 TEST(DeadlockWatchdog, NoDiagnosticsWithoutStall) {

@@ -36,8 +36,6 @@ TEST(TrafficGenerator, WormLengthsHaveConfiguredMeanAndBounds) {
   TrafficConfig cfg;
   cfg.offered_load = 0.2;
   cfg.mean_worm_len = 400.0;
-  cfg.min_worm_len = 16;
-  cfg.max_worm_len = 9 * 1024;
   Collected got;
   TrafficGenerator gen(sim, cfg, {}, 4, RandomStream(2),
                        [&](const Demand& d) { got.demands.push_back(d); });
@@ -46,8 +44,8 @@ TEST(TrafficGenerator, WormLengthsHaveConfiguredMeanAndBounds) {
   ASSERT_GT(got.demands.size(), 300u);
   double total = 0;
   for (const auto& d : got.demands) {
-    EXPECT_GE(d.length, 16);
-    EXPECT_LE(d.length, 9 * 1024);
+    EXPECT_GE(d.length, kMinWormLen);
+    EXPECT_LE(d.length, kMaxWormLen);
     total += static_cast<double>(d.length);
   }
   EXPECT_NEAR(total / static_cast<double>(got.demands.size()), 400.0, 40.0);
