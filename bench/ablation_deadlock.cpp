@@ -84,7 +84,7 @@ RunResult run_one(bool classes, int burst_per_member, int seed, Time horizon,
   checks.collect(slot, net, std::move(label));
   const auto s = net.summary();
   RunResult r;
-  r.nacks = s.nacks;
+  r.nacks = s.counts.nacks;
   if (s.outstanding > 0) {
     // A wedged run explains itself: per-host state plus the recorder's
     // last decisions. The NACK livelock keeps *events* flowing, so the

@@ -139,21 +139,21 @@ Point run_point(const Combo& combo, Time gap, Time measure, std::uint64_t seed,
                    ctx->destinations_reached, ctx->destinations_total);
   }
   Point p;
-  if (s.joins_requested > 0)
-    p.shed_rate = static_cast<double>(s.joins_shed) /
-                  static_cast<double>(s.joins_requested);
+  if (s.counts.joins_requested > 0)
+    p.shed_rate = static_cast<double>(s.counts.joins_shed) /
+                  static_cast<double>(s.counts.joins_requested);
   p.joins_measured = s.join_samples > 0;
   if (p.joins_measured) {
     p.join_mean = s.join_latency_mean;
     p.join_p95 = s.join_latency_p95;
   }
   p.queue_peak = static_cast<double>(s.membership_queue_peak);
-  if (s.messages > 0)
-    p.delivered = static_cast<double>(s.messages_completed) /
-                  static_cast<double>(s.messages);
+  if (s.counts.messages_created > 0)
+    p.delivered = static_cast<double>(s.counts.messages_completed) /
+                  static_cast<double>(s.counts.messages_created);
   p.lost = static_cast<double>(s.outstanding);
-  p.rejoins = static_cast<double>(s.rejoins);
-  p.leaves = static_cast<double>(s.leaves);
+  p.rejoins = static_cast<double>(s.counts.rejoins);
+  p.leaves = static_cast<double>(s.counts.leaves);
   p.flap_windows = static_cast<double>(s.flap_windows);
   return p;
 }

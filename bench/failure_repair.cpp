@@ -63,11 +63,11 @@ Point run_crash(Scheme scheme, Time suspicion, Time measure,
   p.repair_latency = p.detected
                          ? static_cast<double>(s.last_repair_time - crash_at)
                          : -1.0;  // CSV sentinel; the JSON cell goes null
-  p.rerouted = static_cast<double>(s.sends_rerouted);
-  p.disrupted = static_cast<double>(s.messages_disrupted);
-  if (s.messages > 0)
-    p.delivered = static_cast<double>(s.messages_completed) /
-                  static_cast<double>(s.messages);
+  p.rerouted = static_cast<double>(s.counts.sends_rerouted);
+  p.disrupted = static_cast<double>(s.counts.messages_disrupted);
+  if (s.counts.messages_created > 0)
+    p.delivered = static_cast<double>(s.counts.messages_completed) /
+                  static_cast<double>(s.counts.messages_created);
   return p;
 }
 

@@ -52,11 +52,12 @@ Point run_lossy(Scheme scheme, double loss, Time measure, std::uint64_t seed,
   checks.collect(slot, net, std::move(label));
   const Network::Summary s = net.summary();
   Point p;
-  if (s.messages > 0) {
-    p.delivered = static_cast<double>(s.messages_completed) /
-                  static_cast<double>(s.messages);
+  if (s.counts.messages_created > 0) {
+    p.delivered = static_cast<double>(s.counts.messages_completed) /
+                  static_cast<double>(s.counts.messages_created);
     p.retx_per_msg =
-        static_cast<double>(s.retransmits) / static_cast<double>(s.messages);
+        static_cast<double>(s.counts.retransmits) /
+        static_cast<double>(s.counts.messages_created);
   }
   p.has_p99 = net.metrics().mcast_latency().count() > 0;
   p.p99 = net.metrics().mcast_latency().percentile(99.0);

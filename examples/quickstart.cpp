@@ -57,7 +57,7 @@ void loaded_demo(Scheme scheme) {
               "nacks %lld  outstanding %lld\n",
               scheme_name(scheme), s.measured_utilization,
               s.mcast_latency_mean, s.unicast_latency_mean,
-              static_cast<long long>(s.nacks),
+              static_cast<long long>(s.counts.nacks),
               static_cast<long long>(s.outstanding));
 }
 

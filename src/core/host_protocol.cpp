@@ -50,7 +50,7 @@ void HostProtocol::on_unicast_flushed(const WormPtr& worm) {
       metrics_.abandon_message(worm->message);
       return;
     }
-    metrics_.on_retransmit();
+    ++metrics_.counts.retransmits;
     WormPtr copy = make_worm(WormKind::kData, worm->dst, worm->payload,
                              worm->header, worm->id);
     copy->mcast = worm->mcast;
@@ -146,7 +146,7 @@ void HostProtocol::relay_to_serializer(const TaskPtr& task) {
   // The relay travels in the one "reversal" buffer class (Section 4).
   task->sends.assign(1, task->send_to(serializer(task->group), 1));
   task->sends.front().header.relay_phase = true;
-  metrics_.on_relay();
+  ++metrics_.counts.relays;
   dispatch(task, 0, /*cut_through=*/false);
 }
 
@@ -274,7 +274,7 @@ RxDecision HostProtocol::on_rx_head(const WormPtr& worm,
         dedup_for(h.group).contains(dedup_key(h.message_id, h.relay_phase));
     const auto existing = tasks_.find(h.message_id);
     if (done || (!is_confirmation(h) && existing != tasks_.end())) {
-      metrics_.on_duplicate();
+      ++metrics_.counts.duplicates_suppressed;
       WORMTRACE(sim_, kProtoDuplicate, host_, -1, worm->id, worm->src);
       if (done || existing->second->rx_complete)
         adapter_.send_control(make_control_worm(WormKind::kAck, worm));
@@ -304,10 +304,10 @@ RxDecision HostProtocol::on_rx_head(const WormPtr& worm,
       std::max(worm->payload, config_.input_slot_bytes);
   if (!pool_.try_reserve(cls, reserve_bytes)) {
     if (config_.reservation) {
-      metrics_.on_nack();
+      ++metrics_.counts.nacks;
       adapter_.send_control(make_control_worm(WormKind::kNack, worm));
     } else {
-      metrics_.on_mcast_drop();
+      ++metrics_.counts.mcast_drops;
     }
     return RxDecision::kDrop;
   }
@@ -400,7 +400,6 @@ void HostProtocol::handle_mcast_data(const WormPtr& worm) {
       dedup_for(h.group).insert(dedup_key(h.message_id, h.relay_phase));
       adapter_.send_control(make_control_worm(WormKind::kAck, worm));
     }
-    metrics_.on_confirmation(worm->message, sim_.now());
     return;
   }
   const auto it = tasks_.find(h.message_id);

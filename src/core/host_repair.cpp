@@ -77,7 +77,7 @@ void HostProtocol::repair_task_sends(
     touched = true;
     cancel_timer(s);
     if (s.started) ack_wait_.erase(send_key(task->message_id, s.to));
-    metrics_.on_send_rerouted();
+    ++metrics_.counts.sends_rerouted;
 
     HostId to = kNoHost;  // stays kNoHost where the repaired structure ends
     if (s.header.relay_phase) {
@@ -149,7 +149,7 @@ void HostProtocol::repair_task_sends(
           r.orphan, config_.scheme == Scheme::kTreeBroadcast ? 1 : 0));
       to_dispatch.push_back(task->sends.size() - 1);
       touched = true;
-      metrics_.on_send_rerouted();
+      ++metrics_.counts.sends_rerouted;
     }
   }
 
@@ -223,7 +223,7 @@ void HostProtocol::note_heard(HostId peer) {
 }
 
 void HostProtocol::accuse(HostId peer, std::uint64_t message_id) {
-  metrics_.on_suspicion();
+  ++metrics_.counts.suspicions;
   WORMTRACE(sim_, kProtoSuspect, host_, -1, message_id, peer);
   if (failure_listener_) failure_listener_(peer);
 }

@@ -119,7 +119,7 @@ void HostProtocol::retransmit_later(const TaskPtr& task,
     if (send.acked || send.failed || send.queued || task->aborted || dead_)
       return;
     assert(send.started);
-    metrics_.on_retransmit();
+    ++metrics_.counts.retransmits;
     WORMTRACE(sim_, kProtoRetransmit, host_, -1, task->message_id, send.to);
     send_copy(task, send, /*cut_through=*/true);
     if (recovery_enabled()) arm_ack_timer(task, send_index);
@@ -153,7 +153,7 @@ void HostProtocol::on_ack_timeout(const TaskPtr& task, std::size_t send_index) {
   Task::Send& send = task->sends[send_index];
   if (send.acked || send.failed || send.retry_pending || task->aborted || dead_)
     return;
-  metrics_.on_ack_timeout();
+  ++metrics_.counts.ack_timeouts;
   WORMTRACE(sim_, kProtoAckTimeout, host_, -1, task->message_id, send.to);
   // Suspicion: the send has been un-ACKed past the suspicion timeout AND
   // the peer has been totally silent for as long — an overdue send alone

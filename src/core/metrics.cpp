@@ -16,11 +16,11 @@ std::shared_ptr<MessageContext> Metrics::create_message(HostId origin,
   ctx->payload = payload;
   ctx->destinations_total = destinations;
   ctx->created_at = now;
-  ++created_;
+  ++counts.messages_created;
   if (destinations > 0)
     outstanding_.emplace(ctx->message_id, ctx);
   else
-    ++completed_;
+    ++counts.messages_completed;
   return ctx;
 }
 
@@ -31,7 +31,7 @@ bool Metrics::on_delivered(const std::shared_ptr<MessageContext>& ctx,
   const bool in_window = ctx->created_at >= window_start_;
   const auto latency = static_cast<double>(now - ctx->created_at);
   if (in_window) {
-    payload_delivered_ += ctx->payload;
+    counts.payload_delivered += ctx->payload;
     if (ctx->group == kNoGroup)
       unicast_latency_.add(latency);
     else
@@ -42,7 +42,7 @@ bool Metrics::on_delivered(const std::shared_ptr<MessageContext>& ctx,
     // A message abandoned at repair time may still drain its in-flight
     // copies; it was already tallied as disrupted, not completed.
     if (outstanding_.erase(ctx->message_id) > 0) {
-      ++completed_;
+      ++counts.messages_completed;
       last_completion_ = now;
       if (message_closed_hook_) message_closed_hook_(ctx);
     }
@@ -52,14 +52,14 @@ bool Metrics::on_delivered(const std::shared_ptr<MessageContext>& ctx,
 }
 
 void Metrics::on_delivery_failed(const std::shared_ptr<MessageContext>& ctx) {
-  ++deliveries_failed_;
+  ++counts.deliveries_failed;
   if (outstanding_.erase(ctx->message_id) > 0 && message_closed_hook_)
     message_closed_hook_(ctx);
 }
 
 void Metrics::abandon_message(const std::shared_ptr<MessageContext>& ctx) {
   if (outstanding_.erase(ctx->message_id) > 0) {
-    ++messages_disrupted_;
+    ++counts.messages_disrupted;
     if (message_closed_hook_) message_closed_hook_(ctx);
   }
 }
@@ -71,7 +71,7 @@ bool Metrics::shrink_destinations(const std::shared_ptr<MessageContext>& ctx,
   --ctx->destinations_total;
   if (ctx->destinations_reached == ctx->destinations_total) {
     outstanding_.erase(ctx->message_id);
-    ++completed_;
+    ++counts.messages_completed;
     last_completion_ = now;
     if (message_closed_hook_) message_closed_hook_(ctx);
     return true;
@@ -85,12 +85,6 @@ std::vector<std::shared_ptr<MessageContext>> Metrics::outstanding_messages()
   out.reserve(outstanding_.size());
   for (const auto& [id, ctx] : outstanding_) out.push_back(ctx);
   return out;
-}
-
-void Metrics::on_confirmation(const std::shared_ptr<MessageContext>& /*ctx*/,
-                              Time /*now*/) {
-  // Circuit confirmation (the worm returned to its originator); counted via
-  // the completion samples already, kept as a hook for tests.
 }
 
 void Metrics::record_order(HostId host, GroupId group,

@@ -1,6 +1,7 @@
 // Experiment metric collection.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -13,18 +14,90 @@
 
 namespace wormcast {
 
+/// The run's protocol-event counters as one plain record. Metrics bumps
+/// the fields, Network::Summary embeds the record whole, register_counters
+/// exports it through kRunCounterFields, and equivalence tests compare it
+/// with ==. Adding a counter is one field, one kRunCounterFields row and
+/// its increment.
+struct RunCounters {
+  // Messages and delivered payload (throughput, Figures 10-12).
+  std::int64_t messages_created = 0;
+  std::int64_t messages_completed = 0;
+  std::int64_t payload_delivered = 0;    // bytes of in-window messages
+  // Loss and recovery (Figure 13, fault injection).
+  std::int64_t nacks = 0;
+  std::int64_t retransmits = 0;
+  std::int64_t relays = 0;
+  std::int64_t ack_timeouts = 0;
+  std::int64_t duplicates_suppressed = 0;
+  std::int64_t deliveries_failed = 0;    // sends abandoned (max_attempts)
+  std::int64_t mcast_drops = 0;          // adapter input-buffer drops
+  // Permanent failures and repair.
+  std::int64_t suspicions = 0;           // failure-detector accusations
+  std::int64_t repairs = 0;
+  std::int64_t sends_rerouted = 0;       // sends retargeted by repair
+  std::int64_t messages_disrupted = 0;   // abandoned at repair time
+  std::int64_t links_failed = 0;         // permanent link deaths
+  // Membership churn (joins/leaves/rejoins + overload shedding).
+  std::int64_t joins_requested = 0;      // distinct join intents
+  std::int64_t joins_applied = 0;
+  std::int64_t rejoins = 0;
+  std::int64_t leaves = 0;
+  std::int64_t joins_shed = 0;           // shed events (retries may follow)
+  std::int64_t joins_abandoned = 0;      // sheds with no retry budget left
+
+  bool operator==(const RunCounters&) const = default;
+};
+
+/// One RunCounters field and the name it is exported under.
+struct RunCounterField {
+  const char* name;
+  std::int64_t RunCounters::*field;
+};
+
+/// Every RunCounters field with its BENCH_*.json counter name, in export
+/// order. The perf-gate baselines read counters by these names.
+inline constexpr std::array<RunCounterField, 21> kRunCounterFields{{
+    {"messages_created", &RunCounters::messages_created},
+    {"messages_completed", &RunCounters::messages_completed},
+    {"payload_delivered", &RunCounters::payload_delivered},
+    {"nacks", &RunCounters::nacks},
+    {"retransmits", &RunCounters::retransmits},
+    {"relays", &RunCounters::relays},
+    {"ack_timeouts", &RunCounters::ack_timeouts},
+    {"duplicates_suppressed", &RunCounters::duplicates_suppressed},
+    {"deliveries_failed", &RunCounters::deliveries_failed},
+    {"mcast_drops", &RunCounters::mcast_drops},
+    {"suspicions", &RunCounters::suspicions},
+    {"repairs", &RunCounters::repairs},
+    {"sends_rerouted", &RunCounters::sends_rerouted},
+    {"messages_disrupted", &RunCounters::messages_disrupted},
+    {"links_failed", &RunCounters::links_failed},
+    {"churn_joins_requested", &RunCounters::joins_requested},
+    {"churn_joins_applied", &RunCounters::joins_applied},
+    {"churn_rejoins", &RunCounters::rejoins},
+    {"churn_leaves", &RunCounters::leaves},
+    {"shed_joins", &RunCounters::joins_shed},
+    {"shed_joins_final", &RunCounters::joins_abandoned},
+}};
+static_assert(sizeof(RunCounters) ==
+                  kRunCounterFields.size() * sizeof(std::int64_t),
+              "every RunCounters field needs a kRunCounterFields row");
+
 /// Aggregates the observations the paper's figures are built from:
 /// per-destination multicast latency (Figures 10 and 11 plot its average),
 /// whole-group completion latency, unicast latency, delivered payload
-/// (throughput), loss, and protocol-event counters.
+/// (throughput), loss, and the protocol-event counters in `counts`.
 ///
 /// Warmup handling: samples are recorded only for messages *created* at or
 /// after the measurement window start.
 class Metrics {
  public:
+  /// Every protocol-event counter; call sites bump the fields directly.
+  RunCounters counts;
+
   /// Messages created before this time are excluded from samples.
   void set_window_start(Time t) { window_start_ = t; }
-  [[nodiscard]] Time window_start() const { return window_start_; }
 
   std::shared_ptr<MessageContext> create_message(HostId origin, GroupId group,
                                                  std::int64_t payload,
@@ -35,40 +108,23 @@ class Metrics {
   bool on_delivered(const std::shared_ptr<MessageContext>& ctx, HostId member,
                     Time now);
 
-  /// Loss accounting (adapter input-buffer drops, Figure 13).
-  void on_mcast_drop() { ++mcast_drops_; }
-  void on_nack() { ++nacks_; }
-  void on_retransmit() { ++retransmits_; }
-  void on_relay() { ++relays_; }
-
-  // Loss-recovery accounting (fault-injection experiments).
-  void on_ack_timeout() { ++ack_timeouts_; }
-  void on_duplicate() { ++duplicates_suppressed_; }
   /// A send exhausted max_attempts: the message is abandoned, not merely
   /// late, so it stops counting as outstanding (the run can drain).
   void on_delivery_failed(const std::shared_ptr<MessageContext>& ctx);
-  void on_confirmation(const std::shared_ptr<MessageContext>& ctx, Time now);
 
-  // Membership-churn accounting (join/leave/rejoin + overload shedding).
-  void on_join_requested() { ++joins_requested_; }
   void on_join_applied(Time latency, bool rejoin) {
-    ++joins_applied_;
-    if (rejoin) ++rejoins_;
+    ++counts.joins_applied;
+    if (rejoin) ++counts.rejoins;
     join_latency_.add(static_cast<double>(latency));
   }
   /// A join was shed under overload; `final_shed` means its retry budget is
   /// exhausted and the request will never be applied.
   void on_join_shed(bool final_shed) {
-    ++joins_shed_;
-    if (final_shed) ++joins_abandoned_;
+    ++counts.joins_shed;
+    if (final_shed) ++counts.joins_abandoned;
   }
-  void on_leave_applied() { ++leaves_; }
 
-  // Failure-detection & repair accounting.
-  void on_suspicion() { ++suspicions_; }
-  void on_repair(Time now) { ++repairs_; last_repair_ = now; }
-  void on_send_rerouted() { ++sends_rerouted_; }
-  void on_link_failed() { ++links_failed_; }
+  void on_repair(Time now) { ++counts.repairs; last_repair_ = now; }
   /// The message can no longer complete (its originator crashed, or a hop
   /// copy died inside the dead member): it stops counting as outstanding
   /// and is tallied as disrupted. Idempotent per message.
@@ -98,35 +154,21 @@ class Metrics {
   [[nodiscard]] const SampleSet& unicast_latency() const {
     return unicast_latency_;
   }
-  [[nodiscard]] std::int64_t mcast_drops() const { return mcast_drops_; }
-  [[nodiscard]] std::int64_t nacks() const { return nacks_; }
-  [[nodiscard]] std::int64_t retransmits() const { return retransmits_; }
-  [[nodiscard]] std::int64_t relays() const { return relays_; }
-  [[nodiscard]] std::int64_t ack_timeouts() const { return ack_timeouts_; }
-  [[nodiscard]] std::int64_t duplicates_suppressed() const {
-    return duplicates_suppressed_;
-  }
-  [[nodiscard]] std::int64_t deliveries_failed() const {
-    return deliveries_failed_;
-  }
-  [[nodiscard]] std::int64_t suspicions() const { return suspicions_; }
-  [[nodiscard]] std::int64_t repairs() const { return repairs_; }
-  [[nodiscard]] std::int64_t sends_rerouted() const { return sends_rerouted_; }
-  [[nodiscard]] std::int64_t messages_disrupted() const {
-    return messages_disrupted_;
-  }
-  [[nodiscard]] std::int64_t links_failed() const { return links_failed_; }
   [[nodiscard]] const SampleSet& join_latency() const { return join_latency_; }
-  [[nodiscard]] std::int64_t joins_requested() const { return joins_requested_; }
-  [[nodiscard]] std::int64_t joins_applied() const { return joins_applied_; }
-  [[nodiscard]] std::int64_t joins_shed() const { return joins_shed_; }
-  [[nodiscard]] std::int64_t joins_abandoned() const { return joins_abandoned_; }
-  [[nodiscard]] std::int64_t rejoins() const { return rejoins_; }
-  [[nodiscard]] std::int64_t leaves() const { return leaves_; }
   [[nodiscard]] Time last_repair_time() const { return last_repair_; }
-  [[nodiscard]] std::int64_t messages_created() const { return created_; }
-  [[nodiscard]] std::int64_t messages_completed() const { return completed_; }
-  [[nodiscard]] std::int64_t payload_delivered() const { return payload_delivered_; }
+  // Shorthands over `counts` for the benchmark harness.
+  [[nodiscard]] std::int64_t messages_created() const {
+    return counts.messages_created;
+  }
+  [[nodiscard]] std::int64_t messages_completed() const {
+    return counts.messages_completed;
+  }
+  [[nodiscard]] std::int64_t payload_delivered() const {
+    return counts.payload_delivered;
+  }
+  [[nodiscard]] std::int64_t nacks() const { return counts.nacks; }
+  [[nodiscard]] std::int64_t retransmits() const { return counts.retransmits; }
+  [[nodiscard]] std::int64_t relays() const { return counts.relays; }
 
   /// Messages not yet fully delivered.
   [[nodiscard]] std::int64_t outstanding() const {
@@ -153,28 +195,7 @@ class Metrics {
   SampleSet mcast_latency_;
   SampleSet mcast_completion_;
   SampleSet unicast_latency_;
-  std::int64_t mcast_drops_ = 0;
-  std::int64_t nacks_ = 0;
-  std::int64_t retransmits_ = 0;
-  std::int64_t relays_ = 0;
-  std::int64_t ack_timeouts_ = 0;
-  std::int64_t duplicates_suppressed_ = 0;
-  std::int64_t deliveries_failed_ = 0;
-  std::int64_t created_ = 0;
-  std::int64_t completed_ = 0;
-  std::int64_t payload_delivered_ = 0;
-  std::int64_t suspicions_ = 0;
-  std::int64_t repairs_ = 0;
-  std::int64_t sends_rerouted_ = 0;
-  std::int64_t messages_disrupted_ = 0;
-  std::int64_t links_failed_ = 0;
   SampleSet join_latency_;
-  std::int64_t joins_requested_ = 0;
-  std::int64_t joins_applied_ = 0;
-  std::int64_t joins_shed_ = 0;
-  std::int64_t joins_abandoned_ = 0;
-  std::int64_t rejoins_ = 0;
-  std::int64_t leaves_ = 0;
   Time last_completion_ = 0;
   Time last_repair_ = 0;
   // Live contexts so repair can triage in-flight messages, not just ages.

@@ -1,6 +1,7 @@
 #include "core/network.h"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 #include <utility>
 
@@ -101,45 +102,47 @@ void collect_tree_nodes(const Topology& topo, NodeId at,
 }
 }  // namespace
 
-std::vector<NodeId> Network::gate_footprint(const GatedSend& send) const {
-  std::vector<NodeId> nodes;
+Network::GateClaim Network::gate_footprint(const GatedSend& send) const {
+  GateClaim claim;
+  std::vector<NodeId>& nodes = claim.nodes;
   if (send.broadcast) {
     // The flood covers the whole spanning tree: claim everything.
     nodes.resize(static_cast<std::size_t>(topo_.num_nodes()));
     for (NodeId n = 0; n < topo_.num_nodes(); ++n)
       nodes[static_cast<std::size_t>(n)] = n;
-    return nodes;
+    return claim;
   }
   nodes.push_back(send.src);
   const NodeId src_sw = topo_.switch_of_host(send.src);
   nodes.push_back(src_sw);
   const CircuitTable& members = tables_->circuit(send.group);
-  const McastPlan plan =
-      strategy_->plan_multicast(send.group, send.src, members.order());
-  for (const McastRouteTree& branch : plan.branches)
+  claim.branches =
+      strategy_->plan_multicast(send.group, send.src, members.order()).branches;
+  for (const McastRouteTree& branch : claim.branches)
     collect_tree_nodes(topo_, src_sw, branch, &nodes);
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  return nodes;
+  return claim;
 }
 
-bool Network::gate_admissible(const std::vector<NodeId>& nodes) const {
-  for (const NodeId n : nodes)
+bool Network::gate_admissible(const GateClaim& claim) const {
+  for (const NodeId n : claim.nodes)
     if (gate_node_claims_[static_cast<std::size_t>(n)] > 0) return false;
   return true;
 }
 
 void Network::gate_admit(GatedSend send) {
-  // A degenerate message with no live context (e.g. a broadcast on a
-  // one-host fabric) can never signal close: inject it untracked.
+  // A degenerate message with no live context (a broadcast on a one-host
+  // fabric) can never signal close: inject it untracked.
   if (!metrics_.is_outstanding(send.ctx->message_id)) {
-    gate_inject(send);
+    assert(send.broadcast && "only a broadcast can have no destination");
+    gate_inject(send, {});
     return;
   }
   if (gate_queue_.empty()) {
-    std::vector<NodeId> nodes = gate_footprint(send);
-    if (gate_admissible(nodes)) {
-      gate_dispatch(std::move(send), std::move(nodes));
+    GateClaim claim = gate_footprint(send);
+    if (gate_admissible(claim)) {
+      gate_dispatch(std::move(send), std::move(claim));
       return;
     }
   }
@@ -148,13 +151,15 @@ void Network::gate_admit(GatedSend send) {
   gate_queue_.push_back(std::move(send));
 }
 
-void Network::gate_dispatch(GatedSend send, std::vector<NodeId> nodes) {
-  for (const NodeId n : nodes) ++gate_node_claims_[static_cast<std::size_t>(n)];
-  gated_nodes_.emplace(send.ctx->message_id, std::move(nodes));
-  gate_inject(send);
+void Network::gate_dispatch(GatedSend send, GateClaim claim) {
+  for (const NodeId n : claim.nodes)
+    ++gate_node_claims_[static_cast<std::size_t>(n)];
+  gated_nodes_.emplace(send.ctx->message_id, std::move(claim.nodes));
+  gate_inject(send, claim.branches);
 }
 
-void Network::gate_inject(const GatedSend& send) {
+void Network::gate_inject(const GatedSend& send,
+                          const std::vector<McastRouteTree>& branches) {
   auto worm = worm_pool_.make();
   worm->id = send.ctx->message_id;
   worm->kind = WormKind::kSwitchMcast;
@@ -167,10 +172,7 @@ void Network::gate_inject(const GatedSend& send) {
     worm->broadcast_flood = true;
     worm->route = strategy_->primary_routing().route_to_root(send.src);
   } else {
-    const CircuitTable& members = tables_->circuit(send.group);
-    worm->mcast_route = EncodedMcastRoute::encode(
-        strategy_->plan_multicast(send.group, send.src, members.order())
-            .branches);
+    worm->mcast_route = EncodedMcastRoute::encode(branches);
   }
   adapters_[send.src]->send(std::move(worm));
 }
@@ -195,11 +197,11 @@ void Network::gate_pump() {
     }
     // Footprint recomputed per attempt: plans may have changed while the
     // send waited (membership churn, load re-plans, root migration).
-    std::vector<NodeId> nodes = gate_footprint(front);
-    if (!gate_admissible(nodes)) return;  // strict FIFO: head blocks the rest
+    GateClaim claim = gate_footprint(front);
+    if (!gate_admissible(claim)) return;  // strict FIFO: head blocks the rest
     GatedSend send = std::move(front);
     gate_queue_.pop_front();
-    gate_dispatch(std::move(send), std::move(nodes));
+    gate_dispatch(std::move(send), std::move(claim));
   }
 }
 
@@ -220,7 +222,7 @@ void Network::fail_link(LinkId l, Time when) {
     // strategy recomputes its owned routings and drops cached plans.
     routing_->fail_link(l);
     strategy_->fail_link(l);
-    metrics_.on_link_failed();
+    ++metrics_.counts.links_failed;
   });
 }
 
@@ -271,6 +273,7 @@ void Network::run(Time warmup, Time measure, Time drain_cap) {
 
 Network::Summary Network::summary() const {
   Summary s;
+  s.counts = metrics_.counts;
   s.offered_load = config_.traffic.offered_load;
   if (measure_span_ > 0) {
     s.measured_utilization =
@@ -286,35 +289,17 @@ Network::Summary Network::summary() const {
   s.mcast_completion_samples = metrics_.mcast_completion().count();
   s.unicast_samples = metrics_.unicast_latency().count();
   const double span = measure_span_ > 0 ? static_cast<double>(measure_span_) : 1.0;
-  s.throughput_per_host = static_cast<double>(metrics_.payload_delivered()) /
+  s.throughput_per_host = static_cast<double>(s.counts.payload_delivered) /
                           span / static_cast<double>(topo_.num_hosts());
-  s.messages = metrics_.messages_created();
-  s.drops = metrics_.mcast_drops();
-  s.nacks = metrics_.nacks();
-  s.retransmits = metrics_.retransmits();
   s.outstanding = metrics_.outstanding();
   s.oldest_outstanding_age = metrics_.oldest_outstanding_age(sim_.now());
   s.fabric_overflows = fabric_->total_overflows();
   s.faults_injected = faults_->total_injected();
   s.bytes_swallowed = fabric_->total_bytes_swallowed();
-  s.ack_timeouts = metrics_.ack_timeouts();
-  s.duplicates_suppressed = metrics_.duplicates_suppressed();
-  s.deliveries_failed = metrics_.deliveries_failed();
-  s.messages_completed = metrics_.messages_completed();
-  s.suspicions = metrics_.suspicions();
   s.hosts_crashed = faults_->hosts_crashed();
   s.hosts_removed = static_cast<std::int64_t>(removed_hosts_.size());
-  s.links_failed = metrics_.links_failed();
-  s.sends_rerouted = metrics_.sends_rerouted();
-  s.messages_disrupted = metrics_.messages_disrupted();
   s.unicasts_flushed = mcast_engine_->unicasts_flushed();
   s.last_repair_time = metrics_.last_repair_time();
-  s.joins_requested = metrics_.joins_requested();
-  s.joins_applied = metrics_.joins_applied();
-  s.joins_shed = metrics_.joins_shed();
-  s.joins_abandoned = metrics_.joins_abandoned();
-  s.rejoins = metrics_.rejoins();
-  s.leaves = metrics_.leaves();
   s.join_latency_mean = metrics_.join_latency().mean();
   s.join_latency_p95 = metrics_.join_latency().percentile(95.0);
   s.join_samples = metrics_.join_latency().count();
@@ -375,34 +360,11 @@ void Network::register_counters(CounterRegistry& reg) const {
   const auto i64 = [](auto getter) {
     return [getter] { return static_cast<double>(getter()); };
   };
-  reg.add("messages_created", i64([this] { return metrics_.messages_created(); }));
-  reg.add("messages_completed",
-          i64([this] { return metrics_.messages_completed(); }));
-  reg.add("payload_delivered",
-          i64([this] { return metrics_.payload_delivered(); }));
+  for (const auto& [name, field] : kRunCounterFields)
+    reg.add(name, [this, field = field] {
+      return static_cast<double>(metrics_.counts.*field);
+    });
   reg.add("outstanding", i64([this] { return metrics_.outstanding(); }));
-  reg.add("nacks", i64([this] { return metrics_.nacks(); }));
-  reg.add("retransmits", i64([this] { return metrics_.retransmits(); }));
-  reg.add("relays", i64([this] { return metrics_.relays(); }));
-  reg.add("ack_timeouts", i64([this] { return metrics_.ack_timeouts(); }));
-  reg.add("duplicates_suppressed",
-          i64([this] { return metrics_.duplicates_suppressed(); }));
-  reg.add("deliveries_failed",
-          i64([this] { return metrics_.deliveries_failed(); }));
-  reg.add("mcast_drops", i64([this] { return metrics_.mcast_drops(); }));
-  reg.add("suspicions", i64([this] { return metrics_.suspicions(); }));
-  reg.add("repairs", i64([this] { return metrics_.repairs(); }));
-  reg.add("sends_rerouted", i64([this] { return metrics_.sends_rerouted(); }));
-  reg.add("messages_disrupted",
-          i64([this] { return metrics_.messages_disrupted(); }));
-  reg.add("links_failed", i64([this] { return metrics_.links_failed(); }));
-  reg.add("churn_joins_requested",
-          i64([this] { return metrics_.joins_requested(); }));
-  reg.add("churn_joins_applied", i64([this] { return metrics_.joins_applied(); }));
-  reg.add("churn_rejoins", i64([this] { return metrics_.rejoins(); }));
-  reg.add("churn_leaves", i64([this] { return metrics_.leaves(); }));
-  reg.add("shed_joins", i64([this] { return metrics_.joins_shed(); }));
-  reg.add("shed_joins_final", i64([this] { return metrics_.joins_abandoned(); }));
   reg.add("membership_queue_peak",
           i64([this] { return membership_queue_peak_; }));
   reg.add("flap_windows", i64([this] { return faults_->flap_windows(); }));

@@ -280,8 +280,10 @@ class Network {
   /// longer runs.
   [[nodiscard]] check::CheckReport check_expectations() const;
 
-  /// Aggregate results of the last run.
+  /// Aggregate results of the last run: Metrics' counters whole, plus the
+  /// values no counter holds.
   struct Summary {
+    RunCounters counts;
     double offered_load = 0.0;             // generation-rate knob
     double measured_utilization = 0.0;     // per-host output-link utilization
                                            // over the window (paper's x-axis)
@@ -295,10 +297,6 @@ class Network {
     std::int64_t mcast_completion_samples = 0;
     std::int64_t unicast_samples = 0;
     double throughput_per_host = 0.0;      // delivered payload B / bt / host
-    std::int64_t messages = 0;
-    std::int64_t drops = 0;
-    std::int64_t nacks = 0;
-    std::int64_t retransmits = 0;
     std::int64_t outstanding = 0;          // undelivered at end (stall sign)
     Time oldest_outstanding_age = 0;
     std::int64_t fabric_overflows = 0;     // must be 0
@@ -306,31 +304,19 @@ class Network {
     std::int64_t faults_injected = 0;      // kills + ctrl/rx drops + outages
     std::int64_t bytes_swallowed = 0;      // channel bytes lost to faults
                                            // (never counted as delivered)
-    std::int64_t ack_timeouts = 0;
-    std::int64_t duplicates_suppressed = 0;
-    std::int64_t deliveries_failed = 0;    // sends abandoned (max_attempts)
-    std::int64_t messages_completed = 0;
     // Permanent failures & repair.
-    std::int64_t suspicions = 0;           // failure-detector accusations
     std::int64_t hosts_crashed = 0;        // crash-stop faults injected
     std::int64_t hosts_removed = 0;        // declared dead + repaired around
-    std::int64_t links_failed = 0;         // permanent link deaths
-    std::int64_t sends_rerouted = 0;       // sends retargeted by repair
-    std::int64_t messages_disrupted = 0;   // abandoned at repair time
     std::int64_t unicasts_flushed = 0;     // scheme (c) switch-side flushes
     Time last_repair_time = 0;
-    // Membership churn (joins/leaves/rejoins + overload shedding).
-    std::int64_t joins_requested = 0;      // distinct join intents
-    std::int64_t joins_applied = 0;
-    std::int64_t joins_shed = 0;           // shed events (retries may follow)
-    std::int64_t joins_abandoned = 0;      // sheds with no retry budget left
-    std::int64_t rejoins = 0;
-    std::int64_t leaves = 0;
+    // Membership churn.
     double join_latency_mean = 0.0;        // request -> applied, byte-times
     double join_latency_p95 = 0.0;
     std::int64_t join_samples = 0;
     std::int64_t membership_queue_peak = 0;
     std::int64_t flap_windows = 0;         // recovering link outages scheduled
+
+    bool operator==(const Summary&) const = default;
   };
   [[nodiscard]] Summary summary() const;
 
@@ -346,20 +332,28 @@ class Network {
     std::shared_ptr<MessageContext> ctx;
   };
 
-  /// Every node (switches and host endpoints) the send's worm would touch
-  /// if planned right now — the resource set the gate claims.
-  [[nodiscard]] std::vector<NodeId> gate_footprint(const GatedSend& send) const;
-  /// True iff none of `nodes` is claimed by an in-flight multicast.
-  [[nodiscard]] bool gate_admissible(const std::vector<NodeId>& nodes) const;
+  /// What a dispatch claims: every node (switches and host endpoints) the
+  /// send's worm touches, and the branch forest it is sent with (empty for
+  /// a broadcast). The tree the gate claims is the tree that is sent.
+  struct GateClaim {
+    std::vector<NodeId> nodes;
+    std::vector<McastRouteTree> branches;
+  };
+
+  /// Plans the send right now (so membership changes while queued are
+  /// honored) and returns its claim.
+  [[nodiscard]] GateClaim gate_footprint(const GatedSend& send) const;
+  /// True iff none of the claim's nodes is claimed by an in-flight multicast.
+  [[nodiscard]] bool gate_admissible(const GateClaim& claim) const;
   /// Admits a switch-level multicast: dispatch if its tree is disjoint from
   /// everything in flight (and nothing is queued ahead — strict FIFO),
   /// else queue.
   void gate_admit(GatedSend send);
-  /// Claims the footprint and injects the send's worm into the fabric.
-  void gate_dispatch(GatedSend send, std::vector<NodeId> nodes);
-  /// Builds and sends the worm for this multicast (plans at this
-  /// moment, so membership changes while queued are honored).
-  void gate_inject(const GatedSend& send);
+  /// Claims the nodes and injects the send's worm into the fabric.
+  void gate_dispatch(GatedSend send, GateClaim claim);
+  /// Builds and sends the worm for this multicast along `branches`.
+  void gate_inject(const GatedSend& send,
+                   const std::vector<McastRouteTree>& branches);
   /// Metrics message-closed hook: releases the message's claimed nodes and
   /// pumps newly admissible queued sends.
   void on_message_closed(std::uint64_t message_id);

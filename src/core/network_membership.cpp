@@ -20,7 +20,7 @@ void Network::request_leave(GroupId g, HostId h, Time when) {
 
 void Network::enqueue_join(GroupId g, HostId h, Time requested_at,
                            int attempts) {
-  if (attempts == 0) metrics_.on_join_requested();
+  if (attempts == 0) ++metrics_.counts.joins_requested;
   // Every attempt (retries included) re-arms the join-grace obligation:
   // each request must be applied or shed within the window.
   WORMTRACE(sim_, kProtoJoinRequest, h, -1, 0, g);
@@ -157,7 +157,7 @@ void Network::apply_leave(const MembershipOp& op) {
   former_members_.insert(key);
   joined_at_.erase(key);
   strategy_->plan_group(op.group, tables_->circuit(op.group).order());
-  metrics_.on_leave_applied();
+  ++metrics_.counts.leaves;
   WORMTRACE(sim_, kProtoLeave, op.host, -1, 0, op.group);
   // The leaver finishes what it holds (forward-only, no new deliveries);
   // every peer retargets in-flight sends around it. No suspicion, no

@@ -49,12 +49,6 @@ NodeId Topology::switch_of_host(HostId h) const {
   return peer(n.ports[0].link, hn);
 }
 
-std::vector<HostId> Topology::all_hosts() const {
-  std::vector<HostId> out(host_nodes_.size());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<HostId>(i);
-  return out;
-}
-
 NodeId Topology::peer(LinkId l, NodeId from) const {
   const TopoLink& lk = links_[l];
   if (lk.node_a == from) return lk.node_b;

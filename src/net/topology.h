@@ -62,7 +62,6 @@ class Topology {
   [[nodiscard]] NodeId node_of_host(HostId h) const { return host_nodes_[h]; }
   /// The switch a host hangs off.
   [[nodiscard]] NodeId switch_of_host(HostId h) const;
-  [[nodiscard]] std::vector<HostId> all_hosts() const;
 
   /// The node on the far side of `link` from `from`.
   [[nodiscard]] NodeId peer(LinkId l, NodeId from) const;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "net/mcast_route_builder.h"
 #include "net/tree_strategy_impl.h"
 
 namespace wormcast {
@@ -36,42 +35,19 @@ int TreeStrategy::attach_cost(GroupId g, HostId parent, HostId child) const {
   return base_routing_.hop_count(parent, child);
 }
 
-namespace detail {
-
-// --- SingleRootStrategy ----------------------------------------------------
-
-SingleRootStrategy::SingleRootStrategy(const Topology& topo,
-                                       const UpDownRouting& base,
-                                       const UpDownOptions& base_opts)
-    : TreeStrategy(topo, base),
-      tree_(std::make_unique<UpDownRouting>(topo, owned_tree_opts(base, base_opts))) {}
-
-McastPlan SingleRootStrategy::plan_multicast(
-    GroupId g, HostId src, const std::vector<HostId>& dests) const {
-  (void)g;
-  McastPlan plan;
-  for (const HostId d : dests)
-    if (d != src) plan.dests.push_back(d);
-  plan.branches = build_mcast_branches(*tree_, src, dests);
-  ++worms_planned_;
-  return plan;
-}
-
-}  // namespace detail
-
 std::unique_ptr<TreeStrategy> make_tree_strategy(
     const TreeStrategyConfig& config, const Topology& topo,
     const UpDownRouting& base_routing, const UpDownOptions& base_opts) {
   switch (config.kind) {
     case TreeStrategyKind::kSingleRoot:
-      return std::make_unique<detail::SingleRootStrategy>(topo, base_routing,
-                                                          base_opts);
+      return std::make_unique<detail::MultiRootStrategy>(
+          topo, base_routing, base_opts, config.kind, 1);
     case TreeStrategyKind::kLoadAware:
       return std::make_unique<detail::LoadAwareStrategy>(topo, base_routing,
                                                          base_opts);
     case TreeStrategyKind::kMultiRoot:
-      return std::make_unique<detail::MultiRootStrategy>(topo, base_routing,
-                                                         base_opts);
+      return std::make_unique<detail::MultiRootStrategy>(
+          topo, base_routing, base_opts, config.kind, detail::kCandidateRoots);
   }
   throw std::invalid_argument("unknown tree strategy kind");
 }

@@ -33,8 +33,8 @@
 namespace wormcast {
 
 enum class TreeStrategyKind : std::uint8_t {
-  /// The paper's scheme: one spanning tree, one worm per multicast.
-  /// Reproduces the pre-strategy behaviour exactly (the parity baseline).
+  /// The paper's scheme: one spanning tree, one worm per multicast. Built
+  /// as kMultiRoot with one candidate, the general routing's root.
   kSingleRoot,
   /// Builds per-send delivery trees over the *full* up/down graph with
   /// per-switch penalties — observed forwarding load plus a static
@@ -105,18 +105,6 @@ class TreeStrategy {
   /// remains.
   [[nodiscard]] virtual McastPlan plan_multicast(
       GroupId g, HostId src, const std::vector<HostId>& dests) const = 0;
-
-  /// Which up/down orientation (candidate root) group `g`'s switch-level
-  /// worms are planned under. Informational — tests and tools use it to
-  /// identify the routing a group rides; deadlock safety between concurrent
-  /// worms is enforced structurally by the Network's multicast admission
-  /// gate (tree-disjointness, see Network::send_switch_multicast), which
-  /// makes mixing orientations safe. Single-orientation strategies return
-  /// 0 for every group.
-  [[nodiscard]] virtual int plan_orientation(GroupId g) const {
-    (void)g;
-    return 0;
-  }
 
   /// Edge cost the host-level greedy tree construction (GroupTables) pays
   /// for attaching `child` under `parent` in group `g`. The default is the

@@ -33,32 +33,6 @@ inline constexpr int kCapacityPenaltyHops = 1;
   return opts;
 }
 
-/// The paper's scheme: one tree-restricted routing, one worm per
-/// multicast. Byte-identical to the pre-strategy hard-wired path.
-class SingleRootStrategy : public TreeStrategy {
- public:
-  SingleRootStrategy(const Topology& topo, const UpDownRouting& base,
-                     const UpDownOptions& base_opts);
-
-  [[nodiscard]] TreeStrategyKind kind() const override {
-    return TreeStrategyKind::kSingleRoot;
-  }
-  [[nodiscard]] const UpDownRouting& primary_routing() const override {
-    return *tree_;
-  }
-  [[nodiscard]] const UpDownRouting& group_routing(GroupId) const override {
-    return *tree_;
-  }
-  void plan_group(GroupId, const std::vector<HostId>&) override {}
-  [[nodiscard]] McastPlan plan_multicast(
-      GroupId g, HostId src, const std::vector<HostId>& dests) const override;
-  void fail_link(LinkId l) override { tree_->fail_link(l); }
-  void on_root_migrated(NodeId new_root) override { tree_->set_root(new_root); }
-
- private:
-  std::unique_ptr<UpDownRouting> tree_;  // spanning-tree-only paths
-};
-
 /// Per-send delivery trees over the full up/down graph with per-switch
 /// penalties (observed load + static capacity), steering branch points away
 /// from hot or multicast-poor switches.
@@ -107,15 +81,17 @@ class LoadAwareStrategy : public TreeStrategy {
 };
 
 /// k spanning trees; each group rides the root minimizing its members'
-/// depth sum.
+/// depth sum. With one candidate this is the paper's single-root scheme:
+/// one tree-restricted routing at the general routing's root.
 class MultiRootStrategy : public TreeStrategy {
  public:
+  /// `candidates` is clamped to [1, switch count]; `kind` is what the
+  /// strategy reports, whatever the clamped count.
   MultiRootStrategy(const Topology& topo, const UpDownRouting& base,
-                    const UpDownOptions& base_opts);
+                    const UpDownOptions& base_opts, TreeStrategyKind kind,
+                    int candidates);
 
-  [[nodiscard]] TreeStrategyKind kind() const override {
-    return TreeStrategyKind::kMultiRoot;
-  }
+  [[nodiscard]] TreeStrategyKind kind() const override { return kind_; }
   [[nodiscard]] const UpDownRouting& primary_routing() const override {
     return *routings_.front();
   }
@@ -125,13 +101,6 @@ class MultiRootStrategy : public TreeStrategy {
       GroupId g, HostId src, const std::vector<HostId>& dests) const override;
   void fail_link(LinkId l) override;
   void on_root_migrated(NodeId new_root) override;
-
-  /// Worms ride the assigned candidate root's orientation. Candidate 0 is
-  /// the base root, so it shares orientation 0 with every single-root
-  /// strategy.
-  [[nodiscard]] int plan_orientation(GroupId g) const override {
-    return static_cast<int>(assignment(g));
-  }
 
   [[nodiscard]] const std::vector<NodeId>& candidate_roots() const {
     return roots_;
@@ -143,6 +112,7 @@ class MultiRootStrategy : public TreeStrategy {
   /// Depth-sum-minimizing candidate for `members` (index into routings_).
   [[nodiscard]] std::size_t best_root(const std::vector<HostId>& members) const;
 
+  TreeStrategyKind kind_;
   std::vector<NodeId> roots_;
   std::vector<std::unique_ptr<UpDownRouting>> routings_;
   std::unordered_map<GroupId, std::size_t> assignment_;

@@ -9,8 +9,9 @@ namespace wormcast::detail {
 
 MultiRootStrategy::MultiRootStrategy(const Topology& topo,
                                      const UpDownRouting& base,
-                                     const UpDownOptions& base_opts)
-    : TreeStrategy(topo, base) {
+                                     const UpDownOptions& base_opts,
+                                     TreeStrategyKind kind, int candidates)
+    : TreeStrategy(topo, base), kind_(kind) {
   // Candidate 0 is always the general routing's root (so primary_routing()
   // matches the single-root baseline for broadcasts and unknown groups);
   // the rest are the remaining switches by descending degree, id on ties —
@@ -26,7 +27,7 @@ MultiRootStrategy::MultiRootStrategy(const Topology& topo,
     const std::size_t db = topo.node(b).ports.size();
     return da != db ? da > db : a < b;
   });
-  const int k = std::clamp(kCandidateRoots, 1,
+  const int k = std::clamp(candidates, 1,
                            static_cast<int>(topo.num_switches()));
   roots_.push_back(base.root());
   for (const NodeId n : others) {

@@ -233,12 +233,6 @@ int UpDownRouting::hop_count(HostId src, HostId dst) const {
   return hops;
 }
 
-std::vector<NodeId> UpDownRouting::switch_path(HostId src, HostId dst) const {
-  const NodeId from_sw = topo_.switch_of_host(src);
-  const NodeId to_sw = topo_.switch_of_host(dst);
-  return shortest_legal_path(from_sw, to_sw).nodes;
-}
-
 std::vector<PortId> UpDownRouting::down_tree_ports(NodeId sw) const {
   std::vector<PortId> out;
   const TopoNode& node = topo_.node(sw);

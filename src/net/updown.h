@@ -94,9 +94,6 @@ class UpDownRouting {
   /// (Section 5, Figure 8).
   [[nodiscard]] int hop_count(HostId src, HostId dst) const;
 
-  /// Node path (switches only) underlying route(src, dst); for tests.
-  [[nodiscard]] std::vector<NodeId> switch_path(HostId src, HostId dst) const;
-
   /// Port to take at `sw` to reach the root's direction is not meaningful
   /// in general; what broadcast needs is the set of *down* tree links at a
   /// switch. Returns output ports of `sw` that are tree links going down.

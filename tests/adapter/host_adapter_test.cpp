@@ -26,7 +26,7 @@ WormPtr make_worm(const UpDownRouting& routing, HostId src, HostId dst,
 class RecordingClient final : public AdapterClient {
  public:
   explicit RecordingClient(Simulator& sim) : sim_(sim) {}
-  RxDecision on_rx_head(const WormPtr& worm,
+  RxDecision on_rx_head(const WormPtr& /*worm*/,
                         const std::shared_ptr<RxProgress>& rx) override {
     last_rx = rx;
     head_times.push_back(sim_.now());

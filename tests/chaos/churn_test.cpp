@@ -80,10 +80,10 @@ TEST_P(ChurnSchemeTest, JoinSpliceDeliversOnlyPostJoinTraffic) {
   net.run_to_quiescence();
 
   const Network::Summary s = net.summary();
-  EXPECT_EQ(s.joins_requested, 1);
-  EXPECT_EQ(s.joins_applied, 1);
-  EXPECT_EQ(s.joins_shed, 0);
-  EXPECT_EQ(s.messages_completed, 11);
+  EXPECT_EQ(s.counts.joins_requested, 1);
+  EXPECT_EQ(s.counts.joins_applied, 1);
+  EXPECT_EQ(s.counts.joins_shed, 0);
+  EXPECT_EQ(s.counts.messages_completed, 11);
   EXPECT_EQ(net.metrics().outstanding(), 0) << net.debug_report();
   // The view floor: the joiner saw the 6 post-join messages, nothing else.
   const auto* joiner_order = net.metrics().order_of(5, 0);
@@ -112,8 +112,9 @@ TEST_P(ChurnSchemeTest, VoluntaryLeaveProducesNoSuspicion) {
   net.run_to_quiescence();
 
   const Network::Summary s = net.summary();
-  EXPECT_EQ(s.leaves, 1);
-  EXPECT_EQ(s.suspicions, 0) << "a clean leave must not look like a crash";
+  EXPECT_EQ(s.counts.leaves, 1);
+  EXPECT_EQ(s.counts.suspicions, 0)
+      << "a clean leave must not look like a crash";
   EXPECT_EQ(s.hosts_removed, 0);
   EXPECT_FALSE(net.tables().is_member(0, 4));
   EXPECT_EQ(net.metrics().outstanding(), 0) << net.debug_report();
@@ -142,9 +143,10 @@ TEST_P(ChurnSchemeTest, RejoinReadmitsWithFreshDedupEpoch) {
   net.run_to_quiescence();
 
   const Network::Summary s = net.summary();
-  EXPECT_EQ(s.leaves, 1);
-  EXPECT_EQ(s.joins_applied, 1);
-  EXPECT_EQ(s.rejoins, 1) << "a returning ex-member must count as a rejoin";
+  EXPECT_EQ(s.counts.leaves, 1);
+  EXPECT_EQ(s.counts.joins_applied, 1);
+  EXPECT_EQ(s.counts.rejoins, 1)
+      << "a returning ex-member must count as a rejoin";
   EXPECT_TRUE(net.tables().is_member(0, 4));
   EXPECT_EQ(net.metrics().outstanding(), 0) << net.debug_report();
   expect_exactly_once(net, 0);
@@ -191,12 +193,12 @@ TEST(ChurnOverload, BoundedQueueShedsJoinBurst) {
   net.run_to_quiescence();
 
   const Network::Summary s = net.summary();
-  EXPECT_EQ(s.joins_requested, 6);
-  EXPECT_GT(s.joins_shed, 0) << "the burst never overloaded the queue";
-  EXPECT_GT(s.joins_abandoned, 0)
+  EXPECT_EQ(s.counts.joins_requested, 6);
+  EXPECT_GT(s.counts.joins_shed, 0) << "the burst never overloaded the queue";
+  EXPECT_GT(s.counts.joins_abandoned, 0)
       << "attempts must cap out, not retry forever";
   EXPECT_LE(s.membership_queue_peak, 1);
-  EXPECT_EQ(s.joins_applied + s.joins_abandoned, 6)
+  EXPECT_EQ(s.counts.joins_applied + s.counts.joins_abandoned, 6)
       << "every join intent must resolve: applied or finally shed";
   const check::CheckReport rep = net.check_expectations();
   EXPECT_TRUE(rep.ok()) << rep.format();
@@ -232,11 +234,12 @@ TEST(ChurnChaos, FlappingLinkRecoversEveryWindowZeroLost) {
   const Network::Summary s = net.summary();
   // Unlike fail_link, a flap never declares the link dead to routing.
   EXPECT_TRUE(net.routing().link_alive(victim));
-  EXPECT_EQ(s.links_failed, 0);
+  EXPECT_EQ(s.counts.links_failed, 0);
   // Both directions of the link flap on the shared schedule, so the
   // injector counts each window twice (once per channel).
   EXPECT_EQ(s.flap_windows, 2 * windows);
-  EXPECT_EQ(s.messages_completed, 20) << "payloads lost across flap cycles";
+  EXPECT_EQ(s.counts.messages_completed, 20)
+      << "payloads lost across flap cycles";
   EXPECT_EQ(net.metrics().outstanding(), 0) << net.debug_report();
   EXPECT_EQ(s.hosts_removed, 0)
       << "a flap shorter than suspicion must not get anyone killed";
@@ -268,10 +271,11 @@ TEST(ChurnChaos, ScheduleReplaysBitIdentically) {
 
     const Network::Summary s = net.summary();
     std::ostringstream digest;
-    digest << s.messages << ' ' << s.messages_completed << ' '
-           << s.retransmits << ' ' << s.joins_requested << ' '
-           << s.joins_applied << ' ' << s.joins_shed << ' ' << s.rejoins
-           << ' ' << s.leaves << ' ' << s.membership_queue_peak << ' '
+    const RunCounters& c = s.counts;
+    digest << c.messages_created << ' ' << c.messages_completed << ' '
+           << c.retransmits << ' ' << c.joins_requested << ' '
+           << c.joins_applied << ' ' << c.joins_shed << ' ' << c.rejoins
+           << ' ' << c.leaves << ' ' << s.membership_queue_peak << ' '
            << s.flap_windows << ' ' << engine.ops_issued() << '\n';
     for (HostId h = 0; h < net.num_hosts(); ++h) {
       const auto* order = net.metrics().order_of(h, 0);

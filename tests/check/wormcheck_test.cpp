@@ -340,7 +340,8 @@ TEST(CheckExpectations, CleanLossyRunPassesStandardRules) {
   inject_multicasts(net, 20, 512);
   net.run_to_quiescence();
   ASSERT_GT(net.summary().faults_injected, 0);
-  ASSERT_GT(net.summary().retransmits, 0);  // recovery actually exercised
+  // Recovery actually exercised.
+  ASSERT_GT(net.summary().counts.retransmits, 0);
   const CheckReport rep = net.check_expectations();
   EXPECT_TRUE(rep.ok()) << rep.format();
   EXPECT_GT(rep.obligations, 0);
@@ -426,7 +427,8 @@ TEST(CheckExpectations, FlushUnicastWithMulticastBurstsIsCleanAndTraceInvariant)
   EXPECT_GT(mcast_port_bursts, 0);
 
   // Tracing is an observer: the traced run is the untraced run.
-  EXPECT_EQ(on.summary.messages_completed, off.summary.messages_completed);
+  EXPECT_EQ(on.summary.counts.messages_completed,
+            off.summary.counts.messages_completed);
   EXPECT_EQ(on.summary.measured_utilization, off.summary.measured_utilization);
   EXPECT_EQ(on.summary.outstanding, off.summary.outstanding);
   EXPECT_EQ(on.mcast_latency, off.mcast_latency);

@@ -23,10 +23,7 @@ namespace {
 
 struct RunResult {
   std::vector<std::pair<std::string, double>> counters;
-  std::int64_t messages = 0;
-  std::int64_t messages_completed = 0;
-  std::int64_t retransmits = 0;
-  std::int64_t faults_injected = 0;
+  Network::Summary summary;
   std::int64_t trace_events = 0;
 };
 
@@ -57,20 +54,13 @@ RunResult run_experiment(std::uint64_t seed) {
   CounterRegistry reg;
   net.register_counters(reg);
   r.counters = reg.snapshot();
-  const Network::Summary s = net.summary();
-  r.messages = s.messages;
-  r.messages_completed = s.messages_completed;
-  r.retransmits = s.retransmits;
-  r.faults_injected = s.faults_injected;
+  r.summary = net.summary();
   r.trace_events = net.sim().tracer().recorded();
   return r;
 }
 
 void expect_same(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.messages_completed, b.messages_completed);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
+  EXPECT_EQ(a.summary, b.summary);
   EXPECT_EQ(a.trace_events, b.trace_events);
   ASSERT_EQ(a.counters.size(), b.counters.size());
   for (std::size_t i = 0; i < a.counters.size(); ++i) {
@@ -85,9 +75,9 @@ TEST(ConcurrentIsolation, TwoNetworksOnThreadsMatchSequentialRuns) {
   // Reference: sequential, one at a time.
   const RunResult seq_a = run_experiment(seed_a);
   const RunResult seq_b = run_experiment(seed_b);
-  ASSERT_GT(seq_a.messages, 0);
-  ASSERT_GT(seq_b.messages, 0);
-  EXPECT_GT(seq_a.faults_injected, 0);
+  ASSERT_GT(seq_a.summary.counts.messages_created, 0);
+  ASSERT_GT(seq_b.summary.counts.messages_created, 0);
+  EXPECT_GT(seq_a.summary.faults_injected, 0);
 
   // Concurrent: both Networks alive and running simultaneously.
   RunResult par_a, par_b;

@@ -109,8 +109,8 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, McastSchemeTest,
                                            Scheme::kHamiltonianCT,
                                            Scheme::kTreeSF, Scheme::kTreeCT,
                                            Scheme::kTreeBroadcast),
-                         [](const auto& info) {
-                           std::string n = scheme_name(info.param);
+                         [](const auto& param_info) {
+                           std::string n = scheme_name(param_info.param);
                            for (char& c : n)
                              if (c == '-') c = '_';
                            return n;
@@ -126,7 +126,7 @@ TEST(EndToEnd, TrafficDrivenRunDeliversEverything) {
   Network net(make_torus(4, 4), groups, cfg);
   net.run(/*warmup=*/20'000, /*measure=*/100'000);
   const auto s = net.summary();
-  EXPECT_GT(s.messages, 50);
+  EXPECT_GT(s.counts.messages_created, 50);
   EXPECT_EQ(s.outstanding, 0) << "oldest age " << s.oldest_outstanding_age;
   EXPECT_EQ(s.fabric_overflows, 0);
   EXPECT_GT(s.mcast_latency_mean, 0.0);

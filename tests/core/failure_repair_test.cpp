@@ -93,7 +93,7 @@ TEST(FailureRepair, CircuitSpliceKeepsAscendingOrder) {
   net.run_to_quiescence();
   expect_survivors_clean(net, {3});
   expect_exactly_once(net, 0, {3});
-  EXPECT_GT(net.summary().messages_completed, 0);
+  EXPECT_GT(net.summary().counts.messages_completed, 0);
 }
 
 TEST(FailureRepair, TreeReparentingPreservesParentIdInvariant) {
@@ -136,7 +136,7 @@ TEST(FailureRepair, RootDeathPromotesLowestSurvivor) {
   net.run_to_quiescence();
   expect_survivors_clean(net, {0});
   expect_exactly_once(net, 0, {0});
-  EXPECT_GT(net.summary().messages_completed, 0);
+  EXPECT_GT(net.summary().counts.messages_completed, 0);
 }
 
 TEST(FailureRepair, RepairIsIdempotent) {
@@ -169,7 +169,7 @@ TEST_P(CrashDetectionTest, SilentCrashMidStreamIsDetectedAndRepaired) {
   const Network::Summary s = net.summary();
   EXPECT_EQ(s.hosts_crashed, 1);
   EXPECT_EQ(s.hosts_removed, 1) << "the detector never accused the dead host";
-  EXPECT_GE(s.suspicions, 1);
+  EXPECT_GE(s.counts.suspicions, 1);
   EXPECT_TRUE(net.host_removed(3));
   // Detection + repair inside the budget: suspicion timeout plus retry
   // schedule slack (first_tx of the oldest wedged send may predate death).
@@ -178,7 +178,7 @@ TEST_P(CrashDetectionTest, SilentCrashMidStreamIsDetectedAndRepaired) {
                 50'000);
   expect_survivors_clean(net, {3});
   expect_exactly_once(net, 0, {3});
-  EXPECT_GT(s.messages_completed, 0);
+  EXPECT_GT(s.counts.messages_completed, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, CrashDetectionTest,
@@ -222,13 +222,13 @@ TEST_P(CrashDuringBackoffTest, RescueLandsOnRepairedStructureNoDuplicates) {
   net.run_to_quiescence();
 
   const Network::Summary s = net.summary();
-  ASSERT_GT(s.retransmits, 0) << "loss recovery was never exercised";
+  ASSERT_GT(s.counts.retransmits, 0) << "loss recovery was never exercised";
   EXPECT_EQ(s.hosts_removed, 1) << "the detector never accused the dead host";
-  EXPECT_GT(s.sends_rerouted, 0)
+  EXPECT_GT(s.counts.sends_rerouted, 0)
       << "no in-flight send was rescued onto the repaired structure";
   expect_survivors_clean(net, {3});
   expect_exactly_once(net, 0, {3});
-  EXPECT_GT(s.messages_completed, 0);
+  EXPECT_GT(s.counts.messages_completed, 0);
 
   const check::CheckReport rep = net.check_expectations();
   EXPECT_TRUE(rep.ok()) << rep.format();
@@ -272,7 +272,7 @@ TEST(FailureRepair, ProbesDetectIdleNeighborDeath) {
   const Network::Summary s = net.summary();
   EXPECT_EQ(s.hosts_removed, 1) << "probes failed to expose the idle death";
   EXPECT_TRUE(net.host_removed(5));
-  EXPECT_GE(s.suspicions, 1);
+  EXPECT_GE(s.counts.suspicions, 1);
   const auto& order = net.tables().circuit(1).order();
   EXPECT_EQ(order, (std::vector<HostId>{4, 6, 7}));
   expect_survivors_clean(net, {5});
@@ -307,14 +307,16 @@ TEST(FailureRepair, PermanentLinkDeathRecomputesRoutes) {
   net.run_to_quiescence();
 
   EXPECT_FALSE(net.routing().link_alive(victim));
-  EXPECT_EQ(net.summary().links_failed, 1);
+  EXPECT_EQ(net.summary().counts.links_failed, 1);
   // All hosts still mutually reachable over the healed up/down labels.
   for (HostId a = 0; a < 9; ++a)
     for (HostId b = 0; b < 9; ++b)
-      if (a != b) EXPECT_GT(net.routing().hop_count(a, b), 0);
+      if (a != b) {
+        EXPECT_GT(net.routing().hop_count(a, b), 0);
+      }
   expect_survivors_clean(net, {});
   expect_exactly_once(net, 0, {});
-  EXPECT_EQ(net.summary().messages_completed, 12);
+  EXPECT_EQ(net.summary().counts.messages_completed, 12);
 }
 
 // --- the acceptance scenario ------------------------------------------------
@@ -371,7 +373,7 @@ TEST(FailureRepair, Acceptance64HostTenGroups) {
   EXPECT_EQ(s.hosts_crashed, static_cast<std::int64_t>(dead.size()));
   EXPECT_EQ(s.hosts_removed, static_cast<std::int64_t>(dead.size()))
       << "every silent crash must be detected and repaired";
-  EXPECT_EQ(s.links_failed, 1);
+  EXPECT_EQ(s.counts.links_failed, 1);
   for (const HostId h : dead) EXPECT_TRUE(net.host_removed(h));
 
   // Every repaired circuit: dead members gone, ascending IDs (the one wrap
@@ -394,7 +396,7 @@ TEST(FailureRepair, Acceptance64HostTenGroups) {
 
   // Survivors resumed in every group and delivered exactly once; nothing
   // leaked.
-  EXPECT_GT(s.messages_completed, 0);
+  EXPECT_GT(s.counts.messages_completed, 0);
   for (const auto& g : groups) expect_exactly_once(net, g.id, dead);
   expect_survivors_clean(net, dead);
 }
@@ -421,9 +423,10 @@ TEST(FailureRepair, CrashMidJoinShedsInsteadOfSplicingACorpse) {
   net.run_to_quiescence();
 
   const Network::Summary s = net.summary();
-  EXPECT_EQ(s.joins_requested, 1);
-  EXPECT_EQ(s.joins_applied, 0);
-  EXPECT_EQ(s.joins_abandoned, 1) << "the dead joiner must be finally shed";
+  EXPECT_EQ(s.counts.joins_requested, 1);
+  EXPECT_EQ(s.counts.joins_applied, 0);
+  EXPECT_EQ(s.counts.joins_abandoned, 1)
+      << "the dead joiner must be finally shed";
   EXPECT_FALSE(net.tables().is_member(0, 5));
   EXPECT_EQ(net.tables().circuit(0).order(), (std::vector<HostId>{0, 1, 2, 3}));
   expect_survivors_clean(net, {5});
@@ -459,7 +462,7 @@ TEST(FailureRepair, LeaveRacingInFlightRepairStaysClean) {
   EXPECT_EQ(s.hosts_removed, 1) << "the real crash must still be repaired";
   EXPECT_TRUE(net.host_removed(3));
   EXPECT_FALSE(net.host_removed(5)) << "the leaver is alive, not a corpse";
-  EXPECT_EQ(s.leaves, 1);
+  EXPECT_EQ(s.counts.leaves, 1);
   EXPECT_FALSE(net.tables().is_member(0, 5));
   // Circuit healed around both departures, in order.
   EXPECT_EQ(net.tables().circuit(0).order(),

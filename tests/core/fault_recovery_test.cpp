@@ -51,7 +51,7 @@ void expect_fully_recovered(Network& net, int n_messages) {
   EXPECT_EQ(net.metrics().messages_completed(), n_messages)
       << net.debug_report();
   EXPECT_EQ(net.metrics().outstanding(), 0);
-  EXPECT_EQ(net.summary().deliveries_failed, 0);
+  EXPECT_EQ(net.summary().counts.deliveries_failed, 0);
   EXPECT_EQ(net.metrics().mcast_latency().count(), n_messages * dests);
   for (HostId h = 0; h < net.num_hosts(); ++h) {
     EXPECT_EQ(net.protocol(h).pool().total_used(), 0) << "host " << h;
@@ -107,8 +107,8 @@ TEST_P(FaultRecoveryTest, LostAcksAreReAckedNotRedelivered) {
   net.run_to_quiescence();
   const Network::Summary s = net.summary();
   EXPECT_GT(s.faults_injected, 0);
-  EXPECT_GT(s.ack_timeouts, 0);
-  EXPECT_GT(s.duplicates_suppressed, 0);
+  EXPECT_GT(s.counts.ack_timeouts, 0);
+  EXPECT_GT(s.counts.duplicates_suppressed, 0);
   expect_fully_recovered(net, 12);
 }
 
@@ -128,8 +128,8 @@ INSTANTIATE_TEST_SUITE_P(ReservationSchemes, FaultRecoveryTest,
                          ::testing::Values(Scheme::kHamiltonianSF,
                                            Scheme::kHamiltonianCT,
                                            Scheme::kTreeSF, Scheme::kTreeCT),
-                         [](const ::testing::TestParamInfo<Scheme>& info) {
-                           std::string s = scheme_name(info.param);
+                         [](const ::testing::TestParamInfo<Scheme>& p) {
+                           std::string s = scheme_name(p.param);
                            for (char& c : s)
                              if (c == '-') c = '_';
                            return s;
@@ -147,8 +147,8 @@ TEST(FaultRecovery, ForcedAckLossIsDeduplicated) {
   net.run_to_quiescence();
   const Network::Summary s = net.summary();
   EXPECT_EQ(s.faults_injected, 1);
-  EXPECT_GE(s.ack_timeouts, 1);
-  EXPECT_GE(s.duplicates_suppressed, 1);
+  EXPECT_GE(s.counts.ack_timeouts, 1);
+  EXPECT_GE(s.counts.duplicates_suppressed, 1);
   expect_fully_recovered(net, 1);
 }
 
@@ -163,7 +163,7 @@ TEST(FaultRecovery, ForcedWormKillIsRetransmitted) {
   inject_multicasts(net, 1, 400);
   net.run_to_quiescence();
   EXPECT_EQ(net.summary().faults_injected, 1);
-  EXPECT_GE(net.summary().ack_timeouts, 1);
+  EXPECT_GE(net.summary().counts.ack_timeouts, 1);
   expect_fully_recovered(net, 1);
 }
 
@@ -179,7 +179,7 @@ TEST(FaultRecovery, BoundedRetriesGiveUpCleanly) {
   inject_multicasts(net, 2, 200);
   net.run_to_quiescence();
   const Network::Summary s = net.summary();
-  EXPECT_GE(s.deliveries_failed, 2);
+  EXPECT_GE(s.counts.deliveries_failed, 2);
   EXPECT_EQ(s.outstanding, 0) << "abandoned messages must not stay outstanding";
   EXPECT_EQ(net.metrics().messages_completed(), 0);
   for (HostId h = 0; h < net.num_hosts(); ++h) {
@@ -214,9 +214,9 @@ TEST(FaultRecovery, NoFaultsMeansNoTimeoutsOrDuplicates) {
   net.run_to_quiescence();
   const Network::Summary s = net.summary();
   EXPECT_EQ(s.faults_injected, 0);
-  EXPECT_EQ(s.ack_timeouts, 0);
-  EXPECT_EQ(s.duplicates_suppressed, 0);
-  EXPECT_EQ(s.retransmits, 0);
+  EXPECT_EQ(s.counts.ack_timeouts, 0);
+  EXPECT_EQ(s.counts.duplicates_suppressed, 0);
+  EXPECT_EQ(s.counts.retransmits, 0);
   expect_fully_recovered(net, 10);
 }
 

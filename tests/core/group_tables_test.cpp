@@ -25,7 +25,7 @@ TEST_F(GroupTablesTest, CircuitOrdersByIncreasingId) {
   EXPECT_EQ(c.next(12), 3);  // wrap-around: the one ID reversal
   EXPECT_TRUE(c.contains(7));
   EXPECT_FALSE(c.contains(8));
-  EXPECT_THROW(c.next(8), std::invalid_argument);
+  EXPECT_THROW((void)c.next(8), std::invalid_argument);
 }
 
 TEST_F(GroupTablesTest, CircuitRejectsBadGroups) {
@@ -98,7 +98,7 @@ TEST_F(GroupTablesTest, GroupTablesLookups) {
   EXPECT_FALSE(tables.is_member(0, 0));
   EXPECT_EQ(tables.tree(1).root(), 0);
   EXPECT_EQ(tables.circuit(0).lowest(), 1);
-  EXPECT_THROW(tables.circuit(9), std::invalid_argument);
+  EXPECT_THROW((void)tables.circuit(9), std::invalid_argument);
 }
 
 TEST_F(GroupTablesTest, SingleMemberGroup) {
@@ -164,7 +164,9 @@ TEST_F(GroupTablesTest, TreeRootRemovalPromotesLowestSurvivor) {
   EXPECT_EQ(t.root(), 5);
   EXPECT_EQ(t.parent(5), kNoHost);
   for (const HostId m : t.members())
-    if (m != t.root()) EXPECT_LT(t.parent(m), m);
+    if (m != t.root()) {
+      EXPECT_LT(t.parent(m), m);
+    }
 }
 
 TEST_F(GroupTablesTest, GroupTablesRemoveMemberRepairsEveryGroup) {
@@ -239,7 +241,9 @@ TEST_F(GroupTablesTest, TreeAddMemberBelowRootAdoptsNewRoot) {
   EXPECT_EQ(t.parent(4), 1);
   EXPECT_EQ(t.children(1), (std::vector<HostId>{4}));
   for (const HostId m : t.members())
-    if (m != t.root()) EXPECT_LT(t.parent(m), m);
+    if (m != t.root()) {
+      EXPECT_LT(t.parent(m), m);
+    }
 }
 
 TEST_F(GroupTablesTest, GroupTablesAddMemberSplicesCircuitAndTree) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <string>
+
 namespace wormcast {
 namespace {
 
@@ -80,15 +84,37 @@ TEST(Metrics, OrderRecordsPerHostPerGroup) {
 
 TEST(Metrics, EventCounters) {
   Metrics m;
-  m.on_nack();
-  m.on_nack();
-  m.on_retransmit();
-  m.on_relay();
-  m.on_mcast_drop();
+  m.counts.nacks += 2;
+  ++m.counts.retransmits;
+  ++m.counts.relays;
+  m.on_join_shed(/*final_shed=*/false);
+  m.on_join_shed(/*final_shed=*/true);
+  m.on_join_applied(/*latency=*/50, /*rejoin=*/true);
   EXPECT_EQ(m.nacks(), 2);
   EXPECT_EQ(m.retransmits(), 1);
   EXPECT_EQ(m.relays(), 1);
-  EXPECT_EQ(m.mcast_drops(), 1);
+  EXPECT_EQ(m.counts.joins_shed, 2);
+  EXPECT_EQ(m.counts.joins_abandoned, 1);
+  EXPECT_EQ(m.counts.joins_applied, 1);
+  EXPECT_EQ(m.counts.rejoins, 1);
+  EXPECT_EQ(m.join_latency().count(), 1);
+}
+
+TEST(Metrics, ExportTableNamesEveryFieldOnce) {
+  // Writing 1..N through the table must land in N distinct fields: a row
+  // that repeats a field would leave another at zero.
+  RunCounters c;
+  std::set<std::string> names;
+  std::int64_t v = 0;
+  for (const auto& [name, field] : kRunCounterFields) {
+    c.*field = ++v;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
+  std::set<std::int64_t> seen;
+  for (const auto& [name, field] : kRunCounterFields) seen.insert(c.*field);
+  EXPECT_EQ(seen.size(), kRunCounterFields.size());
+  EXPECT_EQ(c.joins_abandoned, v) << "shed_joins_final is the last row";
+  EXPECT_NE(c, RunCounters());
 }
 
 TEST(Metrics, MessageIdsAreUnique) {

@@ -49,7 +49,7 @@ TEST_P(SchemeTopoTest, MixedTrafficIsFullyDelivered) {
   Network net(topo_by_index(topo_idx), groups, cfg);
   net.run(/*warmup=*/5'000, /*measure=*/80'000, /*drain_cap=*/2'000'000);
   const auto s = net.summary();
-  EXPECT_GT(s.messages, 10);
+  EXPECT_GT(s.counts.messages_created, 10);
   EXPECT_EQ(s.outstanding, 0) << "oldest age " << s.oldest_outstanding_age;
   EXPECT_EQ(s.fabric_overflows, 0);
 }

@@ -117,8 +117,8 @@ INSTANTIATE_TEST_SUITE_P(Schemes, SwitchMcastSchemeTest,
                          ::testing::Values(SwitchMcastScheme::kIdleFill,
                                            SwitchMcastScheme::kInterrupt,
                                            SwitchMcastScheme::kFlushUnicast),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case SwitchMcastScheme::kIdleFill:
                                return "idle_fill";
                              case SwitchMcastScheme::kInterrupt:
@@ -198,7 +198,7 @@ TEST(SwitchMcast, FlushedUnicastUnderArmedFaultsRetransmitsOnce) {
   EXPECT_EQ(s.unicasts_flushed, 1);
   EXPECT_EQ(net.switch_mcast_engine().unicasts_flushed(), 1)
       << "summary must mirror the engine counter";
-  EXPECT_EQ(s.retransmits, 1) << "the flush retry, and only it";
+  EXPECT_EQ(s.counts.retransmits, 1) << "the flush retry, and only it";
   EXPECT_EQ(s.outstanding, 0);
   // Exactly once: the multicast copy plus the one retried unicast.
   EXPECT_EQ(net.adapter(2).payload_bytes_received(), 800 + 2000);

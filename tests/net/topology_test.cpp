@@ -75,8 +75,9 @@ TEST(Topologies, TorusHasExpectedShape) {
   // 2 fabric links per switch (right+down with wraparound) + 1 host link.
   EXPECT_EQ(t.num_links(), 64 * 2 + 64);
   for (NodeId n = 0; n < t.num_nodes(); ++n) {
-    if (t.node(n).kind == NodeKind::kSwitch)
+    if (t.node(n).kind == NodeKind::kSwitch) {
       EXPECT_EQ(t.node(n).ports.size(), 5u);  // 4 mesh + 1 host
+    }
   }
 }
 

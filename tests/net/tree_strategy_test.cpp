@@ -167,7 +167,12 @@ TEST(TreeStrategyStructure, SingleRootEmitsOneOnTreeWorm) {
   const std::vector<HostId> members{0, 3, 7, 11, 14};
   const McastPlan plan = s->plan_multicast(0, 0, members);
   EXPECT_EQ(plan.dests, (std::vector<HostId>{3, 7, 11, 14}));
-  EXPECT_EQ(s->plan_orientation(0), 0);
+  // Single-root is multi-root with one candidate: the base root.
+  const auto* sr = dynamic_cast<const detail::MultiRootStrategy*>(s.get());
+  ASSERT_NE(sr, nullptr);
+  EXPECT_EQ(sr->candidate_roots(), std::vector<NodeId>{base.root()});
+  EXPECT_EQ(sr->assignment(0), 0u);
+  EXPECT_EQ(s->kind(), TreeStrategyKind::kSingleRoot);
   // Every traversed link lies on the strategy routing's spanning tree.
   const UpDownRouting& r = s->group_routing(0);
   std::function<void(NodeId, const McastRouteTree&)> on_tree =
@@ -194,10 +199,23 @@ TEST(TreeStrategyStructure, MultiRootAssignsDepthMinimizingCandidate) {
   const std::vector<HostId> members{1, 2, 5, 6};
   mr->plan_group(7, members);
   const std::size_t pick = mr->assignment(7);
-  EXPECT_EQ(mr->plan_orientation(7), static_cast<int>(pick));
   EXPECT_EQ(mr->group_routing(7).root(), mr->candidate_roots()[pick]);
   // Unknown groups ride candidate 0.
   EXPECT_EQ(mr->assignment(99), 0u);
+}
+
+TEST(TreeStrategyStructure, KindComesFromConfigNotRootCount) {
+  // A one-switch fabric clamps multi-root to one candidate; it still
+  // reports the strategy it was configured as.
+  const Topology topo = make_star(4);
+  const UpDownRouting base(topo);
+  const auto s = make_tree_strategy(make_cfg(TreeStrategyKind::kMultiRoot),
+                                    topo, base, UpDownOptions());
+  const auto* mr = dynamic_cast<const detail::MultiRootStrategy*>(s.get());
+  ASSERT_NE(mr, nullptr);
+  EXPECT_EQ(mr->candidate_roots().size(), 1u);
+  EXPECT_EQ(s->kind(), TreeStrategyKind::kMultiRoot);
+  EXPECT_STREQ(s->name(), "multi-root");
 }
 
 ExperimentConfig gate_cfg(TreeStrategyKind kind) {
@@ -244,6 +262,24 @@ TEST(McastAdmissionGate, OverlappingSendsSerializeAndAllComplete) {
   for (const auto& ctx : {a, b, c}) EXPECT_EQ(ctx->destinations_reached, 3);
   EXPECT_EQ(net.metrics().outstanding(), 0);
   EXPECT_EQ(net.mcast_gate_depth(), 0u);
+}
+
+TEST(McastAdmissionGate, EachDispatchPlansItsTreeOnce) {
+  // The tree the gate claims is the tree that is sent: a multicast that
+  // never queues is planned exactly once, for its footprint and its worm.
+  MulticastGroupSpec group;
+  group.id = 0;
+  group.members = {0, 3, 5, 8};
+  Network net(make_torus(3, 3), {group},
+              gate_cfg(TreeStrategyKind::kSingleRoot));
+  for (const HostId src : group.members) {
+    net.send_switch_multicast(src, 0, 400);
+    EXPECT_EQ(net.mcast_gate_depth(), 0u) << "the previous send has closed";
+    net.run_to_quiescence();
+  }
+  EXPECT_EQ(net.tree_strategy().worms_planned(),
+            static_cast<std::int64_t>(group.members.size()));
+  EXPECT_EQ(net.metrics().outstanding(), 0);
 }
 
 class GateStrategyTest : public ::testing::TestWithParam<int> {};

@@ -38,7 +38,9 @@ void expect_legal(const Topology& t, const UpDownRouting& r, HostId src,
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {  // last hop = host link
     const LinkId l = t.link_at(at, route.at(i));
     const bool up = r.is_up_traversal(l, at);
-    if (up) EXPECT_FALSE(gone_down) << "up traversal after down";
+    if (up) {
+      EXPECT_FALSE(gone_down) << "up traversal after down";
+    }
     if (!up) gone_down = true;
     at = t.neighbor_via(at, route.at(i));
   }
@@ -155,7 +157,9 @@ TEST(UpDown, UpEndIsCloserToRoot) {
     const NodeId up = r.up_end(l);
     const NodeId down = t.peer(l, up);
     EXPECT_LE(r.level(up), r.level(down));
-    if (r.level(up) == r.level(down)) EXPECT_LT(up, down);
+    if (r.level(up) == r.level(down)) {
+      EXPECT_LT(up, down);
+    }
   }
 }
 
@@ -280,7 +284,9 @@ TEST(UpDown, LevelOverrideOrientsLinksByStage) {
   // All host pairs remain routable through any spine orientation.
   for (HostId s = 0; s < t.num_hosts(); ++s)
     for (HostId d = 0; d < t.num_hosts(); ++d)
-      if (s != d) EXPECT_NO_THROW(r.route(s, d));
+      if (s != d) {
+        EXPECT_NO_THROW(r.route(s, d));
+      }
 }
 
 }  // namespace

@@ -68,8 +68,12 @@ TEST(TrafficGenerator, MulticastFractionRespected) {
     if (d.multicast) {
       ++mcast;
       // Only groups the source belongs to.
-      if (d.group == 0) EXPECT_LE(d.src, 2);
-      if (d.group == 1) EXPECT_GE(d.src, 1);
+      if (d.group == 0) {
+        EXPECT_LE(d.src, 2);
+      }
+      if (d.group == 1) {
+        EXPECT_GE(d.src, 1);
+      }
     } else {
       EXPECT_NE(d.dst, d.src);
     }
@@ -91,7 +95,9 @@ TEST(TrafficGenerator, HostsOutsideAllGroupsNeverMulticast) {
   gen.start(400'000);
   sim.run();
   for (const auto& d : got.demands)
-    if (d.src >= 2) EXPECT_FALSE(d.multicast);
+    if (d.src >= 2) {
+      EXPECT_FALSE(d.multicast);
+    }
 }
 
 TEST(TrafficGenerator, DeterministicForSameSeed) {
