@@ -180,7 +180,8 @@ class HostAdapter final : public ByteFeed, public RxSink {
   /// Tail-byte completion: closes the in-progress reception (also invoked
   /// straight from on_head for single-byte trailer-only fragments).
   void finish_rx();
-  [[nodiscard]] std::int64_t rx_burst_budget() const override;
+  [[nodiscard]] std::int64_t rx_burst_budget(
+      std::int64_t in_flight) const override;
 
  private:
   struct TxPlan {

@@ -138,13 +138,14 @@ std::int64_t Channel::burst_headroom() const {
     return 0;
   // The synthesized-tail byte of a truncated worm (and everything after
   // it) steps per-byte; a swallowed worm reaches no sink.
-  const std::int64_t cap = fault_mode_ == FaultMode::kTruncate
-                               ? fault_pass_left_ - 1
-                               : std::numeric_limits<std::int64_t>::max();
+  std::int64_t cap = fault_mode_ == FaultMode::kTruncate
+                         ? fault_pass_left_ - 1
+                         : std::numeric_limits<std::int64_t>::max();
   if (fault_mode_ == FaultMode::kSwallow) return cap;
-  // Flow-control safety: never let (in flight + this run) reach the
-  // receiver's STOP decision point, so no STOP/GO signal can move.
-  return std::min(cap, sink_->rx_burst_budget() - in_flight_bytes_);
+  // A STOP in flight halts the transmitter from its landing tick on.
+  if (!stop_landings_.empty())
+    cap = std::min(cap, stop_landings_.front() - sim_.now());
+  return std::min(cap, sink_->rx_burst_budget(in_flight_bytes_));
 }
 
 void Channel::classify_fault(const TxByte& b) {
@@ -218,7 +219,9 @@ void Channel::deliver_front() {
 }
 
 void Channel::signal_stop() {
+  stop_landings_.push_back(sim_.now() + delay_);
   sim_.after(delay_, [this] {
+    stop_landings_.erase(stop_landings_.begin());
     stopped_ = true;
     WORMTRACE(sim_, kChanStop, trace_node_, trace_port_, trace_worm_, 0);
   });

@@ -19,17 +19,23 @@
 // step alone are runs of one. The channel caps the run at 1 in per-byte
 // mode (FabricConfig::burst_channels = false, the spec) and otherwise at
 // burst_headroom(): the worm's fault classification is fixed, no
-// truncation boundary falls inside, and the receiver's slack buffer
-// provably cannot cross a STOP/GO threshold. Results are bit-for-bit
-// identical in both modes (the equivalence suite pins this). Switch-level
-// multicast branches commit runs as a gang: the replication engine gives
-// every branch channel of a connection the same run in the same tick
-// (switch_mcast_engine.h).
+// truncation boundary falls inside, the run stops short of the earliest
+// STOP already in flight toward the transmitter, and it is no longer than
+// the receiver accepts (RxSink::rx_burst_budget). The link delay d is the
+// lookahead that makes runs safe: a STOP that could halt a send in
+// [t, t+d) was decided before t and is already in flight, so a run of up
+// to d bytes never outruns one, provided the receiver takes its STOP, GO
+// and overflow decisions at the per-byte ticks (switch_rt.h: on logical
+// occupancy). Results are bit-for-bit identical in both modes (the
+// equivalence suite pins this). Switch-level multicast branches commit
+// runs as a gang: the replication engine gives every branch channel of a
+// connection the same run in the same tick (switch_mcast_engine.h).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <vector>
 
 #include "net/worm.h"
 #include "sim/lazy_deque.h"
@@ -92,11 +98,15 @@ class RxSink {
   /// arrives alone (n == 1).
   virtual void on_body(std::int64_t n, bool tail) = 0;
 
-  /// How many more bytes the sink can absorb — beyond everything already
-  /// in flight toward it — without any possibility of a STOP/GO transition.
-  /// The channel never lets (in-flight + run) exceed this, so a run can
-  /// never move a flow-control signal. 0 limits every run to one byte.
-  [[nodiscard]] virtual std::int64_t rx_burst_budget() const { return 0; }
+  /// Longest run the sink accepts now from its channel, which has
+  /// `in_flight` bytes on the wire toward it. 0 limits every run to one
+  /// byte. A sink with flow control must keep every STOP/GO decision at
+  /// its per-byte tick whatever run it accepts.
+  [[nodiscard]] virtual std::int64_t rx_burst_budget(
+      std::int64_t in_flight) const {
+    (void)in_flight;
+    return 0;
+  }
 };
 
 /// A directed byte pipe with propagation delay and STOP/GO backpressure.
@@ -150,8 +160,8 @@ class Channel {
 
   /// Longest run the channel may commit at the current tick: 0 unless
   /// burst mode is on and the transmitter can send now (feed attached,
-  /// un-STOPped, tick not yet claimed); otherwise the truncation boundary
-  /// and the receiver's flow-control headroom net of bytes in flight. The
+  /// un-STOPped, tick not yet claimed); otherwise the truncation boundary,
+  /// the earliest in-flight STOP landing and the receiver's budget. The
   /// channel's own send path and the multicast engine's gang check (which
   /// must know every branch channel can take the same run) both use it.
   [[nodiscard]] std::int64_t burst_headroom() const;
@@ -171,7 +181,8 @@ class Channel {
   /// the object itself plus its in-flight window, which only costs once
   /// the channel has actually carried a byte.
   [[nodiscard]] std::size_t heap_bytes_estimate() const {
-    return sizeof(Channel) + in_flight_.heap_bytes_estimate();
+    return sizeof(Channel) + in_flight_.heap_bytes_estimate() +
+           stop_landings_.capacity() * sizeof(Time);
   }
 
  private:
@@ -225,6 +236,10 @@ class Channel {
   bool last_run_swallowed_ = false;
   std::int64_t in_flight_bytes_ = 0;  // delivered-but-not-landed bytes
   LazyDeque<InFlight> in_flight_;
+  /// Landing times of the STOPs signalled but not yet in effect, oldest
+  /// first (the delay is fixed, so they land in signalling order). STOPs
+  /// are a threshold swing apart, so only a few are ever in flight.
+  std::vector<Time> stop_landings_;
   FaultMode fault_mode_ = FaultMode::kNone;
   std::int64_t fault_pass_left_ = 0;  // kTruncate: bytes still delivered
   // Trace track identity (transmitter end) and the current worm's id for

@@ -155,15 +155,17 @@ void SwitchMcastEngine::on_input_bytes(InPort& in) {
 }
 
 void SwitchMcastEngine::consume_prefix(Conn& c) {
-  // Encoding bytes are consumed as they physically arrive (parsed by the
-  // switch). Bytes of a run still logically in flight are released early,
-  // like a unicast drain commit: no STOP/GO decision can fall inside a
-  // run's logical window, and copies wait for the logical arrival of the
-  // whole encoding (branch_run).
+  // Encoding bytes are consumed as they arrive (parsed by the switch).
+  // Bytes of a run still logically in flight are released now, each
+  // leaving the slack buffer's logical occupancy at its arrival tick, and
+  // copies wait for the logical arrival of the whole encoding (branch_run).
   const std::int64_t upto =
       std::min(c.encoding_len, c.in->front_received());
   if (c.prefix_consumed >= upto) return;
-  c.in->mcast_consume(upto - c.prefix_consumed);
+  const std::int64_t arrived = std::min(upto, c.in->front_arrived());
+  if (arrived > c.prefix_consumed)
+    c.in->mcast_consume(arrived - c.prefix_consumed);
+  if (upto > arrived) c.in->release(upto - arrived, sim_.now() + 1);
   c.prefix_consumed = upto;
 }
 
@@ -269,8 +271,6 @@ std::int64_t SwitchMcastEngine::gang_room(const Conn& c) const {
   // Buffered bytes arrive one per byte-time, so everything physically
   // here is committable; the input's tail byte always steps per-byte.
   std::int64_t n = c.body_received() - (c.body_final() ? 1 : 0) - first;
-  // Releasing the run's input bytes at once must not move STOP/GO.
-  n = std::min(n, c.in->drain_burst_limit());
   for (const Branch& b : c.branches) {
     if (n <= 1 || !b.mid_body()) return 0;
     n = std::min(n, c.sw->out_port(b.port).channel->burst_headroom());
@@ -327,12 +327,12 @@ TxByte SwitchMcastEngine::branch_take(Conn& c, std::size_t idx,
 void SwitchMcastEngine::commit_gang(Conn& c, std::size_t idx, std::int64_t n) {
   // First branch of the tick: commit the run for the whole connection.
   // Every branch advances by n, so the lockstep minimum does too, and the
-  // input releases the run's bytes now (drain_burst_limit allowed it); the
-  // channels deliver them one per byte-time.
+  // input releases the run's bytes, which leave one per byte-time as the
+  // channels send them.
   c.gang_at = sim_.now();
   c.gang_n = n;
   c.min_taken += n;
-  c.in->mcast_consume(n);
+  c.in->release(n, sim_.now());
   for (std::size_t i = 0; i < c.branches.size(); ++i) {
     if (i == idx) continue;
     c.branches[i].gang_pending = true;
@@ -447,7 +447,7 @@ bool SwitchMcastEngine::maybe_flush_unicast(SwitchRt& sw, InPort& in,
   if (in.front_worm()->kind != WormKind::kData) return false;
   if (sim_.now() - sw.out_port(out).last_data_byte >=
       config_.idle_flush_threshold) {
-    flush(sw, in, out);
+    flush(sw, in, out, /*arrival_first=*/true);  // do_route settled it
     return true;
   }
   // Not yet multicast-IDLE: let the unicast queue, and keep watching until
@@ -463,17 +463,21 @@ void SwitchMcastEngine::watch_for_flush(SwitchRt* sw, InPort* in, PortId out) {
     if (!sw->is_waiting(*in, out)) return;  // the unicast got through
     if (sim_.now() - port.last_data_byte >= config_.idle_flush_threshold) {
       sw->cancel_request(*in, out);
-      flush(*sw, *in, out);
+      // A byte arriving this tick was keyed `delay` ticks ago, this event
+      // idle_flush_threshold ago: the older one fires first.
+      const Time delay = sw->in_channel(in->port())->delay();
+      flush(*sw, *in, out, delay > config_.idle_flush_threshold);
       return;
     }
     watch_for_flush(sw, in, out);
   });
 }
 
-void SwitchMcastEngine::flush(SwitchRt& sw, InPort& in, PortId out) {
+void SwitchMcastEngine::flush(SwitchRt& sw, InPort& in, PortId out,
+                              bool arrival_first) {
   WormPtr worm = in.front_worm();
   WORMTRACE(sim_, kMcastIdleFlush, sw.node(), out, worm->id, worm->src);
-  in.flush_front();
+  in.flush_front(arrival_first);
   ++flushed_;
   if (flush_handler_) flush_handler_(worm);
 }

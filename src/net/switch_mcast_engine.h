@@ -32,14 +32,14 @@
 // branch is at the minimum L or one ahead at L+1. When, at tick t, every
 // branch is mid-body (open, holding its port, prefix sent, not closing),
 // every branch channel can take a run of n bytes now, and the input holds
-// the bytes and may release n of them without a STOP/GO decision moving,
-// each branch would send one body byte per tick for the next n ticks under
-// per-byte stepping. The first branch channel to pump in tick t then
-// commits that run for the whole connection, the input releases its n
-// bytes at once, and every sibling's pump in the same tick takes exactly
-// the same n. Heads, prefixes, fragment trailers, final tails and ticks
-// where the condition fails are runs of one through the same Branch state
-// machine; results are bit-identical either way.
+// the bytes, each branch would send one body byte per tick for the next
+// n ticks under per-byte stepping. The first branch channel to pump in
+// tick t then commits that run for the whole connection, the input
+// releases its n bytes (they leave its logical occupancy one per tick),
+// and every sibling's pump in the same tick takes exactly the same n.
+// Heads, prefixes, fragment trailers, final tails and ticks where the
+// condition fails are runs of one through the same Branch state machine;
+// results are bit-identical either way.
 #pragma once
 
 #include <cstdint>
@@ -126,8 +126,9 @@ class SwitchMcastEngine {
   void periodic_check(InPort* key);
   void watch_for_flush(SwitchRt* sw, InPort* in, PortId out);
   /// Flushes the unicast at the front of `in` blocked on `out`: trace,
-  /// discard, count, notify the host side.
-  void flush(SwitchRt& sw, InPort& in, PortId out);
+  /// discard, count, notify the host side (`arrival_first`: see
+  /// InPort::flush_front).
+  void flush(SwitchRt& sw, InPort& in, PortId out, bool arrival_first);
   void finish(Conn& conn);
   [[nodiscard]] bool any_branch_stopped(const Conn& conn) const;
 

@@ -20,20 +20,23 @@ void InPort::on_head(const WormPtr& worm, std::int64_t wire_len, bool tail) {
   // one route byte the next switch consumes).
   assert(!tail && "single-byte worm at a switch input");
   (void)tail;
+  const Time now = sw_.sim().now();
   rx_queue_.push_back(RxWorm{worm, wire_len, 1, false});
-  rx_queue_.back().run_end = sw_.sim().now();
+  rx_queue_.back().run_end = now;
   ++buffered_;
-  if (buffered_ > sw_.slack_capacity(port_)) sw_.note_overflow();
-  check_stop();
+  arrive_end_ = now;
+  check_arrival();
   if (rx_queue_.size() == 1) begin_routing();
+  schedule_checks();
 }
 
 void InPort::on_body(std::int64_t n, bool tail) {
   assert(!rx_queue_.empty());
   assert((n == 1 || !tail) && "a tail arrives alone");
+  const Time now = sw_.sim().now();
   RxWorm& rx = rx_queue_.back();
   rx.received += n;
-  rx.run_end = sw_.sim().now() + n - 1;
+  rx.run_end = now + n - 1;
   if (tail) rx.tail_seen = true;
   if (rx.discard) {
     // Flushed worm: swallow the bytes. When fully drained and it is still
@@ -44,14 +47,17 @@ void InPort::on_body(std::int64_t n, bool tail) {
     }
     return;
   }
+  // The run's first byte arrives now; the rest arrive at their logical
+  // ticks, where schedule_checks() puts any decision they could trigger.
   buffered_ += n;
-  if (buffered_ > sw_.slack_capacity(port_)) sw_.note_overflow();
-  check_stop();
+  arrive_end_ = rx.run_end;
+  check_arrival();
   if (connected_ && &rx == &rx_queue_.front()) {
     sw_.out_port(out_port_).channel->kick();
   } else if (mcast_conn_ != nullptr && &rx == &rx_queue_.front()) {
     sw_.mcast_engine()->on_input_bytes(*this);
   }
+  schedule_checks();
 }
 
 void InPort::begin_routing() {
@@ -61,12 +67,16 @@ void InPort::begin_routing() {
 
 void InPort::do_route() {
   assert(!rx_queue_.empty());
+  // Per-byte stepping delivers a byte arriving this tick before this event
+  // (its delivery was keyed d > kRoutingLatency ticks ago; shorter links
+  // take no lookahead runs, so no decision can fall on such a byte).
+  check_arrival();
   RxWorm& front = rx_queue_.front();
   assert(!front.routed);
   front.routed = true;
   // The route byte is consumed (stripped) by the routing decision.
   --buffered_;
-  after_byte_removed();
+  check_go();
 
   if (front.worm->kind == WormKind::kSwitchMcast &&
       front.worm->route_offset >= front.worm->route.size()) {
@@ -76,15 +86,15 @@ void InPort::do_route() {
     if (engine == nullptr)
       throw std::logic_error("switch-level multicast worm but no engine installed");
     engine->start(*this);  // sets mcast_conn_
-    return;
+  } else {
+    // Unicast forwarding (also the climb phase of a broadcast worm).
+    const SourceRoute& route = front.worm->route;
+    assert(front.worm->route_offset < route.size() && "source route exhausted");
+    const PortId out = route.at(front.worm->route_offset++);
+    assert(out >= 0 && out < static_cast<PortId>(sw_.n_ports()));
+    sw_.request_output(*this, out);
   }
-
-  // Unicast forwarding (also the climb phase of a broadcast worm).
-  const SourceRoute& route = front.worm->route;
-  assert(front.worm->route_offset < route.size() && "source route exhausted");
-  const PortId out = route.at(front.worm->route_offset++);
-  assert(out >= 0 && out < static_cast<PortId>(sw_.n_ports()));
-  sw_.request_output(*this, out);
+  schedule_checks();
 }
 
 std::int64_t InPort::front_available() const {
@@ -97,18 +107,30 @@ std::int64_t InPort::front_arrived() const {
   return front.received - pending;
 }
 
-std::int64_t InPort::drain_burst_limit() const {
-  if (stop_sent_) return buffered_ - sw_.config().go_threshold - 1;
-  if (buffered_ > sw_.config().stop_threshold - 2) return 0;
-  return std::numeric_limits<std::int64_t>::max();
+std::int64_t InPort::occupancy(Time s) const {
+  return buffered_ - std::max<Time>(0, arrive_end_ - s) +
+         std::max<Time>(0, drain_end_ - s);
 }
 
-std::int64_t InPort::rx_burst_budget() const {
-  // Bytes this slack buffer can absorb without the STOP threshold becoming
-  // reachable even in per-byte stepping (whose transient peak during a
-  // matched arrive/drain run is one byte above the committed total).
-  if (stop_sent_) return 0;
-  return std::max<std::int64_t>(0, sw_.config().stop_threshold - 1 - buffered_);
+std::int64_t InPort::buffered() const { return occupancy(sw_.sim().now()); }
+
+std::int64_t InPort::arrival_occupancy(Time s) const {
+  return occupancy(s) + (drain_end_ >= s ? 1 : 0);
+}
+
+std::int64_t InPort::rx_burst_budget(std::int64_t in_flight) const {
+  const SwitchConfig& cfg = sw_.config();
+  const Time delay = sw_.in_channel(port_)->delay();
+  const std::int64_t lookahead =
+      delay > kRoutingLatency && delay >= cfg.stop_threshold ? delay : 0;
+  if (stop_sent_) return lookahead;
+  // With nothing more leaving than is already released, the byte arriving
+  // at any later tick sees at most buffered_ + in_flight + run, or, while
+  // released bytes still leave, one above the occupancy now.
+  const Time now = sw_.sim().now();
+  if (drain_end_ > now && occupancy(now) + 1 >= cfg.stop_threshold)
+    return lookahead;
+  return std::max(lookahead, cfg.stop_threshold - 1 - buffered_ - in_flight);
 }
 
 std::int64_t InPort::run_available() const {
@@ -120,7 +142,7 @@ std::int64_t InPort::run_available() const {
   // matching the send rate. The tail byte steps alone.
   std::int64_t n = (front.received - 1) - forwarded_;
   if (front.tail_seen) --n;
-  return std::max<std::int64_t>(1, std::min(n, drain_burst_limit()));
+  return std::max<std::int64_t>(1, n);
 }
 
 Time InPort::next_byte_time() const {
@@ -147,12 +169,11 @@ TxByte InPort::take(std::int64_t n) {
   // Framing is tail-driven: the incoming tail symbol is authoritative (the
   // declared wire length is advisory — scheme (b) fragments end early).
   b.tail = front.tail_seen && (forwarded_ == front.received - 1);
-  buffered_ -= n;
-  after_byte_removed();
   // The run's newest byte leaves at now + n - 1 (multicast-IDLE detection
   // compares against "last activity", so a future stamp is conservative
   // and exact once the run completes).
   sw_.out_port(out_port_).last_data_byte = sw_.sim().now() + n - 1;
+  release(n, sw_.sim().now());
   return b;
 }
 
@@ -177,26 +198,44 @@ void InPort::granted(PortId out_port) {
 
 void InPort::mcast_consume(std::int64_t n) {
   buffered_ -= n;
-  after_byte_removed();
+  check_go();
+  schedule_checks();
 }
 
-void InPort::flush_front() {
+void InPort::release(std::int64_t n, Time first) {
+  assert(first >= sw_.sim().now() && drain_end_ < first &&
+         "one release at a time, in tick order");
+  buffered_ -= n;
+  drain_end_ = first + n - 1;
+  check_go();
+  schedule_checks();
+}
+
+void InPort::flush_front(bool arrival_first) {
   assert(!rx_queue_.empty());
   RxWorm& front = rx_queue_.front();
   assert(front.routed && !connected_ && mcast_conn_ == nullptr &&
          "can only flush a worm waiting for an output");
+  if (arrival_first) check_arrival();
   front.worm->flushed = true;
   // Drop the bytes already buffered; the rest of the worm drains out of the
   // network as it arrives and is swallowed byte by byte.
   const std::int64_t held = front.received - 1;  // route byte already consumed
   buffered_ -= held;
-  after_byte_removed();
+  if (!front.tail_seen) {
+    // The front is also the worm still arriving: its landed bytes that
+    // have not logically arrived are swallowed too.
+    const Time now = sw_.sim().now();
+    arrive_end_ = std::min(arrive_end_, stop_checked_ >= now ? now : now - 1);
+  }
+  check_go();
   if (front.tail_seen) {
     rx_queue_.pop_front();
     if (!rx_queue_.empty()) begin_routing();
   } else {
     front.discard = true;
   }
+  schedule_checks();
 }
 
 void InPort::mcast_finish_front() {
@@ -206,17 +245,64 @@ void InPort::mcast_finish_front() {
   if (!rx_queue_.empty()) begin_routing();
 }
 
-void InPort::after_byte_removed() {
-  if (stop_sent_ && buffered_ <= sw_.config().go_threshold) {
+void InPort::check_arrival() {
+  const Time now = sw_.sim().now();
+  if (stop_checked_ >= now || arrive_end_ < now) return;
+  stop_checked_ = now;
+  const std::int64_t occ = arrival_occupancy(now);
+  if (occ > sw_.slack_capacity(port_)) sw_.note_overflow();
+  if (!stop_sent_ && occ >= sw_.config().stop_threshold) {
+    stop_sent_ = true;
+    sw_.in_channel(port_)->signal_stop();
+  }
+}
+
+void InPort::check_go() {
+  if (stop_sent_ && occupancy(sw_.sim().now()) <= sw_.config().go_threshold) {
     stop_sent_ = false;
     sw_.in_channel(port_)->signal_go();
   }
 }
 
-void InPort::check_stop() {
-  if (!stop_sent_ && buffered_ >= sw_.config().stop_threshold) {
-    stop_sent_ = true;
-    sw_.in_channel(port_)->signal_stop();
+void InPort::schedule_checks() {
+  const Time now = sw_.sim().now();
+  // A pending arrival sees a nondecreasing occupancy (each tick adds its
+  // byte and removes at most one released byte), so the last one bounds
+  // them all and the first at the limit is where a decision can fall.
+  const Time first = std::max(now, stop_checked_) + 1;
+  const std::int64_t limit = stop_sent_ ? sw_.slack_capacity(port_) + 1
+                                        : sw_.config().stop_threshold;
+  if (first <= arrive_end_ && arrival_occupancy(arrive_end_) >= limit) {
+    Time at = first;
+    while (arrival_occupancy(at) < limit) ++at;
+    arm_check(arrival_check_at_, at, /*late=*/false);
+  }
+  // Likewise a pending removal sees a nonincreasing occupancy.
+  const std::int64_t go = sw_.config().go_threshold;
+  if (stop_sent_ && drain_end_ >= now && occupancy(drain_end_) <= go) {
+    Time at = now;
+    while (occupancy(at) > go) ++at;
+    arm_check(go_check_at_, at, /*late=*/true);
+  }
+}
+
+void InPort::arm_check(Time& armed, Time at, bool late) {
+  Simulator& sim = sw_.sim();
+  if (armed >= sim.now() && armed <= at) return;  // that one re-arms
+  armed = at;
+  auto check = [this, &armed, late] {
+    if (armed == sw_.sim().now()) armed = kTimeNever;
+    if (late) {
+      check_go();  // a released byte left in the late class
+    } else {
+      check_arrival();
+    }
+    schedule_checks();
+  };
+  if (late) {
+    sim.at_late(at, check);
+  } else {
+    sim.at(at, check);
   }
 }
 

@@ -5,6 +5,15 @@
 // of blocked worms). A worm's head byte is consumed at the input port to
 // select the output (source routing); the worm then holds the input→output
 // crossbar connection until its tail passes.
+//
+// An input port decides STOP, GO and overflow on its *logical* occupancy:
+// bytes logically arrived minus bytes logically removed. A run landing at
+// t (channel.h) arrives one byte per tick through t+n-1, and a run taken
+// at t leaves one byte per tick through t+n-1, so the physical count jumps
+// while the logical one moves exactly as under per-byte stepping. When a
+// pending arrival or removal could cross a threshold, the port schedules a
+// check at the earliest such tick; every decision therefore falls on its
+// per-byte tick whatever runs the channels commit.
 #pragma once
 
 #include <algorithm>
@@ -45,7 +54,13 @@ class InPort final : public RxSink, public ByteFeed {
   // RxSink — bytes arriving from the upstream channel.
   void on_head(const WormPtr& worm, std::int64_t wire_len, bool tail) override;
   void on_body(std::int64_t n, bool tail) override;
-  [[nodiscard]] std::int64_t rx_burst_budget() const override;
+  /// The link delay d on a link at least as long as the STOP threshold and
+  /// longer than kRoutingLatency (the lookahead: a STOP that could halt
+  /// any byte of a run of d is already in flight), or more while no STOP
+  /// can be decided before the run and everything in flight has landed,
+  /// even if nothing more leaves.
+  [[nodiscard]] std::int64_t rx_burst_budget(
+      std::int64_t in_flight) const override;
 
   // ByteFeed — bytes leaving through the connected output channel.
   [[nodiscard]] std::int64_t run_available() const override;
@@ -54,7 +69,8 @@ class InPort final : public RxSink, public ByteFeed {
   [[nodiscard]] Time next_byte_time() const override;
 
   [[nodiscard]] PortId port() const { return port_; }
-  [[nodiscard]] std::int64_t buffered() const { return buffered_; }
+  /// Logical slack-buffer occupancy now.
+  [[nodiscard]] std::int64_t buffered() const;
   /// Estimated resident bytes for this input port (memory audit).
   [[nodiscard]] std::size_t heap_bytes_estimate() const {
     return sizeof(InPort) + rx_queue_.heap_bytes_estimate();
@@ -69,18 +85,15 @@ class InPort final : public RxSink, public ByteFeed {
   /// Called by the output port when this input wins arbitration.
   void granted(PortId out_port);
 
-  /// Most buffered bytes one drain commit may release at once so that no
-  /// STOP/GO decision differs from per-byte stepping (one byte leaving per
-  /// byte-time): with STOP out the run must stop above the GO threshold,
-  /// and next to the STOP threshold (per-byte stepping's transient peak)
-  /// nothing may be committed. Unicast forwarding and the multicast
-  /// engine's gang release both obey it.
-  [[nodiscard]] std::int64_t drain_burst_limit() const;
-
-  /// Consumes `n` buffered bytes on behalf of a multicast connection (the
-  /// multicast engine forwards to several outputs at once and manages its
-  /// own pacing).
+  /// Removes `n` buffered bytes at once on behalf of a multicast
+  /// connection (the multicast engine forwards to several outputs at once
+  /// and manages its own pacing).
   void mcast_consume(std::int64_t n = 1);
+  /// Releases `n` buffered bytes that leave one per byte-time from
+  /// `first`: a run taken now (first == now; a unicast take or a
+  /// multicast gang), or route-encoding bytes still logically in flight,
+  /// each consumed as it arrives (first == now + 1).
+  void release(std::int64_t n, Time first);
   /// Completes the front worm for the multicast engine (all branches done).
   void mcast_finish_front();
   /// The multicast connection that owns the front worm (null when none);
@@ -110,7 +123,10 @@ class InPort final : public RxSink, public ByteFeed {
   /// Flushes the front worm (scheme (c), Section 3): it is discarded here —
   /// never forwarded — and drains out of the network as its remaining bytes
   /// arrive. Pre: the front worm is routed but has no output connection.
-  void flush_front();
+  /// `arrival_first`: a byte of the worm logically arriving this tick
+  /// arrived before the flush (per-byte event order), so it is counted
+  /// and checked first; otherwise it is swallowed like the rest.
+  void flush_front(bool arrival_first);
 
  private:
   struct RxWorm {
@@ -128,14 +144,43 @@ class InPort final : public RxSink, public ByteFeed {
 
   void begin_routing();
   void do_route();
-  void after_byte_removed();
-  void check_stop();
+  /// Logical occupancy once every event of tick `s` has fired.
+  [[nodiscard]] std::int64_t occupancy(Time s) const;
+  /// The occupancy the byte arriving at `s` sees: that tick's removal (a
+  /// drained byte leaves in the late class, a passed-through encoding
+  /// byte right after its arrival) has not happened yet.
+  [[nodiscard]] std::int64_t arrival_occupancy(Time s) const;
+  /// Overflow and STOP decisions for the byte arriving now (landed now
+  /// or earlier in a run), once per tick.
+  void check_arrival();
+  /// GO decision after bytes left.
+  void check_go();
+  /// Arms a check at the earliest tick a pending arrival could reach STOP
+  /// or overflow, or a pending removal GO, assuming nothing else moves
+  /// (anything else that moves re-arms).
+  void schedule_checks();
+  /// Schedules a check at `at` (late: GO, else arrival) unless the one
+  /// armed in `armed` comes no later.
+  void arm_check(Time& armed, Time at, bool late);
 
   SwitchRt& sw_;
   PortId port_;
   LazyDeque<RxWorm> rx_queue_;
-  std::int64_t buffered_ = 0;  // bytes held in the slack buffer
+  // Bytes physically held: landed bytes count even before their logical
+  // arrival, released bytes are gone even before their logical removal.
+  std::int64_t buffered_ = 0;
   bool stop_sent_ = false;
+  // Logical arrival tick of the newest counted byte: every tick in
+  // (now, arrive_end_] has an arrival still to happen.
+  Time arrive_end_ = -1;
+  // Logical tick of the newest released byte: one byte leaves per tick
+  // through drain_end_.
+  Time drain_end_ = -1;
+  // Newest tick whose arrival had its STOP/overflow check.
+  Time stop_checked_ = -1;
+  // Earliest armed check of each kind (kTimeNever: none).
+  Time arrival_check_at_ = kTimeNever;
+  Time go_check_at_ = kTimeNever;
 
   // Forwarding state for the front worm (unicast connection).
   bool connected_ = false;

@@ -40,12 +40,19 @@ class SampleSet {
   void add(double x) {
     samples_.push_back(x);
     sorted_ = false;
+    sum_ += x;
     stat_.add(x);
   }
 
   [[nodiscard]] const RunningStat& stat() const { return stat_; }
   [[nodiscard]] std::int64_t count() const { return stat_.count(); }
-  [[nodiscard]] double mean() const { return stat_.mean(); }
+  /// Sum over count. Integer samples (byte-time latencies) sum exactly
+  /// below 2^53, so the mean does not depend on the order of the adds:
+  /// two runs that record the same samples in different orders agree to
+  /// the last bit, which Welford's running mean does not.
+  [[nodiscard]] double mean() const {
+    return count() > 0 ? sum_ / static_cast<double>(count()) : 0.0;
+  }
 
   /// Exact percentile; `p` is clamped to [0,100]. 0 when empty.
   [[nodiscard]] double percentile(double p) const;
@@ -64,6 +71,7 @@ class SampleSet {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
+  double sum_ = 0.0;
   RunningStat stat_;
 };
 

@@ -20,6 +20,10 @@
 namespace wormcast {
 namespace {
 
+/// One flight-recorder event as a tuple: (t, type, node, port, worm, arg).
+using Decision = std::tuple<Time, int, std::int32_t, std::int32_t,
+                            std::uint64_t, std::int64_t>;
+
 struct RunResult {
   Network::Summary summary;
   std::vector<double> mcast_latency;
@@ -30,7 +34,15 @@ struct RunResult {
   std::int64_t adapter_worms_truncated = 0;
   Time end_time = 0;
   std::int64_t events = 0;  // events dispatched: not compared, burst has fewer
+  /// Traced runs only: every flight-recorder event but kChanBurst (heads,
+  /// tails, STOP/GO, grants, fragment and adapter decisions), sorted. Each
+  /// must happen at the same byte-time in both modes; only same-tick order
+  /// may differ.
+  std::vector<Decision> decisions;
 };
+
+/// Flight ring of the traced runs; every run must fit it whole.
+constexpr std::size_t kRing = std::size_t{1} << 18;
 
 void collect(Network& net, RunResult& r) {
   r.summary = net.summary();
@@ -44,15 +56,25 @@ void collect(Network& net, RunResult& r) {
   }
   r.end_time = net.sim().now();
   r.events = net.sim().events_dispatched();
+  if (!net.sim().tracer().enabled()) return;
+  EXPECT_EQ(net.trace_dropped(), 0) << "raise kRing";
+  for (const TraceEvent& e : net.sim().tracer().snapshot(kRing))
+    if (e.type != TraceEventType::kChanBurst)
+      r.decisions.emplace_back(e.t, static_cast<int>(e.type), e.node, e.port,
+                               e.worm, e.arg);
+  std::sort(r.decisions.begin(), r.decisions.end());
 }
 
+/// Poisson traffic over one group of `group_size` hosts; `traced` records
+/// the decision stream.
 RunResult run_traffic(ExperimentConfig cfg, Topology topo, int group_size,
-                      bool burst) {
+                      bool burst, bool traced = false) {
   cfg.fabric.burst_channels = burst;
   MulticastGroupSpec group;
   group.id = 0;
   for (HostId h = 0; h < group_size; ++h) group.members.push_back(h);
   Network net(std::move(topo), {group}, cfg);
+  if (traced) net.enable_tracing(kRing);
   net.run(/*warmup=*/2'000, /*measure=*/30'000, /*drain_cap=*/300'000);
   RunResult r;
   collect(net, r);
@@ -60,8 +82,9 @@ RunResult run_traffic(ExperimentConfig cfg, Topology topo, int group_size,
 }
 
 void expect_identical(const RunResult& a, const RunResult& b) {
-  // The whole Summary: every counter, and latency means that are integer
-  // byte-time sums, so identical runs give bitwise-identical doubles.
+  // The whole Summary: every counter, and latency means that are exact
+  // sums of integer byte-times over their counts, so runs that record the
+  // same samples in any order give bitwise-identical doubles.
   EXPECT_EQ(a.summary, b.summary);
   // Whole sample streams, not just their moments.
   EXPECT_EQ(a.mcast_latency, b.mcast_latency);
@@ -71,6 +94,8 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.adapter_payload_bytes, b.adapter_payload_bytes);
   EXPECT_EQ(a.adapter_worms_truncated, b.adapter_worms_truncated);
   EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_TRUE(a.decisions == b.decisions)
+      << "a head, tail, flow-control or multicast decision moved in time";
 }
 
 TEST(BurstEquivalence, StoreAndForwardUnderBackpressure) {
@@ -191,12 +216,6 @@ struct SwitchMcastRun {
   std::int64_t fragments = 0;
   std::int64_t unicasts_flushed = 0;
   std::int64_t mcast_bursts = 0;  // kChanBurst records of multicast worms
-  /// Every other flight-recorder event (heads, tails, STOP/GO, grants,
-  /// fragment and adapter decisions), sorted: each must happen at the same
-  /// byte-time in both modes, only same-tick order may differ.
-  std::vector<std::tuple<Time, int, std::int32_t, std::int32_t, std::uint64_t,
-                         std::int64_t>>
-      decisions;
 };
 
 /// Switch-level multicasts (or broadcast floods) every 2,500 byte-times
@@ -206,7 +225,6 @@ struct SwitchMcastRun {
 SwitchMcastRun run_switch_mcast(ExperimentConfig cfg, Topology topo,
                                 SwitchMcastScheme scheme, bool broadcast,
                                 bool burst) {
-  constexpr std::size_t kRing = std::size_t{1} << 18;
   cfg.fabric.burst_channels = burst;
   cfg.protocol.scheme = Scheme::kHamiltonianSF;
   cfg.switch_mcast.scheme = scheme;
@@ -239,16 +257,9 @@ SwitchMcastRun run_switch_mcast(ExperimentConfig cfg, Topology topo,
   r.connections = net.switch_mcast_engine().connections_opened();
   r.fragments = net.switch_mcast_engine().fragments_sent();
   r.unicasts_flushed = net.switch_mcast_engine().unicasts_flushed();
-  EXPECT_EQ(net.trace_dropped(), 0) << "raise kRing";
-  for (const TraceEvent& e : net.sim().tracer().snapshot(kRing)) {
-    if (e.type != TraceEventType::kChanBurst) {
-      r.decisions.emplace_back(e.t, static_cast<int>(e.type), e.node, e.port,
-                               e.worm, e.arg);
-    } else if (mcast_ids.count(e.worm) > 0) {
+  for (const TraceEvent& e : net.sim().tracer().snapshot(kRing))
+    if (e.type == TraceEventType::kChanBurst && mcast_ids.count(e.worm) > 0)
       ++r.mcast_bursts;
-    }
-  }
-  std::sort(r.decisions.begin(), r.decisions.end());
   return r;
 }
 
@@ -259,8 +270,6 @@ void expect_switch_mcast_runs_identical(const SwitchMcastRun& a,
   EXPECT_EQ(a.connections, b.connections);
   EXPECT_EQ(a.fragments, b.fragments);
   EXPECT_EQ(a.unicasts_flushed, b.unicasts_flushed);
-  EXPECT_TRUE(a.decisions == b.decisions)
-      << "a head, tail, flow-control or multicast decision moved in time";
   EXPECT_GT(a.connections, 0);
   EXPECT_EQ(a.result.summary.outstanding, 0);
   EXPECT_GT(a.result.summary.mcast_samples, 0);
@@ -314,14 +323,28 @@ Topology make_link_topo(const LinkCase& c, ExperimentConfig& cfg) {
 }
 
 // Every case above runs on the default 5 bt links. These sweep the delays
-// that decide whether a run fits: a switch input's burst budget is at most
-// stop_threshold - 1 = 23 bytes net of those in flight, and a streaming
-// 40 bt link keeps ~40 on the wire, so a switch-bound channel at 40 bt
-// bursts only while its link is nearly empty and steps per-byte once a
-// worm streams. The cases pin equivalence where runs form (host links,
-// 1 bt hops, worm starts) and stay the reference for when 40 bt links
-// burst throughout.
-class BurstEquivalenceLinks : public ::testing::TestWithParam<LinkCase> {};
+// that decide how long a run may be: a switch-bound channel commits up to
+// its link delay (the lookahead) on a link at least as long as the STOP
+// threshold, and otherwise only what the receiver's slack buffer provably
+// absorbs without a STOP. At 40 bt every hop bursts through streaming
+// worms, so STOP, GO and overflow decisions fall inside runs and the input
+// ports must take them at their per-byte ticks; at 1 bt runs stay within
+// the slack budget.
+class BurstEquivalenceLinks : public ::testing::TestWithParam<LinkCase> {
+ protected:
+  /// Both modes of one Poisson scenario on the case's fabric, traced;
+  /// returns them (burst first) after requiring them identical.
+  std::pair<RunResult, RunResult> expect_modes_identical(
+      ExperimentConfig cfg) {
+    const Topology topo = make_link_topo(GetParam(), cfg);
+    RunResult a = run_traffic(cfg, topo, 8, true, /*traced=*/true);
+    RunResult b = run_traffic(cfg, topo, 8, false, /*traced=*/true);
+    expect_identical(a, b);
+    EXPECT_GT(a.summary.counts.messages_completed, 0);
+    EXPECT_LT(a.events, b.events) << "burst mode never burst";
+    return {std::move(a), std::move(b)};
+  }
+};
 
 TEST_P(BurstEquivalenceLinks, HostProtocolCutThrough) {
   ExperimentConfig cfg;
@@ -329,12 +352,57 @@ TEST_P(BurstEquivalenceLinks, HostProtocolCutThrough) {
   cfg.traffic.offered_load = 0.15;
   cfg.traffic.multicast_fraction = 0.5;
   cfg.seed = 42;
-  const Topology topo = make_link_topo(GetParam(), cfg);
-  const RunResult a = run_traffic(cfg, topo, 8, true);
-  const RunResult b = run_traffic(cfg, topo, 8, false);
-  expect_identical(a, b);
-  EXPECT_GT(a.summary.counts.messages_completed, 0);
-  EXPECT_LT(a.events, b.events) << "burst mode never burst";
+  const auto [a, b] = expect_modes_identical(cfg);
+  // Long links burst through every hop, not just at worm starts.
+  const LinkCase& c = GetParam();
+  if (c.switch_delay == 40 && c.host_delay == 40) {
+    EXPECT_LE(3 * a.events, b.events)
+        << "40 bt runs: " << a.events << " events vs " << b.events
+        << " per-byte";
+  }
+}
+
+TEST_P(BurstEquivalenceLinks, StoreAndForwardUnderBackpressure) {
+  // STOP/GO fire constantly; on long links inside committed runs.
+  ExperimentConfig cfg;
+  cfg.protocol.scheme = Scheme::kHamiltonianSF;
+  cfg.traffic.offered_load = 0.30;
+  cfg.traffic.multicast_fraction = 0.3;
+  cfg.seed = 7;
+  expect_modes_identical(cfg);
+}
+
+TEST_P(BurstEquivalenceLinks, TightSlackUnderBackpressure) {
+  // Thresholds closer together and nearer the bottom of the buffer put
+  // more STOP and GO decisions inside each run.
+  ExperimentConfig cfg;
+  cfg.protocol.scheme = Scheme::kHamiltonianSF;
+  cfg.fabric.sw.stop_threshold = 12;
+  cfg.fabric.sw.go_threshold = 4;
+  cfg.traffic.offered_load = 0.30;
+  cfg.traffic.multicast_fraction = 0.3;
+  cfg.seed = 11;
+  expect_modes_identical(cfg);
+}
+
+TEST_P(BurstEquivalenceLinks, ArmedFaultInjector) {
+  // Truncation boundaries and swallowed runs inside long-link runs.
+  ExperimentConfig cfg;
+  cfg.protocol.scheme = Scheme::kHamiltonianSF;
+  cfg.protocol.ack_timeout = 20'000;
+  cfg.protocol.retry_backoff = 2'000;
+  cfg.protocol.retry_jitter = 1'000;
+  cfg.protocol.pool_bytes = 128 * 1024;
+  cfg.faults.worm_kill_rate = 0.05;
+  cfg.faults.ctrl_loss_rate = 0.05;
+  cfg.faults.rx_drop_rate = 0.02;
+  cfg.traffic.offered_load = 0.05;
+  cfg.traffic.multicast_fraction = 0.3;
+  cfg.seed = 1234;
+  const RunResult a = expect_modes_identical(cfg).first;
+  EXPECT_GT(a.summary.faults_injected, 0)
+      << "scenario must actually exercise faults";
+  EXPECT_GT(a.summary.bytes_swallowed, 0);
 }
 
 class BurstEquivalenceLinksSwitchMcast : public BurstEquivalenceLinks {};
@@ -366,14 +434,8 @@ INSTANTIATE_TEST_SUITE_P(LinkDelays, BurstEquivalenceLinks,
                                            kClos40Host1, kClos1Host40),
                          link_case_name);
 
-// kTorus40 is missing here: a known mode divergence. Two unicasts land at
-// different hosts in the same tick, and the modes record them in opposite
-// orders. Channel pumps of one tick fire in scheduling order, and a run's
-// follow-up pump is scheduled a run ahead instead of one byte ahead. Every
-// sample stream and decision matches; the Welford unicast mean, which
-// depends on the order of its adds, differs in its last bits.
 INSTANTIATE_TEST_SUITE_P(LinkDelays, BurstEquivalenceLinksSwitchMcast,
-                         ::testing::Values(kTorus1, kTorus40Host1,
+                         ::testing::Values(kTorus1, kTorus40, kTorus40Host1,
                                            kTorus1Host40, kClos1, kClos40,
                                            kClos40Host1, kClos1Host40),
                          link_case_name);

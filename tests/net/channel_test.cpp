@@ -224,7 +224,9 @@ class BurstRecordSink final : public RxSink {
     if (n > 1) ++burst_events;
     if (tail) tail_at = sim_.now();
   }
-  [[nodiscard]] std::int64_t rx_burst_budget() const override { return 1 << 20; }
+  [[nodiscard]] std::int64_t rx_burst_budget(std::int64_t) const override {
+    return 1 << 20;
+  }
   Simulator& sim_;
   std::int64_t bytes = 0;
   std::int64_t burst_events = 0;

@@ -2,6 +2,9 @@
 // slack-buffer backpressure bounds, wormhole pipelining.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/network.h"
 #include "net/topologies.h"
 
@@ -127,6 +130,102 @@ TEST(Switch, LongerPathsCostMoreLatency) {
   EXPECT_GT(lat_far, lat_near);
   // But only by per-hop latency, not by full retransmissions.
   EXPECT_LT(lat_far, lat_near + 400);
+}
+
+TEST(Switch, LongLinkRunsKeepStopAndGoOnTheirPerByteTicks) {
+  // Host 1 streams a long worm over a 40 bt link into switch 1, whose
+  // cut-through input forwards it toward host 2 once host 0's worm has
+  // released the output it needs. Until then the input fills, STOPs its
+  // transmitter, and GOes again as the worm drains. Burst mode commits
+  // runs past any static slack budget on that link, yet every tick's
+  // logical occupancy, send count and STOP state must match per-byte
+  // stepping, and STOP/GO must land exactly d after the tick the
+  // occupancy crossed its threshold.
+  constexpr Time kDelay = 40;
+  struct Run {
+    std::vector<std::int64_t> occupancy;  // after each tick
+    std::vector<std::int64_t> sent;       // host 1's link, after each tick
+    std::vector<bool> stopped;
+    std::int64_t longest_run = 0;
+  };
+  const auto run_mode = [&](bool burst) {
+    ExperimentConfig cfg = basic();
+    cfg.fabric.burst_channels = burst;
+    Network net(make_line(3, kDelay, kDelay), {}, cfg);
+    net.enable_tracing(std::size_t{1} << 16);
+    Demand a;
+    a.src = 0;
+    a.dst = 2;
+    a.length = 1500;
+    net.inject(a);
+    net.sim().at(300, [&net] {
+      Demand b;
+      b.src = 1;
+      b.dst = 2;
+      b.length = 3000;
+      net.inject(b);
+    });
+    SwitchRt& sw = net.fabric().switch_at(net.topology().switch_of_host(1));
+    Channel& link = net.fabric().host_tx_channel(1);
+    PortId in = kNoPort;
+    for (PortId p = 0; p < static_cast<PortId>(sw.n_ports()); ++p)
+      if (sw.in_channel(p) == &link) in = p;
+    Run r;
+    for (Time t = 0; t < 8'000; ++t) {
+      net.run_until(t);
+      r.occupancy.push_back(sw.in_port(in).buffered());
+      r.sent.push_back(link.bytes_sent());
+      r.stopped.push_back(link.tx_stopped());
+    }
+    net.run_to_quiescence();
+    EXPECT_EQ(net.adapter(2).payload_bytes_received(), 4500);
+    const NodeId host1 = net.topology().node_of_host(1);
+    for (const TraceEvent& e : net.sim().tracer().snapshot(1 << 16))
+      if (e.type == TraceEventType::kChanBurst && e.node == host1)
+        r.longest_run = std::max(r.longest_run, e.arg);
+    return r;
+  };
+  const Run burst = run_mode(true);
+  const Run per_byte = run_mode(false);
+  EXPECT_EQ(burst.occupancy, per_byte.occupancy);
+  EXPECT_EQ(burst.sent, per_byte.sent);
+  EXPECT_EQ(burst.stopped, per_byte.stopped);
+  EXPECT_EQ(per_byte.longest_run, 0);
+  const SwitchConfig sw_cfg;
+  EXPECT_GT(burst.longest_run, sw_cfg.stop_threshold - 1)
+      << "no run longer than the static slack budget";
+
+  const std::vector<std::int64_t>& occ = burst.occupancy;
+  const auto tick = [](auto it, auto begin) {
+    return static_cast<Time>(it - begin);
+  };
+  // STOP: decided on the first tick the occupancy reaches the threshold,
+  // in effect d later; the transmitter's last byte goes out the tick before.
+  const auto full = std::find_if(occ.begin(), occ.end(), [&](std::int64_t o) {
+    return o >= sw_cfg.stop_threshold;
+  });
+  ASSERT_NE(full, occ.end());
+  const Time stop_at = tick(full, occ.begin()) + kDelay;
+  const auto& stopped = burst.stopped;
+  const auto& sent = burst.sent;
+  ASSERT_LT(stop_at + 1, static_cast<Time>(stopped.size()));
+  EXPECT_FALSE(stopped[stop_at - 1]);
+  EXPECT_TRUE(stopped[stop_at]);
+  EXPECT_GT(sent[stop_at - 1], sent[stop_at - 2]);
+  EXPECT_EQ(sent[stop_at], sent[stop_at - 1]);
+  // GO: decided on the first later tick the occupancy falls to the GO
+  // threshold, in effect d later, when sending resumes.
+  const auto drained =
+      std::find_if(full, occ.end(), [&](std::int64_t o) {
+        return o <= sw_cfg.go_threshold;
+      });
+  ASSERT_NE(drained, occ.end());
+  const Time go_at = tick(drained, occ.begin()) + kDelay;
+  ASSERT_LT(go_at, static_cast<Time>(stopped.size()));
+  EXPECT_TRUE(stopped[go_at - 1]);
+  EXPECT_FALSE(stopped[go_at]);
+  EXPECT_EQ(sent[go_at - 1], sent[stop_at]);
+  EXPECT_GT(sent[go_at], sent[go_at - 1]);
 }
 
 }  // namespace
