@@ -1,6 +1,7 @@
 // Self-timed microbenchmarks of the simulator's hot paths: event queue
-// operations, up/down route computation (fresh and arena-reusing),
-// multicast route encoding, and byte-level end-to-end channel throughput.
+// operations, up/down route computation (fresh, arena-reusing, and a cold
+// router on the 1k-host Clos), multicast route encoding, and byte-level
+// end-to-end channel throughput.
 // Useful when tuning the engine; not part of the paper reproduction.
 //
 // Each benchmark body runs once as warm-up, then repeats until a minimum
@@ -100,6 +101,17 @@ int main(int argc, char** argv) {
   std::vector<HostId> dests;
   for (HostId h = 1; h < 64; h += 4) dests.push_back(h);
   const auto branches = build_mcast_branches(tree_routing, 0, dests);
+  // The 1k-host scale point: stage-labelled 16-spine, 32-leaf Clos.
+  UpDownOptions clos_opts;
+  const Topology clos = make_clos(16, 32, 32, kDefaultLinkDelay,
+                                  kDefaultLinkDelay, &clos_opts.level_override);
+  std::vector<std::pair<HostId, HostId>> clos_pairs;
+  RandomStream pair_rng(1);
+  while (clos_pairs.size() < 256) {
+    const auto src = static_cast<HostId>(pair_rng.uniform(0, clos.num_hosts() - 1));
+    const auto dst = static_cast<HostId>(pair_rng.uniform(0, clos.num_hosts() - 1));
+    if (src != dst) clos_pairs.emplace_back(src, dst);
+  }
 
   const std::vector<Case> cases = {
       {"event_queue_schedule_dispatch", queue_schedule_dispatch, 1024},
@@ -130,6 +142,15 @@ int main(int argc, char** argv) {
            src = static_cast<HostId>((src + 13) % 64);
            if (dst == src) src = static_cast<HostId>((src + 1) % 64);
          }
+       },
+       256},
+      {"updown_route_cold_clos1k",
+       [&clos, &clos_opts, &clos_pairs] {
+         // A fresh router per operation: every pair routes from an empty
+         // table, as at set-up and on first sends.
+         const UpDownRouting cold(clos, clos_opts);
+         for (const auto& [src, dst] : clos_pairs)
+           do_not_optimize(cold.route(src, dst));
        },
        256},
       {"mcast_route_encode_split",

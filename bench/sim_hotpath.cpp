@@ -19,7 +19,10 @@
 //
 // Timing discipline: each mode runs one discarded warm-up (page cache,
 // allocator, branch predictors) and then best-of-K timed repetitions, so
-// the reported walls measure the steady state, not cold-start order.
+// the reported walls measure the steady state, not cold-start order. The
+// burst and burst_traced modes share one job and alternate repetitions;
+// the tracing overhead is the median of the per-repetition ratios, so load
+// that drifts or spikes during the run does not skew it.
 // The matrices run on a SweepRunner (--jobs N) like every other sweep;
 // note that with --jobs > 1 the modes time each other's cache and core
 // contention, so scaling studies should keep the default --jobs 1 for
@@ -28,6 +31,7 @@
 // CI runs `--quick` as a smoke test and archives BENCH_sim_hotpath.json;
 // tools/perf_gate.py compares the deterministic columns exactly and the
 // wall-ratio columns within a band (see bench/baselines/README.md).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -40,33 +44,58 @@ using namespace wormcast;
 namespace {
 
 constexpr int kRepetitions = 3;  // best-of-K after one warm-up
+// The tracing-overhead pair (burst vs burst_traced) is timed alternately
+// in one job: short runs, so a larger K is cheap.
+constexpr int kPairRepetitions = 7;
 
 struct Timed {
   bench::TestbedResult result;
   double wall_ms = 0.0;      // best full-run wall of `reps`
   double sim_wall_ms = 0.0;  // best event-loop wall of `reps`
+  std::vector<double> walls;  // every repetition's full-run wall, in order
 };
 
-Timed timed_run(const bench::TestbedOptions& opts, int reps) {
-  Timed t;
-  // Warm-up: identical run, result and time discarded.
-  bench::run_testbed(opts);
-  t.wall_ms = -1.0;
-  t.sim_wall_ms = -1.0;
+/// Times each of `configs` best-of-`reps`, interleaved (ABAB...) after one
+/// warm-up each, so drift in machine load hits every config alike and the
+/// ratio of their walls stays fair.
+std::vector<Timed> timed_alternating(
+    const std::vector<bench::TestbedOptions>& configs, int reps) {
+  std::vector<Timed> out(configs.size());
+  for (const auto& opts : configs) bench::run_testbed(opts);  // warm-up
   for (int k = 0; k < reps; ++k) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto result = bench::run_testbed(opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (t.sim_wall_ms < 0 || result.sim_wall_ms < t.sim_wall_ms)
-      t.sim_wall_ms = result.sim_wall_ms;
-    if (t.wall_ms < 0 || wall < t.wall_ms) {
-      t.wall_ms = wall;
-      t.result = std::move(result);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      Timed& t = out[i];
+      const auto t0 = std::chrono::steady_clock::now();
+      auto result = bench::run_testbed(configs[i]);
+      const auto t1 = std::chrono::steady_clock::now();
+      const double wall =
+          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      t.walls.push_back(wall);
+      if (k == 0 || result.sim_wall_ms < t.sim_wall_ms)
+        t.sim_wall_ms = result.sim_wall_ms;
+      if (k == 0 || wall < t.wall_ms) {
+        t.wall_ms = wall;
+        t.result = std::move(result);
+      }
     }
   }
-  return t;
+  return out;
+}
+
+/// Median over repetitions of b's wall over a's, each ratio taken from
+/// one adjacent (a, b) pair of timed_alternating(): a load spike or a
+/// lucky run on one side moves one ratio, not the result.
+double median_paired_ratio(const Timed& a, const Timed& b) {
+  std::vector<double> ratios;
+  for (std::size_t k = 0; k < a.walls.size(); ++k)
+    if (a.walls[k] > 0) ratios.push_back(b.walls[k] / a.walls[k]);
+  if (ratios.empty()) return 0.0;
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
+}
+
+Timed timed_run(const bench::TestbedOptions& opts, int reps) {
+  return std::move(timed_alternating({opts}, reps).front());
 }
 
 double per_sec(double count, double wall_ms) {
@@ -131,9 +160,10 @@ int main(int argc, char** argv) {
   const std::int64_t packet = 8 * 1024;
 
   std::printf("# Simulation hot path: fig12-scale all-send run (8 hosts, "
-              "%lld-byte packets, %lld byte-times, warm-up + best of %d)\n",
+              "%lld-byte packets, %lld byte-times, warm-up + best of %d; "
+              "burst and burst_traced alternate, best of %d)\n",
               static_cast<long long>(packet), static_cast<long long>(span),
-              kRepetitions);
+              kRepetitions, kPairRepetitions);
   bench::print_header("mode", {"wall_ms", "events", "events_per_sec",
                                "sim_bytes", "sim_bytes_per_wall_sec",
                                "event_queue_peak", "throughput_mbps"});
@@ -163,20 +193,31 @@ int main(int argc, char** argv) {
   // Rows: modes, mode-ratio row, scale point.
   json.resize_rows(modes.size() + 2);
 
+  const auto mode_opts = [&](const Mode& m) {
+    bench::TestbedOptions opts;
+    opts.senders = 8;
+    opts.packet_size = packet;
+    opts.span = span;
+    opts.burst_channels = m.burst;
+    opts.tracing = m.tracing;
+    opts.trace_cap = args.trace_cap;
+    return opts;
+  };
+
+  // Jobs: the burst/burst_traced pair (timed alternately, so the tracing
+  // overhead ratio compares like with like), per_byte, the scale point.
   const harness::WallTimer sweep;
   harness::SweepRunner pool(args.jobs);
   std::vector<Timed> timed(modes.size());
   Timed scale;
-  const auto walls = pool.run_indexed(modes.size() + 1, [&](std::size_t i) {
-    if (i < modes.size()) {
-      bench::TestbedOptions opts;
-      opts.senders = 8;
-      opts.packet_size = packet;
-      opts.span = span;
-      opts.burst_channels = modes[i].burst;
-      opts.tracing = modes[i].tracing;
-      opts.trace_cap = args.trace_cap;
-      timed[i] = timed_run(opts, kRepetitions);
+  const auto walls = pool.run_indexed(3, [&](std::size_t i) {
+    if (i == 0) {
+      auto pair = timed_alternating({mode_opts(modes[0]), mode_opts(modes[2])},
+                                    kPairRepetitions);
+      timed[0] = std::move(pair[0]);
+      timed[2] = std::move(pair[1]);
+    } else if (i == 1) {
+      timed[1] = timed_run(mode_opts(modes[1]), kRepetitions);
     } else {
       bench::TestbedOptions opts;
       opts.torus = torus;
@@ -201,8 +242,7 @@ int main(int argc, char** argv) {
           ? static_cast<double>(per_byte.result.events_dispatched) /
                 static_cast<double>(burst.result.events_dispatched)
           : 0.0;
-  const double tracing_overhead =
-      burst.wall_ms > 0 ? traced.wall_ms / burst.wall_ms : 0.0;
+  const double tracing_overhead = median_paired_ratio(burst, traced);
   std::printf("# burst speedup: %.2fx wall clock, %.2fx fewer events\n",
               speedup, event_ratio);
   std::printf("# tracing overhead: %.2fx wall clock, %lld events recorded "
@@ -218,7 +258,8 @@ int main(int argc, char** argv) {
                {{"speedup_wall", speedup},
                 {"event_ratio", event_ratio},
                 {"tracing_overhead_wall", tracing_overhead},
-                {"best_of", static_cast<double>(kRepetitions)},
+                // Repetitions of the burst pair only (baselines README).
+                {"best_of", static_cast<double>(kPairRepetitions)},
                 {"trace_events",
                  static_cast<double>(traced.result.trace_events)},
                 {"trace_dropped",

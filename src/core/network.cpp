@@ -217,8 +217,8 @@ void Network::fail_link(LinkId l, Time when) {
     const TopoLink& link = topo_.link(l);
     faults_->kill_link(&fabric_->channel_from(l, link.node_a));
     faults_->kill_link(&fabric_->channel_from(l, link.node_b));
-    // Recompute up/down labels around the dead link; this also clears the
-    // route caches, so every retransmission travels the healed paths. The
+    // Recompute up/down labels around the dead link; this also drops the
+    // route table, so every retransmission travels the healed paths. The
     // strategy recomputes its owned routings and drops cached plans.
     routing_->fail_link(l);
     strategy_->fail_link(l);

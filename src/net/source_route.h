@@ -30,6 +30,8 @@ class SourceRoute {
   void clear() { ports_.clear(); }
   [[nodiscard]] PortId at(std::size_t hop) const { return ports_[hop]; }
   [[nodiscard]] const std::vector<PortId>& ports() const { return ports_; }
+  /// In-place access for the router, which rewrites recycled routes.
+  [[nodiscard]] std::vector<PortId>& mutable_ports() { return ports_; }
 
   [[nodiscard]] std::string to_string() const;
 

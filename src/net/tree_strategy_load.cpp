@@ -121,8 +121,8 @@ LoadAwareStrategy::penalized_paths(HostId src, GroupId g,
   const auto n_nodes = static_cast<std::size_t>(topo_.num_nodes());
 
   // Dijkstra over (switch, phase) where phase 0 = may still go up and
-  // phase 1 = has gone down, exactly the legality state of the plain BFS in
-  // UpDownRouting::shortest_legal_path, but with edge weight
+  // phase 1 = has gone down, exactly the legality state of the plain BFS
+  // that fills UpDownRouting's route table, but with edge weight
   // 1 + penalty(next switch). Legality rides the *general* routing's
   // labels: load-aware worms use the full up/down graph, not just the
   // spanning tree. The queue orders ties by (node, phase), and strict-<

@@ -1,7 +1,6 @@
 #include "net/updown.h"
 
 #include <algorithm>
-#include <array>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -43,6 +42,10 @@ UpDownRouting::UpDownRouting(const Topology& topo, Options opts)
       topo_.node(preferred_root_).kind != NodeKind::kSwitch)
     throw std::logic_error("up/down routing requires a switch root");
   link_dead_.assign(static_cast<std::size_t>(topo_.num_links()), false);
+  sw_index_.assign(static_cast<std::size_t>(topo_.num_nodes()), -1);
+  std::int32_t next_index = 0;
+  for (NodeId n = 0; n < topo_.num_nodes(); ++n)
+    if (topo_.node(n).kind == NodeKind::kSwitch) sw_index_[n] = next_index++;
   rebuild(/*allow_partial=*/false);
 }
 
@@ -96,10 +99,10 @@ void UpDownRouting::rebuild(bool allow_partial) {
       up_end_[l] = std::min(lk.node_a, lk.node_b);
   }
 
-  // Every rebuild (failure, root migration) invalidates memoized paths:
-  // stale entries would silently route under the old labels.
-  route_cache_.clear();
-  hop_cache_.clear();
+  // Every rebuild (failure, root migration) invalidates the route table:
+  // stale rows would silently route under the old labels.
+  rows_.assign(static_cast<std::size_t>(topo_.num_switches()), Row{});
+  row_bytes_ = 0;
 }
 
 void UpDownRouting::fail_link(LinkId l) {
@@ -118,119 +121,102 @@ void UpDownRouting::set_root(NodeId new_root) {
   rebuild(/*allow_partial=*/links_failed_ > 0);
 }
 
-UpDownRouting::PathResult UpDownRouting::shortest_legal_path(NodeId from_sw,
-                                                             NodeId to_sw) const {
-  // BFS over (node, phase): phase 0 = may still go up; phase 1 = has gone
+const UpDownRouting::Row& UpDownRouting::row_of(NodeId from_sw) const {
+  Row& row = rows_[static_cast<std::size_t>(sw_index_[from_sw])];
+  if (!row.end_phase.empty()) return row;
+  const std::size_t n_sw = rows_.size();
+  const std::size_t bytes = n_sw * (2 * sizeof(std::uint16_t) + 1);
+  if (row_bytes_ + bytes > kRowBudgetBytes) {
+    for (Row& r : rows_) r = Row{};
+    row_bytes_ = 0;
+  }
+  row_bytes_ += bytes;
+
+  // BFS over (switch, phase): phase 0 = may still go up; phase 1 = has gone
   // down (only down traversals remain legal). Deterministic neighbour order
-  // (port index) fixes one path per pair.
-  const auto n_nodes = static_cast<std::size_t>(topo_.num_nodes());
-  struct Pred {
-    NodeId node = kNoNode;
-    int phase = -1;
-    LinkId link = kNoLink;
-  };
-  std::vector<std::array<int, 2>> dist(n_nodes, {-1, -1});
-  std::vector<std::array<Pred, 2>> pred(n_nodes);
-  std::queue<std::pair<NodeId, int>> frontier;
-  dist[from_sw][0] = 0;
-  frontier.push({from_sw, 0});
-  while (!frontier.empty()) {
-    const auto [n, ph] = frontier.front();
-    frontier.pop();
+  // (port index) fixes one path per pair; the search never stops early, so
+  // it serves every destination at once.
+  std::vector<std::int32_t> dist(2 * n_sw, -1);
+  row.pred.assign(2 * n_sw, 0);
+  std::vector<std::pair<NodeId, int>> frontier;
+  frontier.reserve(2 * n_sw);
+  dist[slot(from_sw, 0)] = 0;
+  frontier.emplace_back(from_sw, 0);
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const auto [n, ph] = frontier[head];
+    const std::int32_t d = dist[slot(n, ph)];
     for (const TopoPort& p : topo_.node(n).ports) {
       const LinkId l = p.link;
+      const TopoLink& lk = topo_.link(l);
+      const NodeId m = lk.node_a == n ? lk.node_b : lk.node_a;
+      if (sw_index_[m] < 0) continue;  // hosts are leaves
       if (link_dead_[l] || up_end_[l] == kNoNode) continue;
       if (tree_links_only_ && !on_tree_[l]) continue;
-      const NodeId m = topo_.peer(l, n);
-      if (topo_.node(m).kind != NodeKind::kSwitch) continue;  // hosts are leaves
       const bool up = is_up_traversal(l, n);
       if (up && ph == 1) continue;  // down->up is illegal
       const int nph = up ? 0 : 1;
-      if (dist[m][nph] != -1) continue;
-      dist[m][nph] = dist[n][ph] + 1;
-      pred[m][nph] = Pred{n, ph, l};
-      frontier.push({m, nph});
+      const std::size_t next = slot(m, nph);
+      if (dist[next] != -1) continue;
+      dist[next] = d + 1;
+      const PortId in_port = lk.node_a == m ? lk.port_a : lk.port_b;
+      row.pred[next] = static_cast<std::uint16_t>(in_port << 1 | ph);
+      frontier.emplace_back(m, nph);
     }
   }
-  int end_phase = -1;
-  if (dist[to_sw][0] != -1 &&
-      (dist[to_sw][1] == -1 || dist[to_sw][0] <= dist[to_sw][1]))
-    end_phase = 0;
-  else if (dist[to_sw][1] != -1)
-    end_phase = 1;
-  if (from_sw == to_sw) end_phase = 0;
-  if (end_phase == -1) throw std::logic_error("no legal up/down path");
-
-  PathResult out;
-  NodeId n = to_sw;
-  int ph = end_phase;
-  while (!(n == from_sw && dist[n][ph] == 0)) {
-    const Pred& pr = pred[n][ph];
-    out.nodes.push_back(n);
-    out.links.push_back(pr.link);
-    n = pr.node;
-    ph = pr.phase;
+  // A route ends in the phase reached first, phase 0 on ties.
+  row.end_phase.resize(n_sw);
+  for (std::size_t i = 0; i < n_sw; ++i) {
+    const std::int32_t d0 = dist[2 * i];
+    const std::int32_t d1 = dist[2 * i + 1];
+    row.end_phase[i] = d0 != -1 && (d1 == -1 || d0 <= d1) ? 0
+                       : d1 != -1                         ? 1
+                                                          : kUnreachable;
   }
-  out.nodes.push_back(from_sw);
-  std::reverse(out.nodes.begin(), out.nodes.end());
-  std::reverse(out.links.begin(), out.links.end());
-  return out;
+  return row;
 }
 
-SourceRoute UpDownRouting::path_to_route(HostId src, const PathResult& path,
-                                         NodeId final_dest_node) const {
-  (void)src;
-  std::vector<PortId> ports;
-  ports.reserve(path.links.size() + 1);
-  for (std::size_t i = 0; i < path.links.size(); ++i)
-    ports.push_back(topo_.port_on(path.links[i], path.nodes[i]));
-  // Last switch: exit toward the destination host.
-  const NodeId last_sw = path.nodes.back();
-  const TopoNode& dest = topo_.node(final_dest_node);
-  ports.push_back(topo_.port_on(dest.ports[0].link, last_sw));
-  return SourceRoute(std::move(ports));
+int UpDownRouting::walk_back(NodeId from_sw, NodeId to_sw,
+                             std::vector<PortId>* out) const {
+  if (levels_[from_sw] == -1 || levels_[to_sw] == -1)
+    throw std::logic_error("no legal up/down path");
+  const Row& row = row_of(from_sw);
+  int ph = row.end_phase[static_cast<std::size_t>(sw_index_[to_sw])];
+  if (ph == kUnreachable) throw std::logic_error("no legal up/down path");
+  int links = 0;
+  for (NodeId n = to_sw; n != from_sw || ph != 0; ++links) {
+    const std::uint16_t pred = row.pred[slot(n, ph)];
+    const TopoLink& lk = topo_.link(topo_.node(n).ports[pred >> 1].link);
+    const bool from_a = lk.node_b == n;  // the hop ran node_a -> node_b
+    n = from_a ? lk.node_a : lk.node_b;
+    ph = pred & 1;
+    if (out != nullptr) out->push_back(from_a ? lk.port_a : lk.port_b);
+  }
+  return links;
 }
 
 SourceRoute UpDownRouting::route(HostId src, HostId dst) const {
-  if (src == dst) throw std::logic_error("route to self");
-  const std::uint64_t key = pair_key(src, dst);
-  if (const auto it = route_cache_.find(key); it != route_cache_.end())
-    return it->second;
-  const NodeId from_sw = topo_.switch_of_host(src);
-  const NodeId to_sw = topo_.switch_of_host(dst);
-  if (levels_[from_sw] == -1 || levels_[to_sw] == -1)
-    throw std::logic_error("no legal up/down path");
-  const PathResult path = shortest_legal_path(from_sw, to_sw);
-  SourceRoute out = path_to_route(src, path, topo_.node_of_host(dst));
-  route_cache_.emplace(key, out);
+  SourceRoute out;
+  route_into(src, dst, out);
   return out;
 }
 
 void UpDownRouting::route_into(HostId src, HostId dst, SourceRoute& out) const {
   if (src == dst) throw std::logic_error("route to self");
-  const std::uint64_t key = pair_key(src, dst);
-  const auto it = route_cache_.find(key);
-  if (it != route_cache_.end()) {
-    out = it->second;  // vector copy-assign reuses out's allocation
-    return;
-  }
-  out = route(src, dst);
+  const NodeId to_sw = topo_.switch_of_host(dst);
+  std::vector<PortId>& ports = out.mutable_ports();
+  ports.clear();
+  walk_back(topo_.switch_of_host(src), to_sw, &ports);
+  std::reverse(ports.begin(), ports.end());
+  // Last switch: exit toward the destination host.
+  const TopoNode& dest = topo_.node(topo_.node_of_host(dst));
+  ports.push_back(topo_.port_on(dest.ports[0].link, to_sw));
 }
 
 int UpDownRouting::hop_count(HostId src, HostId dst) const {
   if (src == dst) return 0;
-  const std::uint64_t key = pair_key(src, dst);
-  if (const auto it = hop_cache_.find(key); it != hop_cache_.end())
-    return it->second;
-  const NodeId from_sw = topo_.switch_of_host(src);
-  const NodeId to_sw = topo_.switch_of_host(dst);
-  if (levels_[from_sw] == -1 || levels_[to_sw] == -1)
-    throw std::logic_error("no legal up/down path");
-  const PathResult path = shortest_legal_path(from_sw, to_sw);
   // Host link out, switch-to-switch links, host link in.
-  const int hops = static_cast<int>(path.links.size()) + 2;
-  hop_cache_.emplace(key, hops);
-  return hops;
+  return walk_back(topo_.switch_of_host(src), topo_.switch_of_host(dst),
+                   nullptr) + 2;
 }
 
 std::vector<PortId> UpDownRouting::down_tree_ports(NodeId sw) const {
@@ -245,15 +231,9 @@ std::vector<PortId> UpDownRouting::down_tree_ports(NodeId sw) const {
 }
 
 SourceRoute UpDownRouting::route_to_root(HostId src) const {
-  const NodeId from_sw = topo_.switch_of_host(src);
-  if (from_sw == root_) return SourceRoute{};
-  if (levels_[from_sw] == -1)
-    throw std::logic_error("no legal up/down path");
-  const PathResult path = shortest_legal_path(from_sw, root_);
   std::vector<PortId> ports;
-  ports.reserve(path.links.size());
-  for (std::size_t i = 0; i < path.links.size(); ++i)
-    ports.push_back(topo_.port_on(path.links[i], path.nodes[i]));
+  walk_back(topo_.switch_of_host(src), root_, &ports);
+  std::reverse(ports.begin(), ports.end());
   return SourceRoute(std::move(ports));
 }
 

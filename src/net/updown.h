@@ -8,12 +8,19 @@
 //
 // Autonet's raison d'être was reconfiguration after component failure:
 // fail_link() removes a link permanently and recomputes the spanning tree
-// and labels over the surviving links, invalidating the route/hop caches so
+// and labels over the surviving links, dropping every route table row so
 // the next retransmission uses the healed paths.
+//
+// Routes come from one table row per *source switch*: a single up/down BFS
+// from that switch records the predecessor of every (switch, phase) state,
+// and each route walks the row back from its destination. The BFS never
+// stops early, so the row is the same whichever destination is asked and
+// a route does not depend on which routes were asked before it. Rows fill
+// lazily and live only while their total stays under kRowBudgetBytes;
+// past it all are dropped and refilled on demand, which changes no route.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/source_route.h"
@@ -73,7 +80,7 @@ class UpDownRouting {
   [[nodiscard]] std::int64_t links_failed() const { return links_failed_; }
 
   /// Migrates the root to `new_root` (must be a switch; throws otherwise)
-  /// and recomputes the spanning tree, labels and route/hop caches in
+  /// and recomputes the spanning tree, labels and route table in
   /// place. Routes handed out before the call reflect the old labels;
   /// callers holding plans must re-plan (Network::migrate_root does).
   void set_root(NodeId new_root);
@@ -84,9 +91,9 @@ class UpDownRouting {
   /// simulations). Throws if src == dst or no surviving legal path exists.
   [[nodiscard]] SourceRoute route(HostId src, HostId dst) const;
 
-  /// Copies route(src, dst) into `out` instead of returning a fresh
-  /// vector; recycled worms pass their previous route here so the copy
-  /// reuses the existing allocation (vector copy-assignment).
+  /// Writes route(src, dst) into `out`'s port vector instead of returning
+  /// a fresh one; recycled worms pass their previous route here so the
+  /// route reuses the existing allocation.
   void route_into(HostId src, HostId dst, SourceRoute& out) const;
 
   /// Number of switch-to-switch hops on route(src, dst) plus host links;
@@ -103,22 +110,44 @@ class UpDownRouting {
   /// root-serialized switch-level schemes).
   [[nodiscard]] SourceRoute route_to_root(HostId src) const;
 
+  /// Byte cap on the route table. A row costs 5 bytes per switch, so the
+  /// largest benchmarked fabric, large_fabric's 32x32 torus, keeps all
+  /// 1024 of its 5 KiB rows (5 MiB) and never refills one; a 64x64 torus
+  /// keeps ~300 of its 20 KiB rows. A row larger than the cap alone is
+  /// still built and held.
+  static constexpr std::size_t kRowBudgetBytes = std::size_t{6} << 20;
+  /// Bytes the route table holds now (never above kRowBudgetBytes unless
+  /// one row alone exceeds it).
+  [[nodiscard]] std::size_t row_bytes() const { return row_bytes_; }
+
  private:
-  struct PathResult {
-    std::vector<NodeId> nodes;  // sw path: switch sequence src_sw..dst_sw
-    std::vector<LinkId> links;  // links between consecutive switches
+  /// One source switch's BFS result, by dense switch index: `pred` holds
+  /// `in_port << 1 | previous phase` per (switch, phase) slot, where
+  /// in_port is the port of that switch the hop arrived on (PortId is 15
+  /// bits, so it fits), and `end_phase` the phase a route to that switch
+  /// ends in (kUnreachable if none).
+  struct Row {
+    std::vector<std::uint16_t> pred;
+    std::vector<std::uint8_t> end_phase;
   };
+  static constexpr std::uint8_t kUnreachable = 0xFF;
+
   /// (Re)computes root, BFS levels, tree membership and up/down labels over
   /// the links still alive. `allow_partial` tolerates disconnected nodes
   /// (post-failure); the constructor passes false so a malformed topology
   /// still fails loudly.
   void rebuild(bool allow_partial);
-  [[nodiscard]] PathResult shortest_legal_path(NodeId from_sw, NodeId to_sw) const;
-  [[nodiscard]] SourceRoute path_to_route(HostId src, const PathResult& path,
-                                          NodeId final_dest_node) const;
-  [[nodiscard]] static std::uint64_t pair_key(HostId src, HostId dst) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-           static_cast<std::uint32_t>(dst);
+  /// The row of `from_sw`, filled by one BFS if absent (after dropping
+  /// every row when it would push the table past the budget).
+  const Row& row_of(NodeId from_sw) const;
+  /// Walks the legal path from_sw -> to_sw back from its end and returns
+  /// its link count; with `out` given, also appends its output ports,
+  /// last hop first. Throws if no legal path survives.
+  int walk_back(NodeId from_sw, NodeId to_sw, std::vector<PortId>* out) const;
+  /// Index of the (switch, phase) slot in a row's `pred`.
+  [[nodiscard]] std::size_t slot(NodeId sw, int phase) const {
+    return 2 * static_cast<std::size_t>(sw_index_[sw]) +
+           static_cast<std::size_t>(phase);
   }
 
   const Topology& topo_;
@@ -131,10 +160,10 @@ class UpDownRouting {
   std::vector<bool> on_tree_;     // by LinkId
   std::vector<bool> link_dead_;   // by LinkId
   std::int64_t links_failed_ = 0;
-  // Per-pair memoization; fail_link() clears both so retransmissions pick
-  // up the recomputed paths.
-  mutable std::unordered_map<std::uint64_t, SourceRoute> route_cache_;
-  mutable std::unordered_map<std::uint64_t, int> hop_cache_;
+  std::vector<std::int32_t> sw_index_;  // by NodeId; -1 for hosts
+  // Route table by switch index; rebuild() drops every row.
+  mutable std::vector<Row> rows_;
+  mutable std::size_t row_bytes_ = 0;
 };
 
 }  // namespace wormcast
