@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <unordered_set>
@@ -44,7 +45,7 @@ struct RunResult {
 /// Flight ring of the traced runs; every run must fit it whole.
 constexpr std::size_t kRing = std::size_t{1} << 18;
 
-void collect(Network& net, RunResult& r) {
+void collect(Network& net, RunResult& r, std::size_t ring = kRing) {
   r.summary = net.summary();
   r.mcast_latency = net.metrics().mcast_latency().sorted_values();
   r.mcast_completion = net.metrics().mcast_completion().sorted_values();
@@ -57,8 +58,8 @@ void collect(Network& net, RunResult& r) {
   r.end_time = net.sim().now();
   r.events = net.sim().events_dispatched();
   if (!net.sim().tracer().enabled()) return;
-  EXPECT_EQ(net.trace_dropped(), 0) << "raise kRing";
-  for (const TraceEvent& e : net.sim().tracer().snapshot(kRing))
+  EXPECT_EQ(net.trace_dropped(), 0) << "raise the ring";
+  for (const TraceEvent& e : net.sim().tracer().snapshot(ring))
     if (e.type != TraceEventType::kChanBurst)
       r.decisions.emplace_back(e.t, static_cast<int>(e.type), e.node, e.port,
                                e.worm, e.arg);
@@ -439,6 +440,147 @@ INSTANTIATE_TEST_SUITE_P(LinkDelays, BurstEquivalenceLinksSwitchMcast,
                                            kTorus1Host40, kClos1, kClos40,
                                            kClos40Host1, kClos1Host40),
                          link_case_name);
+
+// Scale points: the fabrics and traffic shapes the repository benchmark
+// (perfbench) and large_fabric measure, at spans short enough for ctest.
+// The cases above run on 4x4 tori and an 8-switch Clos; these are where
+// long runs of bytes and long paths meet.
+
+/// Flight ring of the scale runs.
+constexpr std::size_t kScaleRing = std::size_t{1} << 20;
+
+/// `n_groups` groups of `size` distinct hosts, each a partial shuffle of
+/// the hosts drawn from one fixed stream (the way perfbench draws its
+/// groups).
+std::vector<MulticastGroupSpec> draw_groups(int n_hosts, int n_groups,
+                                            int size) {
+  RandomStream rng(1996);
+  std::vector<HostId> pool(static_cast<std::size_t>(n_hosts));
+  for (HostId h = 0; h < n_hosts; ++h) pool[static_cast<std::size_t>(h)] = h;
+  std::vector<MulticastGroupSpec> groups;
+  for (int g = 0; g < n_groups; ++g) {
+    for (int i = 0; i < size; ++i)
+      std::swap(pool[static_cast<std::size_t>(i)],
+                pool[static_cast<std::size_t>(rng.uniform(i, n_hosts - 1))]);
+    MulticastGroupSpec spec;
+    spec.id = g;
+    spec.members.assign(pool.begin(), pool.begin() + size);
+    groups.push_back(std::move(spec));
+  }
+  return groups;
+}
+
+/// One traced run of a scale point: generator traffic over `measure`
+/// byte-times plus whatever `drive` schedules on the network.
+RunResult run_scale(ExperimentConfig cfg, const Topology& topo,
+                    const std::vector<MulticastGroupSpec>& groups, bool burst,
+                    Time measure,
+                    const std::function<void(Network&)>& drive = {}) {
+  cfg.fabric.burst_channels = burst;
+  Network net(topo, groups, cfg);
+  net.enable_tracing(kScaleRing);
+  if (drive) drive(net);
+  net.run(/*warmup=*/2'000, measure, /*drain_cap=*/200'000);
+  RunResult r;
+  collect(net, r, kScaleRing);
+  EXPECT_EQ(r.summary.outstanding, 0);
+  return r;
+}
+
+/// Both modes of one scale point, required identical.
+void expect_scale_identical(const ExperimentConfig& cfg, const Topology& topo,
+                            const std::vector<MulticastGroupSpec>& groups,
+                            Time measure,
+                            const std::function<void(Network&)>& drive = {}) {
+  const RunResult a = run_scale(cfg, topo, groups, true, measure, drive);
+  const RunResult b = run_scale(cfg, topo, groups, false, measure, drive);
+  expect_identical(a, b);
+  EXPECT_GT(a.summary.counts.messages_completed, 0);
+  EXPECT_LT(a.events, b.events) << "burst mode never burst";
+}
+
+TEST(BurstEquivalenceScale, HostMulticastTorus64) {
+  // perfbench's host_mcast_torus64: 8x8 torus on 5 bt links, ten groups of
+  // ten, Hamiltonian store-and-forward over Poisson traffic.
+  ExperimentConfig cfg;
+  cfg.protocol.scheme = Scheme::kHamiltonianSF;
+  cfg.protocol.reservation = true;
+  cfg.traffic.offered_load = 0.03;
+  cfg.traffic.multicast_fraction = 0.10;
+  cfg.seed = 1;
+  expect_scale_identical(cfg, make_torus(8, 8), draw_groups(64, 10, 10),
+                         250'000);
+}
+
+TEST(BurstEquivalenceScale, SwitchMulticastTorus64) {
+  // perfbench's switch_mcast_torus64: a 1 KB scheme (b) switch-level
+  // multicast every 12k bt, rotating through twelve groups of sixteen and
+  // their members, over Poisson unicast.
+  ExperimentConfig cfg;
+  cfg.protocol.scheme = Scheme::kHamiltonianSF;
+  cfg.protocol.reservation = true;
+  cfg.switch_mcast.scheme = SwitchMcastScheme::kInterrupt;
+  cfg.traffic.offered_load = 0.02;
+  cfg.traffic.multicast_fraction = 0.0;
+  cfg.seed = 1;
+  const std::vector<MulticastGroupSpec> groups = draw_groups(64, 12, 16);
+  expect_scale_identical(
+      cfg, make_torus(8, 8), groups, 240'000, [&groups](Network& net) {
+        for (int i = 0; i < 19; ++i) {
+          const MulticastGroupSpec& g = groups[static_cast<std::size_t>(i) %
+                                               groups.size()];
+          const HostId src = g.members[static_cast<std::size_t>(
+              i / static_cast<int>(groups.size())) % g.members.size()];
+          net.sim().at(12'000 * (i + 1), [&net, &g, src] {
+            (void)net.send_switch_multicast(src, g.id, 1'024);
+          });
+        }
+      });
+}
+
+TEST(BurstEquivalenceScale, StageLabelledClos1k) {
+  // perfbench's clos_1k: 16 spines x 32 leaves x 32 hosts on 40 bt links,
+  // routed by stage labels, 128 groups of eight.
+  ExperimentConfig cfg;
+  cfg.protocol.scheme = Scheme::kHamiltonianSF;
+  cfg.protocol.reservation = true;
+  cfg.traffic.offered_load = 0.002;
+  cfg.traffic.multicast_fraction = 0.25;
+  cfg.seed = 1;
+  const Topology topo =
+      make_clos(16, 32, 32, 40, 40, &cfg.routing.level_override);
+  expect_scale_identical(cfg, topo, draw_groups(1024, 128, 8), 200'000);
+}
+
+TEST(BurstEquivalenceScale, LargeFabricTorus32) {
+  // large_fabric's 32x32 torus on 40 bt links, one host per switch, in
+  // groups of eight consecutive hosts: the first host of each group
+  // multicasts a 2 KB packet to it, the senders staggered by 7 bt.
+  ExperimentConfig cfg;
+  cfg.protocol.scheme = Scheme::kHamiltonianSF;
+  cfg.traffic.offered_load = 1e-9;  // the generator idles; sends below
+  cfg.seed = 1;
+  std::vector<MulticastGroupSpec> groups(128);
+  for (int g = 0; g < 128; ++g) {
+    groups[static_cast<std::size_t>(g)].id = g;
+    for (HostId h = 8 * g; h < 8 * g + 8; ++h)
+      groups[static_cast<std::size_t>(g)].members.push_back(h);
+  }
+  expect_scale_identical(
+      cfg, make_torus(32, 32, 1, 40, 40), groups, 20'000,
+      [](Network& net) {
+        for (HostId h = 0; h < net.num_hosts(); h += 8) {
+          net.sim().at(2'000 + 7 * h, [&net, h] {
+            Demand d;
+            d.src = h;
+            d.multicast = true;
+            d.group = h / 8;
+            d.length = 2'048;
+            net.inject(d);
+          });
+        }
+      });
+}
 
 }  // namespace
 }  // namespace wormcast
