@@ -20,7 +20,7 @@ EventQueue::EventQueue() {
   heap_.reserve(kInitialSlotCapacity);
 }
 
-std::uint32_t EventQueue::acquire_slot(Action action) {
+std::uint32_t EventQueue::acquire_slot(Action action, std::uint64_t key) {
   std::uint32_t index;
   if (!free_slots_.empty()) {
     index = free_slots_.back();
@@ -30,21 +30,22 @@ std::uint32_t EventQueue::acquire_slot(Action action) {
     slots_.emplace_back();
   }
   Slot& s = slots_[index];
-  assert(!s.live);
+  assert(s.key == kFree);
   s.action = std::move(action);
-  s.live = true;
+  s.key = key;
   return index;
 }
 
 void EventQueue::retire_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  assert(s.live);
-  s.live = false;
+  assert(s.key != kFree);
+  // Invalidates every outstanding handle and parked entry: the slot's next
+  // event comes with a new key.
+  s.key = kFree;
   // Destroy the action now, not at compaction: cancelled retransmit timers
   // capture worm shared_ptrs, and holding those until a sweep would keep
   // whole payloads alive for no reason.
   s.action.reset();
-  ++s.gen;  // invalidates every outstanding handle and parked entry
   free_slots_.push_back(slot);
 }
 
@@ -52,19 +53,18 @@ EventHandle EventQueue::schedule_keyed(Time when, std::uint64_t key,
                                        Action action) {
   assert(action);
   assert((key & kSeqMask) < next_seq_ && "key was never reserved");
-  const std::uint32_t slot = acquire_slot(std::move(action));
-  const std::uint64_t gen = slots_[slot].gen;
-  heap_.push_back(Entry{when, key, slot, gen});
+  const std::uint32_t slot = acquire_slot(std::move(action), key);
+  heap_.push_back(Entry{when, key, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_count_;
   peak_size_ = std::max(peak_size_, heap_.size());
-  return EventHandle(slot, gen);
+  return EventHandle(slot, key);
 }
 
 void EventQueue::cancel(EventHandle handle) {
   if (!handle.valid() || handle.slot_ >= slots_.size()) return;
-  Slot& s = slots_[handle.slot_];
-  if (!s.live || s.gen != handle.gen_) return;  // already fired or cancelled
+  // Already fired or cancelled: the slot is free or holds another key.
+  if (slots_[handle.slot_].key != handle.key_) return;
   retire_slot(handle.slot_);
   --live_count_;
   ++dead_parked_;

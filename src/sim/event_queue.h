@@ -13,14 +13,14 @@ namespace wormcast {
 /// Handle returned by EventQueue::schedule; can be used to cancel the event.
 /// Value-semantic and cheap to copy. A default-constructed handle is invalid.
 ///
-/// Internally the handle names a reusable slot plus the generation the slot
-/// had when the event was scheduled; a stale handle (its event fired or was
-/// cancelled and the slot was reused) no longer matches the slot's current
-/// generation, so cancelling it is a guaranteed no-op. Generations are
-/// 64-bit: a uint32 would wrap after 2^32 retire/reuse cycles of one slot,
-/// at which point a hoarded stale handle would alias a live event and
-/// cancel() would kill it. 2^64 cycles is unreachable (centuries at a
-/// billion events per wall-second), so a handle can be held forever.
+/// Internally the handle names a reusable slot plus the event's queue key.
+/// Every event's key is unique (a 63-bit insertion sequence number that
+/// is never reused, plus the late flag), so the key doubles as the slot's
+/// generation stamp: a stale handle (its event fired or was cancelled and
+/// the slot was reused) no longer matches the key the slot holds, and
+/// cancelling it is a guaranteed no-op. 2^63 keys is unreachable
+/// (centuries at a billion events per wall-second), so a handle can be
+/// held forever.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -29,9 +29,9 @@ class EventHandle {
  private:
   friend class EventQueue;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  EventHandle(std::uint32_t slot, std::uint64_t gen) : slot_(slot), gen_(gen) {}
+  EventHandle(std::uint32_t slot, std::uint64_t key) : slot_(slot), key_(key) {}
   std::uint32_t slot_ = kNoSlot;
-  std::uint64_t gen_ = 0;
+  std::uint64_t key_ = 0;
 };
 
 /// Priority queue of timestamped callbacks: one flat binary heap. Events
@@ -51,7 +51,7 @@ class EventHandle {
 ///
 /// Allocation discipline: actions are InlineActions stored in the slot
 /// arena (a recycled vector indexed by the handle's slot), and heap
-/// entries are 32-byte PODs — so schedule()/cancel()/pop() never allocate
+/// entries are 24-byte PODs — so schedule()/cancel()/pop() never allocate
 /// in steady state, whatever the capture size, and sifts shuffle PODs
 /// instead of closures. Memory follows the live high-water mark: the heap
 /// and the arena are one vector each.
@@ -131,14 +131,14 @@ class EventQueue {
   /// POD pending-event entry. `key` packs the tie-break: bit 63 is the
   /// late flag (late fires after every same-time normal event) and the low
   /// 63 bits are the insertion sequence — so ordering by (time, key)
-  /// equals ordering by (time, late, seq). The action itself lives in the
-  /// slot arena, so sifts shuffle 32 trivially-copyable bytes, never a
+  /// equals ordering by (time, late, seq). The key is unique, so it also
+  /// names the event for liveness checks. The action itself lives in the
+  /// slot arena, so sifts shuffle 24 trivially-copyable bytes, never a
   /// closure.
   struct Entry {
     Time time = 0;
     std::uint64_t key = 0;
     std::uint32_t slot = 0;
-    std::uint64_t gen = 0;  // slot generation at schedule time
   };
   /// std::push_heap/pop_heap build a max-heap w.r.t. this comparator, so
   /// "later is greater" puts the earliest (time, key) at the front.
@@ -148,22 +148,22 @@ class EventQueue {
       return a.key > b.key;
     }
   };
-  /// One arena cell: the scheduled action plus the generation stamp that
-  /// invalidates stale handles and stale parked entries.
+  /// One arena cell: the scheduled action plus the key of the event that
+  /// holds it (kFree when none), which invalidates stale handles and stale
+  /// parked entries.
   struct Slot {
     Action action;
-    std::uint64_t gen = 1;
-    bool live = false;
+    std::uint64_t key = kFree;
   };
+  /// No event has key 0: sequence numbers start at 1.
+  static constexpr std::uint64_t kFree = 0;
 
-  /// The generation check matters: a cancelled entry stays parked while
-  /// its slot may be reused by a newer event, and slot liveness alone
-  /// would make that stale entry look alive again.
+  /// The key check matters: a cancelled entry stays parked while its slot
+  /// may be reused by a newer event, and the newer event's key differs.
   [[nodiscard]] bool entry_live(const Entry& e) const {
-    const Slot& s = slots_[e.slot];
-    return s.live && s.gen == e.gen;
+    return slots_[e.slot].key == e.key;
   }
-  std::uint32_t acquire_slot(Action action);
+  std::uint32_t acquire_slot(Action action, std::uint64_t key);
   void retire_slot(std::uint32_t slot);
   /// Pops dead entries off the top until the head is live (or the heap is
   /// empty).

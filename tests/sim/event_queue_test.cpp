@@ -415,7 +415,7 @@ TEST_P(EventQueueTest, PeakSizeTracksHighWaterMark) {
 }
 
 // Regression: a cancelled entry parked mid-structure must stay dead even
-// after its slot is reused by a newer event. Without a generation check on
+// after its slot is reused by a newer event. Without a liveness stamp on
 // the parked entry, the stale entry pops as if live (firing a cancelled
 // action) and retires the reused slot, silently dropping the newer event.
 TEST_P(EventQueueTest, ParkedCancelledEntrySurvivesSlotReuse) {
@@ -443,16 +443,17 @@ TEST_P(EventQueueTest, NextTimeIsStableAcrossRepeatedCalls) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-// Slot generations are 64-bit. A 32-bit generation wraps after 2^32
-// retire/reuse cycles of one slot, at which point a hoarded stale handle
-// aliases a live event and cancel() kills it. 2^32 cycles is reachable in
-// hours of simulation; 2^64 is not. The handle must carry the full width.
+// A handle's stamp is the event's 64-bit queue key, unique per event. A
+// 32-bit stamp would wrap after 2^32 events, at which point a hoarded
+// stale handle aliases a live event and cancel() kills it. 2^32 events is
+// reachable in hours of simulation; 2^63 is not. The handle must carry
+// the full width.
 static_assert(sizeof(EventHandle) >= sizeof(std::uint32_t) + sizeof(std::uint64_t),
-              "EventHandle must hold a 32-bit slot and a 64-bit generation");
+              "EventHandle must hold a 32-bit slot and a 64-bit key");
 
 TEST_P(EventQueueTest, HoardedStaleHandleStaysDeadAcrossHeavySlotReuse) {
   AnyQueue q = make();
-  // Cycle one slot through many generations while hoarding the first
+  // Cycle one slot through many events while hoarding the first
   // handle; the stale handle must never become able to cancel the current
   // occupant. (A full 2^32 wrap is impractical in a unit test; the
   // static_assert above pins the width, this pins the per-cycle behavior.)
@@ -618,6 +619,33 @@ TEST(EventQueueLaneTest, ReserveKeyConsumesOneSequenceNumber) {
   const std::uint64_t late = q.reserve_key(/*late=*/true);
   EXPECT_EQ(b, a + 2);  // schedule() took the one in between
   EXPECT_EQ(late, (std::uint64_t{1} << 63) | (b + 1));
+}
+
+// A lane event's handle carries its reserved key. Once that event has
+// fired or been cancelled, its slot goes to the next event (LIFO free
+// list), keyed or not, and the stale handle must not cancel it.
+TEST(EventQueueLaneTest, StaleKeyedHandleCannotCancelTheSlotsNextEvent) {
+  EventQueue q;
+  std::vector<int> fired;
+  const std::uint64_t head = q.reserve_key();
+  const std::uint64_t next = q.reserve_key();
+  const EventHandle fired_handle =
+      q.schedule_keyed(10, head, [&] { fired.push_back(1); });
+  q.pop().action();
+  q.schedule_keyed(20, next, [&] { fired.push_back(2); });  // reuses the slot
+  q.cancel(fired_handle);
+  EXPECT_EQ(q.size(), 1u);
+
+  const std::uint64_t doomed_key = q.reserve_key();
+  const EventHandle doomed =
+      q.schedule_keyed(30, doomed_key, [&] { fired.push_back(-1); });
+  q.cancel(doomed);
+  q.schedule(30, [&] { fired.push_back(3); });  // reuses the slot
+  q.cancel(doomed);
+  q.cancel(fired_handle);
+  EXPECT_EQ(q.size(), 2u);
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueueDeathTest, ScheduleKeyedRejectsAnUnreservedKey) {
