@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/network.h"
@@ -226,6 +229,221 @@ TEST(Switch, LongLinkRunsKeepStopAndGoOnTheirPerByteTicks) {
   EXPECT_FALSE(stopped[go_at]);
   EXPECT_EQ(sent[go_at - 1], sent[stop_at]);
   EXPECT_GT(sent[go_at], sent[go_at - 1]);
+}
+
+// Established worms (DESIGN §6b): once a unicast worm holds every output
+// from an input port to its receiving adapter, with no STOP sent, in
+// effect or in flight on the way, the channel into that port moves the
+// rest of its body in one run. Three switches in a line on 5 bt links;
+// host 1's worm C to host 2 holds switch 1's output toward switch 2 while
+// host 0's worm A to host 2 arrives behind it, so A's prefix backs up
+// into switches 1 and 0 (STOP/GO on both links), then streams freely once
+// C's tail has passed.
+struct LineRun {
+  struct Tick {
+    std::int64_t occ0 = 0;   // switch 0's input from host 0
+    std::int64_t occ1 = 0;   // switch 1's input from switch 0
+    std::int64_t sent0 = 0;  // host 0's link
+    std::int64_t sent1 = 0;  // switch 0 -> switch 1
+    bool stopped0 = false;
+    bool stopped1 = false;
+    bool operator==(const Tick&) const = default;
+  };
+  std::vector<Tick> ticks;
+  /// Per tick: the input port on switch 0 holding A reports that A drains
+  /// freely (the walk that lets its channel commit one long run).
+  std::vector<bool> established;
+  std::vector<TraceEvent> trace;
+  std::uint64_t a_id = 0;
+  NodeId host0 = kNoNode;
+  NodeId sw0 = kNoNode;
+  NodeId sw1 = kNoNode;
+  PortId sw0_to_sw1 = kNoPort;
+};
+
+constexpr Time kLineTicks = 6'000;
+constexpr std::int64_t kWormA = 3'000;
+
+/// Runs the line scenario; `queue_b` adds a worm B from host 0 to host 2
+/// that leaves right behind A (no adapter gap), so it queues behind A at
+/// switch 0's input.
+LineRun run_line(bool burst, bool queue_b = false) {
+  ExperimentConfig cfg = basic();
+  cfg.fabric.burst_channels = burst;
+  if (queue_b) cfg.adapter.tx_overhead = 0;
+  Network net(make_line(3), {}, cfg);
+  net.enable_tracing(std::size_t{1} << 16);
+  const auto send = [&net](HostId src, std::int64_t length) {
+    Demand d;
+    d.src = src;
+    d.dst = 2;
+    d.length = length;
+    net.inject(d);
+  };
+  if (!queue_b) send(1, 1'500);  // C
+  net.sim().at(50, [&] {
+    send(0, kWormA);  // A
+    if (queue_b) send(0, 2'000);  // B
+  });
+
+  LineRun r;
+  const Topology& topo = net.topology();
+  r.host0 = topo.node_of_host(0);
+  r.sw0 = topo.switch_of_host(0);
+  r.sw1 = topo.switch_of_host(1);
+  SwitchRt& sw0 = net.fabric().switch_at(r.sw0);
+  SwitchRt& sw1 = net.fabric().switch_at(r.sw1);
+  Channel& link0 = net.fabric().host_tx_channel(0);
+  PortId in0 = kNoPort;
+  for (PortId p = 0; p < static_cast<PortId>(sw0.n_ports()); ++p)
+    if (sw0.in_channel(p) == &link0) in0 = p;
+  PortId in1 = kNoPort;
+  for (PortId q = 0; q < static_cast<PortId>(sw0.n_ports()); ++q)
+    for (PortId p = 0; p < static_cast<PortId>(sw1.n_ports()); ++p)
+      if (sw1.in_channel(p) == sw0.out_port(q).channel) {
+        r.sw0_to_sw1 = q;
+        in1 = p;
+      }
+  Channel& link1 = *sw0.out_port(r.sw0_to_sw1).channel;
+  WormPtr a;
+  for (Time t = 0; t < kLineTicks; ++t) {
+    net.run_until(t);
+    InPort& port0 = sw0.in_port(in0);
+    if (a == nullptr && port0.buffered() > 0) a = port0.front_worm();
+    r.established.push_back(a != nullptr && sw0.sink(in0)->drains_freely(*a));
+    r.ticks.push_back({port0.buffered(), sw1.in_port(in1).buffered(),
+                       link0.bytes_sent(), link1.bytes_sent(),
+                       link0.tx_stopped(), link1.tx_stopped()});
+  }
+  net.run_to_quiescence();
+  EXPECT_EQ(net.adapter(2).payload_bytes_received(),
+            kWormA + (queue_b ? 2'000 : 1'500));
+  EXPECT_EQ(net.fabric().total_overflows(), 0);
+  r.a_id = a != nullptr ? a->id : 0;
+  r.trace = net.sim().tracer().snapshot(std::size_t{1} << 16);
+  return r;
+}
+
+/// Every flight-recorder event but the run records, sorted.
+std::vector<std::tuple<Time, int, std::int32_t, std::int32_t>> decisions(
+    const LineRun& r) {
+  std::vector<std::tuple<Time, int, std::int32_t, std::int32_t>> out;
+  for (const TraceEvent& e : r.trace)
+    if (e.type != TraceEventType::kChanBurst)
+      out.emplace_back(e.t, static_cast<int>(e.type), e.node, e.port);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Switch, EstablishedWormCrossesEachHopInOneRun) {
+  const LineRun burst = run_line(true);
+  const LineRun per_byte = run_line(false);
+  // Every tick's occupancy, send count and STOP state, and every STOP,
+  // GO, head, tail and grant, match per-byte stepping.
+  EXPECT_TRUE(burst.ticks == per_byte.ticks);
+  EXPECT_EQ(decisions(burst), decisions(per_byte));
+  const SwitchConfig sw_cfg;
+  int stops = 0;
+  for (const TraceEvent& e : burst.trace)
+    if (e.type == TraceEventType::kChanStop && e.node == burst.sw0) ++stops;
+  EXPECT_GT(stops, 0) << "A never backed up into switch 0";
+
+  // On each of A's four channels, one run carries at least half of A and
+  // is its last run of more than one byte: the body moved in one run per
+  // hop once A held its path; only the tail followed.
+  std::map<std::int32_t, std::vector<const TraceEvent*>> runs;  // by node
+  for (const TraceEvent& e : burst.trace)
+    if (e.type == TraceEventType::kChanBurst && e.worm == burst.a_id)
+      runs[e.node].push_back(&e);
+  EXPECT_EQ(runs.size(), 4u);
+  for (const auto& [node, list] : runs) {
+    const auto longest = std::max_element(
+        list.begin(), list.end(),
+        [](const TraceEvent* x, const TraceEvent* y) { return x->arg < y->arg; });
+    EXPECT_GE((*longest)->arg, kWormA / 2) << "node " << node;
+    EXPECT_EQ(longest, list.end() - 1) << "node " << node;
+    EXPECT_GT((*longest)->arg, sw_cfg.stop_threshold - 1);
+  }
+}
+
+TEST(Switch, WormQueuedBehindAnEstablishedOneKeepsTheSlackBudget) {
+  // B leaves host 0 right behind A's tail, so its head reaches switch 0
+  // while A's last bytes are still there. Until A's tail has left, B's
+  // runs into switch 0 stay within the static slack budget; later B holds
+  // its own path and streams too.
+  const LineRun burst = run_line(true, /*queue_b=*/true);
+  const LineRun per_byte = run_line(false, /*queue_b=*/true);
+  EXPECT_TRUE(burst.ticks == per_byte.ticks);
+  EXPECT_EQ(decisions(burst), decisions(per_byte));
+  Time a_leaves = kTimeNever;
+  Time b_arrives = kTimeNever;
+  std::uint64_t b_id = 0;
+  for (const TraceEvent& e : burst.trace) {
+    if (e.type == TraceEventType::kChanTail && e.node == burst.sw0 &&
+        e.worm == burst.a_id)
+      a_leaves = e.t;
+    if (e.type == TraceEventType::kChanHead && e.node == burst.host0 &&
+        e.worm != burst.a_id && b_id == 0) {
+      b_id = e.worm;
+      b_arrives = e.t + kDefaultLinkDelay;
+    }
+  }
+  ASSERT_NE(a_leaves, kTimeNever);
+  ASSERT_NE(b_id, 0u);
+  ASSERT_LT(b_arrives, a_leaves) << "B never queued behind A";
+  const SwitchConfig sw_cfg;
+  int queued_runs = 0;
+  std::int64_t longest = 0;
+  for (const TraceEvent& e : burst.trace) {
+    if (e.type != TraceEventType::kChanBurst || e.node != burst.host0 ||
+        e.worm != b_id)
+      continue;
+    longest = std::max(longest, e.arg);
+    if (e.t < a_leaves) {
+      ++queued_runs;
+      EXPECT_LE(e.arg, sw_cfg.stop_threshold - 1) << "at " << e.t;
+    }
+  }
+  EXPECT_GT(queued_runs, 0);
+  EXPECT_GE(longest, 1'000) << "B never streamed once A had gone";
+}
+
+TEST(Switch, StopSentOrInFlightBlocksWideningUntilTheGoLands) {
+  // Downstream of switch 0's input, from the tick switch 1 decides a STOP
+  // until the GO that answers it lands on switch 0's output, A is not
+  // established at switch 0: switch 1's input holds stop_sent_, then the
+  // STOP, the stopped transmitter and the GO stand in the way. At switch
+  // 0's own input the window ends when the GO is decided (its input link
+  // stays stopped until the GO lands, so nothing can widen there anyway).
+  // Once the last GO has landed, A is established.
+  const LineRun r = run_line(true);
+  int windows = 0;
+  Time last_go = -1;
+  for (const auto& [node, port, open_until_landing] :
+       {std::tuple{r.host0, PortId{0}, false},
+        std::tuple{r.sw0, r.sw0_to_sw1, true}}) {
+    Time decided = kTimeNever;
+    for (const TraceEvent& e : r.trace) {
+      if (e.node != node || e.port != port) continue;
+      if (e.type == TraceEventType::kChanStop) {
+        decided = e.t - kDefaultLinkDelay;
+      } else if (e.type == TraceEventType::kChanGo && decided != kTimeNever) {
+        ++windows;
+        const Time end = open_until_landing ? e.t : e.t - kDefaultLinkDelay;
+        for (Time t = decided; t < end; ++t)
+          EXPECT_FALSE(r.established[static_cast<std::size_t>(t)])
+              << "established at " << t << " inside [" << decided << ", "
+              << end << ") on node " << node;
+        last_go = std::max(last_go, e.t);
+        decided = kTimeNever;
+      }
+    }
+  }
+  EXPECT_GE(windows, 2) << "both links must STOP and GO";
+  ASSERT_GE(last_go, 0);
+  EXPECT_TRUE(std::find(r.established.begin() + last_go, r.established.end(),
+                        true) != r.established.end())
+      << "A never established after the last GO";
 }
 
 }  // namespace
