@@ -40,7 +40,7 @@ namespace wormcast::bench {
 ///                     point's trace; any violation (or checker refusal)
 ///                     fails the run with exit 1 and a deterministic report
 ///   --strategy NAME   tree strategy for benches that support it
-///                     (single-root | load-aware | multi-root); rejected
+///                     (single-root | load-aware); rejected
 ///                     here so a typo fails fast
 struct BenchArgs {
   bool quick = false;
@@ -116,8 +116,8 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
       const char* name = argv[++i];
       if (!parse_tree_strategy(name, &args.strategy)) {
         std::fprintf(stderr,
-                     "unknown tree strategy '%s' (expected single-root, "
-                     "load-aware, or multi-root)\n",
+                     "unknown tree strategy '%s' (expected single-root or "
+                     "load-aware)\n",
                      name);
         std::exit(2);
       }

@@ -12,12 +12,14 @@
 //   root_share          the general up/down root's share of that egress
 //   stretch             mean planned path length / shortest legal path
 //
-// All strategies run under the interrupt switch scheme (scheme (b)): the
-// load-aware planner emits off-tree branches and the multi-root planner
-// mixes trees, either of which voids idle-fill's single-tree deadlock
-// argument; interrupt fragments stay deadlock-safe on any legal up/down
-// path set. Send schedules, group draws and irregular topologies are pure
-// functions of the point index, so rows are bit-identical at any --jobs.
+// Both strategies run under the interrupt switch scheme (scheme (b)): the
+// load-aware planner emits off-tree branches, which void idle-fill's
+// single-tree deadlock argument; interrupt fragments stay deadlock-safe on
+// any legal up/down path set. Send schedules, group draws and irregular
+// topologies are pure functions of the point index, so rows are
+// bit-identical at any --jobs. The perf gate compares the --quick rows
+// exactly; their torus and shufflenet load-aware rows hold load-aware's
+// throughput win over single-root (bench/baselines/README.md).
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -57,14 +59,14 @@ constexpr GroupShape kQuickShapes[] = {{8, 4}};
 struct StrategySpec {
   TreeStrategyKind kind;
   // Seeds each point and fills the `strategy` column. It is the kind's
-  // enum value from before partition-merge (then 1) was deleted, so the
-  // rows stay byte-identical to sweeps recorded before the renumbering.
+  // enum value from before partition-merge (then 1) and multi-root (then
+  // 3) were deleted, so the rows stay byte-identical to sweeps recorded
+  // before either deletion.
   int key;
 };
 constexpr StrategySpec kStrategies[] = {
     {TreeStrategyKind::kSingleRoot, 0},
     {TreeStrategyKind::kLoadAware, 2},
-    {TreeStrategyKind::kMultiRoot, 3},
 };
 
 Topology build_topo(int t, std::uint64_t shape_seed) {

@@ -23,8 +23,6 @@ Network::Network(Topology topo, std::vector<MulticastGroupSpec> groups,
       make_tree_strategy(config_.tree, topo_, *routing_, config_.routing);
   strategy_->set_load_probe(
       [this](NodeId n) { return fabric_->node_egress_bytes(n); });
-  for (const MulticastGroupSpec& spec : groups_)
-    strategy_->plan_group(spec.id, spec.members);
   mcast_engine_ = std::make_unique<SwitchMcastEngine>(
       sim_, topo_, strategy_->primary_routing(), config_.switch_mcast);
   fabric_->install_mcast_engine(mcast_engine_.get());
@@ -196,7 +194,7 @@ void Network::gate_pump() {
       continue;
     }
     // Footprint recomputed per attempt: plans may have changed while the
-    // send waited (membership churn, load re-plans, root migration).
+    // send waited (membership churn, load re-plans, link failures).
     GateClaim claim = gate_footprint(front);
     if (!gate_admissible(claim)) return;  // strict FIFO: head blocks the rest
     GatedSend send = std::move(front);
@@ -219,17 +217,10 @@ void Network::fail_link(LinkId l, Time when) {
     faults_->kill_link(&fabric_->channel_from(l, link.node_b));
     // Recompute up/down labels around the dead link; this also drops the
     // route table, so every retransmission travels the healed paths. The
-    // strategy recomputes its owned routings and drops cached plans.
+    // strategy recomputes its tree routing and drops cached plans.
     routing_->fail_link(l);
     strategy_->fail_link(l);
     ++metrics_.counts.links_failed;
-  });
-}
-
-void Network::migrate_root(NodeId new_root, Time when) {
-  sim_.at(when, [this, new_root] {
-    routing_->set_root(new_root);
-    strategy_->on_root_migrated(new_root);
   });
 }
 

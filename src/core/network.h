@@ -72,7 +72,7 @@ struct ExperimentConfig {
   UpDownOptions routing;
   SwitchMcastConfig switch_mcast;
   /// How group structures and switch-level multicast trees are built
-  /// (single-root baseline, load-aware, multi-root; per run).
+  /// (single-root baseline or load-aware; per run).
   TreeStrategyConfig tree;
   /// Injected faults (all rates 0 = the lossless fabric). Pair nonzero
   /// rates with protocol.ack_timeout so senders can actually recover.
@@ -116,8 +116,8 @@ class Network {
   /// orientations); otherwise it queues FIFO and is released as conflicting
   /// messages close. Under the single-root strategy every tree contains the
   /// root, so the gate degenerates to exactly the paper's serialization;
-  /// the alternative strategies regain concurrency precisely where their
-  /// trees do not collide. Queue wait counts toward message latency.
+  /// the load-aware strategy regains concurrency precisely where its trees
+  /// do not collide. Queue wait counts toward message latency.
   std::shared_ptr<MessageContext> send_switch_multicast(HostId src, GroupId group,
                                                         std::int64_t payload);
 
@@ -195,13 +195,6 @@ class Network {
   /// schedule is a pure function of (seed, link id): bit-identical at any
   /// --jobs. Returns the number of down-windows scheduled.
   int flap_link(LinkId l, Time from, Time until, Time mean_down, Time mean_up);
-
-  /// Schedules an up/down root migration to `new_root` at `when`: the
-  /// general routing re-anchors (rebuilding its spanning tree and caches)
-  /// and the tree strategy follows (re-rooting owned routings, dropping
-  /// cached multicast plans, re-assigning multi-root groups). Worms already
-  /// in flight carry their old routes and finish under the old labels.
-  void migrate_root(NodeId new_root, Time when);
 
   /// Re-plans strategy trees against the current load snapshot (the
   /// load-aware strategy's refresh hook; a no-op for static strategies).
@@ -389,7 +382,7 @@ class Network {
   std::unique_ptr<Fabric> fabric_;
   std::unique_ptr<FaultInjector> faults_;
   std::unique_ptr<UpDownRouting> routing_;
-  std::unique_ptr<TreeStrategy> strategy_;  // owns the tree-restricted routings
+  std::unique_ptr<TreeStrategy> strategy_;  // owns the tree-restricted routing
   std::unique_ptr<SwitchMcastEngine> mcast_engine_;
   std::unique_ptr<GroupTables> tables_;
   std::vector<std::unique_ptr<HostAdapter>> adapters_;

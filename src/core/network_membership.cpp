@@ -90,9 +90,6 @@ void Network::apply_join(const MembershipOp& op) {
   if (!jr.joined) return;  // already a member: applied idempotently
   if (rejoin) WORMTRACE(sim_, kProtoRejoin, op.host, -1, 0, op.group);
   joined_at_[key] = sim_.now();
-  // Re-plan the group's strategy trees for the new membership (multi-root
-  // re-picks the root, cached multicast plans drop).
-  strategy_->plan_group(op.group, tables_->circuit(op.group).order());
   // The joiner first (it sets its view floor and, on rejoin, resets the
   // group's dedup epoch), then every peer patches in-flight hop budgets.
   protocols_[op.host]->on_self_joined(op.group, rejoin);
@@ -156,7 +153,6 @@ void Network::apply_leave(const MembershipOp& op) {
   count_repair(stats);
   former_members_.insert(key);
   joined_at_.erase(key);
-  strategy_->plan_group(op.group, tables_->circuit(op.group).order());
   ++metrics_.counts.leaves;
   WORMTRACE(sim_, kProtoLeave, op.host, -1, 0, op.group);
   // The leaver finishes what it holds (forward-only, no new deliveries);
@@ -192,12 +188,7 @@ void Network::declare_host_dead(HostId dead) {
   // Heal the shared group structures in place: splice the circuits,
   // re-parent orphaned subtrees, promote a new root where needed. Every
   // protocol sees the repaired tables immediately (shared by reference).
-  // Affected groups are captured *before* the splice — afterwards the
-  // tables no longer know where the dead member was.
-  const std::vector<GroupId> affected = tables_->groups_containing(dead);
   const GroupTables::RepairStats stats = tables_->remove_member(dead);
-  for (const GroupId g : affected)
-    strategy_->plan_group(g, tables_->circuit(g).order());
   count_repair(stats);
 
   // Let every survivor retarget its in-flight sends onto the repaired

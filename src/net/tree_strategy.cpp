@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "net/mcast_route_builder.h"
 #include "net/tree_strategy_impl.h"
 
 namespace wormcast {
@@ -12,7 +13,6 @@ const char* tree_strategy_name(TreeStrategyKind k) {
   switch (k) {
     case TreeStrategyKind::kSingleRoot: return "single-root";
     case TreeStrategyKind::kLoadAware: return "load-aware";
-    case TreeStrategyKind::kMultiRoot: return "multi-root";
   }
   return "?";
 }
@@ -30,24 +30,48 @@ bool parse_tree_strategy(std::string_view name, TreeStrategyKind* out) {
   return false;
 }
 
+TreeStrategy::TreeStrategy(const Topology& topo,
+                           const UpDownRouting& base_routing,
+                           const UpDownOptions& base_opts)
+    : topo_(topo),
+      base_routing_(base_routing),
+      tree_(topo, [&] {
+        UpDownOptions opts = base_opts;
+        opts.root = base_routing.root();
+        opts.tree_links_only = true;
+        return opts;
+      }()) {}
+
 int TreeStrategy::attach_cost(GroupId g, HostId parent, HostId child) const {
   (void)g;
   return base_routing_.hop_count(parent, child);
 }
+
+namespace detail {
+
+McastPlan SingleRootStrategy::plan_multicast(
+    GroupId g, HostId src, const std::vector<HostId>& dests) const {
+  (void)g;
+  McastPlan plan;
+  for (const HostId d : dests)
+    if (d != src) plan.dests.push_back(d);
+  plan.branches = build_mcast_branches(tree_, src, dests);
+  ++worms_planned_;
+  return plan;
+}
+
+}  // namespace detail
 
 std::unique_ptr<TreeStrategy> make_tree_strategy(
     const TreeStrategyConfig& config, const Topology& topo,
     const UpDownRouting& base_routing, const UpDownOptions& base_opts) {
   switch (config.kind) {
     case TreeStrategyKind::kSingleRoot:
-      return std::make_unique<detail::MultiRootStrategy>(
-          topo, base_routing, base_opts, config.kind, 1);
+      return std::make_unique<detail::SingleRootStrategy>(topo, base_routing,
+                                                          base_opts);
     case TreeStrategyKind::kLoadAware:
       return std::make_unique<detail::LoadAwareStrategy>(topo, base_routing,
                                                          base_opts);
-    case TreeStrategyKind::kMultiRoot:
-      return std::make_unique<detail::MultiRootStrategy>(
-          topo, base_routing, base_opts, config.kind, detail::kCandidateRoots);
   }
   throw std::invalid_argument("unknown tree strategy kind");
 }

@@ -6,16 +6,15 @@
 // worm and the slowest branch paces the whole destination set. A
 // TreeStrategy owns the group-structure construction instead — which
 // routing a group's worm rides and what the host-level greedy tree pays
-// per edge — so alternative builders (load-aware branching avoidance,
-// multi-root up/down) plug in per run without touching the engine. Every
-// strategy sends a multicast as exactly one worm.
+// per edge — so an alternative builder (load-aware branching avoidance)
+// plugs in per run without touching the engine. Every strategy sends a
+// multicast as exactly one worm.
 //
-// Strategies own their tree-restricted UpDownRouting instances; the Network
-// keeps the general routing for host-level unicast (splitting unicast
-// across roots would void the single-order deadlock argument). All owned
-// routings are mutated in place (set_root / fail_link), never re-created:
-// the switch-multicast engine holds a reference to primary_routing() for
-// the lifetime of the network.
+// The base class owns the one tree-restricted UpDownRouting, rooted at the
+// general routing's root; the Network keeps the general routing for
+// host-level unicast. The tree routing is mutated in place (fail_link),
+// never re-created: the switch-multicast engine holds a reference to
+// primary_routing() for the lifetime of the network.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +32,8 @@
 namespace wormcast {
 
 enum class TreeStrategyKind : std::uint8_t {
-  /// The paper's scheme: one spanning tree, one worm per multicast. Built
-  /// as kMultiRoot with one candidate, the general routing's root.
+  /// The paper's scheme: one spanning tree at the general routing's root,
+  /// one worm per multicast.
   kSingleRoot,
   /// Builds per-send delivery trees over the *full* up/down graph with
   /// per-switch penalties — observed forwarding load plus a static
@@ -43,15 +42,11 @@ enum class TreeStrategyKind : std::uint8_t {
   /// literature). Pair with the interrupt/flush switch schemes: off-tree
   /// branches void the idle-fill scheme's single-tree deadlock argument.
   kLoadAware,
-  /// k candidate roots, each with its own spanning tree; every group is
-  /// assigned the root minimizing its members' depth sum, spreading root
-  /// serialization across the fabric.
-  kMultiRoot,
 };
 
-inline constexpr int kNumTreeStrategies = 3;
+inline constexpr int kNumTreeStrategies = 2;
 
-/// Stable lowercase name ("single-root", "load-aware", "multi-root").
+/// Stable lowercase name ("single-root", "load-aware").
 [[nodiscard]] const char* tree_strategy_name(TreeStrategyKind k);
 /// Parses a tree_strategy_name (or its underscore variant). Returns false
 /// and leaves `out` untouched on an unknown name.
@@ -75,8 +70,10 @@ class TreeStrategy {
   /// Deterministic per-switch load snapshot (e.g. forwarded bytes).
   using LoadProbe = std::function<std::int64_t(NodeId)>;
 
-  TreeStrategy(const Topology& topo, const UpDownRouting& base_routing)
-      : topo_(topo), base_routing_(base_routing) {}
+  /// `base_opts` seeds the owned tree routing, pinned to
+  /// base_routing.root() and restricted to the spanning tree.
+  TreeStrategy(const Topology& topo, const UpDownRouting& base_routing,
+               const UpDownOptions& base_opts);
   virtual ~TreeStrategy() = default;
   TreeStrategy(const TreeStrategy&) = delete;
   TreeStrategy& operator=(const TreeStrategy&) = delete;
@@ -84,25 +81,21 @@ class TreeStrategy {
   [[nodiscard]] virtual TreeStrategyKind kind() const = 0;
   [[nodiscard]] const char* name() const { return tree_strategy_name(kind()); }
 
-  /// The routing whose spanning tree carries switch-level *broadcasts*
-  /// (climb to root, flood the down-tree links) and the default for
-  /// unassigned groups. Mutated in place, never replaced — the multicast
-  /// engine references it for the network's lifetime.
-  [[nodiscard]] virtual const UpDownRouting& primary_routing() const = 0;
+  /// The tree-restricted routing whose spanning tree carries switch-level
+  /// *broadcasts* (climb to root, flood the down-tree links). Mutated in
+  /// place, never replaced — the multicast engine references it for the
+  /// network's lifetime.
+  [[nodiscard]] const UpDownRouting& primary_routing() const { return tree_; }
 
   /// The routing group `g`'s switch-level worms are planned against (and
-  /// the one their paths are legal under). primary_routing() for unknown
-  /// groups.
+  /// the one their paths are legal under).
   [[nodiscard]] virtual const UpDownRouting& group_routing(GroupId g) const = 0;
 
-  /// Registers or re-plans a group against its current member list. Called
-  /// at construction for every group and again after membership changes
-  /// (join/leave/repair), invalidating any cached per-group plans.
-  virtual void plan_group(GroupId g, const std::vector<HostId>& members) = 0;
-
   /// Plans one switch-level multicast from `src` to `dests` (the source is
-  /// skipped if present). Throws std::invalid_argument when no destination
-  /// remains.
+  /// skipped if present). Plans depend only on their arguments and the
+  /// strategy's routing and penalty state, so a membership change needs no
+  /// notice: the next call passes the new member list. Throws
+  /// std::invalid_argument when no destination remains.
   [[nodiscard]] virtual McastPlan plan_multicast(
       GroupId g, HostId src, const std::vector<HostId>& dests) const = 0;
 
@@ -112,14 +105,10 @@ class TreeStrategy {
   [[nodiscard]] virtual int attach_cost(GroupId g, HostId parent,
                                         HostId child) const;
 
-  /// A link died permanently: recompute every owned routing and drop
-  /// cached plans. The Network forwards its fail_link here after the
+  /// A link died permanently: recompute the tree routing (overrides also
+  /// drop cached plans). The Network forwards its fail_link here after the
   /// general routing has recomputed.
-  virtual void fail_link(LinkId l) = 0;
-
-  /// The up/down root migrated to `new_root` on the general routing:
-  /// follow it on the owned primary routing and drop cached plans.
-  virtual void on_root_migrated(NodeId new_root) = 0;
+  virtual void fail_link(LinkId l) { tree_.fail_link(l); }
 
   /// Installs the observed-load snapshot source (used by kLoadAware).
   virtual void set_load_probe(LoadProbe probe) { (void)std::move(probe); }
@@ -138,13 +127,14 @@ class TreeStrategy {
   /// The network-wide general up/down routing (host-level unicast paths);
   /// also the default attach-cost metric.
   const UpDownRouting& base_routing_;
+  /// The spanning-tree-only routing at base_routing_'s root.
+  UpDownRouting tree_;
   mutable std::int64_t worms_planned_ = 0;
   std::int64_t replans_ = 0;
 };
 
 /// Builds the configured strategy. `base_routing` must outlive the
-/// strategy; `base_opts` seeds the owned tree-restricted routings (their
-/// root defaults to base_routing.root()).
+/// strategy; `base_opts` seeds its owned tree routing.
 std::unique_ptr<TreeStrategy> make_tree_strategy(
     const TreeStrategyConfig& config, const Topology& topo,
     const UpDownRouting& base_routing, const UpDownOptions& base_opts);

@@ -37,27 +37,8 @@ std::vector<std::int64_t> static_penalties(const Topology& topo, int cap_hops) {
 LoadAwareStrategy::LoadAwareStrategy(const Topology& topo,
                                      const UpDownRouting& base,
                                      const UpDownOptions& base_opts)
-    : TreeStrategy(topo, base),
-      tree_(std::make_unique<UpDownRouting>(topo,
-                                            owned_tree_opts(base, base_opts))) {
-  recompute_static_penalties();
-}
-
-void LoadAwareStrategy::recompute_static_penalties() {
-  penalty_ = static_penalties(topo_, kCapacityPenaltyHops);
-}
-
-void LoadAwareStrategy::plan_group(GroupId g, const std::vector<HostId>& members) {
-  (void)members;
-  // Membership changed: every cached plan for this group may now cover the
-  // wrong destination set.
-  for (auto it = plan_cache_.begin(); it != plan_cache_.end();) {
-    if ((it->first >> 32) == static_cast<std::uint32_t>(g))
-      it = plan_cache_.erase(it);
-    else
-      ++it;
-  }
-}
+    : TreeStrategy(topo, base, base_opts),
+      penalty_(static_penalties(topo, kCapacityPenaltyHops)) {}
 
 int LoadAwareStrategy::attach_cost(GroupId g, HostId parent,
                                    HostId child) const {
@@ -73,12 +54,7 @@ int LoadAwareStrategy::attach_cost(GroupId g, HostId parent,
 }
 
 void LoadAwareStrategy::fail_link(LinkId l) {
-  tree_->fail_link(l);
-  plan_cache_.clear();
-}
-
-void LoadAwareStrategy::on_root_migrated(NodeId new_root) {
-  tree_->set_root(new_root);
+  TreeStrategy::fail_link(l);
   plan_cache_.clear();
 }
 

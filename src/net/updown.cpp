@@ -17,29 +17,27 @@ UpDownRouting::UpDownRouting(const Topology& topo, Options opts)
         "level_override must label every node (hosts included)");
   // Root: requested; else the lowest (stage, id) switch when stage labels
   // are given; else the highest-degree switch (lowest id on ties).
-  preferred_root_ = opts.root;
-  if (preferred_root_ == kNoNode && !level_override_.empty()) {
+  root_ = opts.root;
+  if (root_ == kNoNode && !level_override_.empty()) {
     for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
       if (topo_.node(n).kind != NodeKind::kSwitch) continue;
-      if (preferred_root_ == kNoNode ||
+      if (root_ == kNoNode ||
           level_override_[static_cast<std::size_t>(n)] <
-              level_override_[static_cast<std::size_t>(preferred_root_)])
-        preferred_root_ = n;
+              level_override_[static_cast<std::size_t>(root_)])
+        root_ = n;
     }
   }
-  if (preferred_root_ == kNoNode) {
+  if (root_ == kNoNode) {
     std::size_t best_degree = 0;
     for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
       if (topo_.node(n).kind != NodeKind::kSwitch) continue;
-      if (preferred_root_ == kNoNode ||
-          topo_.node(n).ports.size() > best_degree) {
-        preferred_root_ = n;
+      if (root_ == kNoNode || topo_.node(n).ports.size() > best_degree) {
+        root_ = n;
         best_degree = topo_.node(n).ports.size();
       }
     }
   }
-  if (preferred_root_ == kNoNode ||
-      topo_.node(preferred_root_).kind != NodeKind::kSwitch)
+  if (root_ == kNoNode || topo_.node(root_).kind != NodeKind::kSwitch)
     throw std::logic_error("up/down routing requires a switch root");
   link_dead_.assign(static_cast<std::size_t>(topo_.num_links()), false);
   sw_index_.assign(static_cast<std::size_t>(topo_.num_nodes()), -1);
@@ -50,8 +48,6 @@ UpDownRouting::UpDownRouting(const Topology& topo, Options opts)
 }
 
 void UpDownRouting::rebuild(bool allow_partial) {
-  root_ = preferred_root_;
-
   // BFS levels from the root over the surviving links.
   levels_.assign(static_cast<std::size_t>(topo_.num_nodes()), -1);
   on_tree_.assign(static_cast<std::size_t>(topo_.num_links()), false);
@@ -99,7 +95,7 @@ void UpDownRouting::rebuild(bool allow_partial) {
       up_end_[l] = std::min(lk.node_a, lk.node_b);
   }
 
-  // Every rebuild (failure, root migration) invalidates the route table:
+  // Every rebuild (a link failure) invalidates the route table:
   // stale rows would silently route under the old labels.
   rows_.assign(static_cast<std::size_t>(topo_.num_switches()), Row{});
   row_bytes_ = 0;
@@ -110,15 +106,6 @@ void UpDownRouting::fail_link(LinkId l) {
   link_dead_[l] = true;
   ++links_failed_;
   rebuild(/*allow_partial=*/true);
-}
-
-void UpDownRouting::set_root(NodeId new_root) {
-  if (new_root < 0 || new_root >= topo_.num_nodes() ||
-      topo_.node(new_root).kind != NodeKind::kSwitch)
-    throw std::logic_error("up/down root must be a switch");
-  if (new_root == preferred_root_ && new_root == root_) return;
-  preferred_root_ = new_root;
-  rebuild(/*allow_partial=*/links_failed_ > 0);
 }
 
 const UpDownRouting::Row& UpDownRouting::row_of(NodeId from_sw) const {

@@ -73,17 +73,11 @@ class UpDownRouting {
 
   /// Removes `l` from the topology as seen by this routing instance and
   /// recomputes the spanning tree, labels and (lazily) all routes over the
-  /// surviving links. The root is kept if still reachable. Nodes cut off
-  /// entirely get level -1; routing to them throws. Idempotent per link.
+  /// surviving links. The root is always kept; nodes cut off from it get
+  /// level -1, and routing to them throws. Idempotent per link.
   void fail_link(LinkId l);
   [[nodiscard]] bool link_alive(LinkId l) const { return !link_dead_[l]; }
   [[nodiscard]] std::int64_t links_failed() const { return links_failed_; }
-
-  /// Migrates the root to `new_root` (must be a switch; throws otherwise)
-  /// and recomputes the spanning tree, labels and route table in
-  /// place. Routes handed out before the call reflect the old labels;
-  /// callers holding plans must re-plan (Network::migrate_root does).
-  void set_root(NodeId new_root);
 
   /// Source route (switch output ports) from one host to another. The path
   /// is the shortest legal up/down path, with deterministic tie-breaking,
@@ -132,7 +126,7 @@ class UpDownRouting {
   };
   static constexpr std::uint8_t kUnreachable = 0xFF;
 
-  /// (Re)computes root, BFS levels, tree membership and up/down labels over
+  /// (Re)computes BFS levels, tree membership and up/down labels over
   /// the links still alive. `allow_partial` tolerates disconnected nodes
   /// (post-failure); the constructor passes false so a malformed topology
   /// still fails loudly.
@@ -152,7 +146,6 @@ class UpDownRouting {
 
   const Topology& topo_;
   NodeId root_ = kNoNode;
-  NodeId preferred_root_ = kNoNode;  // survives rebuilds while reachable
   bool tree_links_only_ = false;
   std::vector<int> level_override_;  // empty = BFS-distance labels
   std::vector<int> levels_;       // by NodeId

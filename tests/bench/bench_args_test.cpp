@@ -53,8 +53,10 @@ TEST(BenchArgs, RejectsZeroTraceCap) {
 }
 
 TEST(BenchArgs, RejectsDeletedStrategyName) {
-  EXPECT_EXIT(parse({"--strategy", "partition-merge"}),
-              testing::ExitedWithCode(2), "unknown tree strategy");
+  for (const char* name : {"partition-merge", "multi-root"})
+    EXPECT_EXIT(parse({"--strategy", name}), testing::ExitedWithCode(2),
+                "unknown tree strategy")
+        << name;
 }
 
 TEST(BenchArgs, AcceptsUnderscoreStrategyName) {

@@ -76,7 +76,6 @@ TEST_P(TreeStrategyPropertyTest, PlansCoverLegallyAndDisjointly) {
   std::vector<HostId> members;
   for (HostId h = 0; h < topo.num_hosts(); h += 2) members.push_back(h);
   const GroupId g = 0;
-  strategy->plan_group(g, members);
 
   for (const HostId src : {members[0], members[1], members.back()}) {
     const McastPlan plan = strategy->plan_multicast(g, src, members);
@@ -107,7 +106,6 @@ TEST_P(TreeStrategyPropertyTest, LinkDeathInvalidatesCachedPlans) {
   std::vector<HostId> members;
   for (HostId h = 0; h < topo.num_hosts(); h += 3) members.push_back(h);
   const GroupId g = 0;
-  strategy->plan_group(g, members);
   const HostId src = members[0];
   const McastPlan before = strategy->plan_multicast(g, src, members);
 
@@ -131,7 +129,6 @@ TEST_P(TreeStrategyPropertyTest, LinkDeathInvalidatesCachedPlans) {
 
   base.fail_link(victim);
   strategy->fail_link(victim);
-  strategy->plan_group(g, members);  // as Network does after repair
   const McastPlan after = strategy->plan_multicast(g, src, members);
 
   // The new plan is complete, legal, and never crosses the dead link.
@@ -167,14 +164,13 @@ TEST(TreeStrategyStructure, SingleRootEmitsOneOnTreeWorm) {
   const std::vector<HostId> members{0, 3, 7, 11, 14};
   const McastPlan plan = s->plan_multicast(0, 0, members);
   EXPECT_EQ(plan.dests, (std::vector<HostId>{3, 7, 11, 14}));
-  // Single-root is multi-root with one candidate: the base root.
-  const auto* sr = dynamic_cast<const detail::MultiRootStrategy*>(s.get());
-  ASSERT_NE(sr, nullptr);
-  EXPECT_EQ(sr->candidate_roots(), std::vector<NodeId>{base.root()});
-  EXPECT_EQ(sr->assignment(0), 0u);
+  ASSERT_NE(dynamic_cast<const detail::SingleRootStrategy*>(s.get()), nullptr);
   EXPECT_EQ(s->kind(), TreeStrategyKind::kSingleRoot);
-  // Every traversed link lies on the strategy routing's spanning tree.
+  // Every group rides the one tree routing, rooted at the base root.
   const UpDownRouting& r = s->group_routing(0);
+  EXPECT_EQ(&r, &s->primary_routing());
+  EXPECT_EQ(r.root(), base.root());
+  // Every traversed link lies on the strategy routing's spanning tree.
   std::function<void(NodeId, const McastRouteTree&)> on_tree =
       [&](NodeId at, const McastRouteTree& tr) {
         EXPECT_TRUE(r.on_tree(topo.link_at(at, tr.port)));
@@ -185,37 +181,36 @@ TEST(TreeStrategyStructure, SingleRootEmitsOneOnTreeWorm) {
     on_tree(topo.switch_of_host(0), br);
 }
 
-TEST(TreeStrategyStructure, MultiRootAssignsDepthMinimizingCandidate) {
+TEST(TreeStrategyStructure, LoadAwareReplansAfterMembershipChange) {
+  // Nothing tells the strategy about membership: its (group, source) plan
+  // cache must serve a hit only for the exact destination set, so a leave
+  // and then a join each get a plan covering exactly the new members.
   const Topology topo = make_torus(4, 4);
   const UpDownRouting base(topo);
-  TreeStrategyConfig cfg = make_cfg(TreeStrategyKind::kMultiRoot);
-  const auto s = make_tree_strategy(cfg, topo, base, UpDownOptions());
-  auto* mr = dynamic_cast<detail::MultiRootStrategy*>(s.get());
-  ASSERT_NE(mr, nullptr);
-  ASSERT_EQ(mr->candidate_roots().size(),
-            static_cast<std::size_t>(detail::kCandidateRoots));
-  // Candidate 0 is the base root, shared with every single-root strategy.
-  EXPECT_EQ(mr->candidate_roots()[0], base.root());
-  const std::vector<HostId> members{1, 2, 5, 6};
-  mr->plan_group(7, members);
-  const std::size_t pick = mr->assignment(7);
-  EXPECT_EQ(mr->group_routing(7).root(), mr->candidate_roots()[pick]);
-  // Unknown groups ride candidate 0.
-  EXPECT_EQ(mr->assignment(99), 0u);
-}
-
-TEST(TreeStrategyStructure, KindComesFromConfigNotRootCount) {
-  // A one-switch fabric clamps multi-root to one candidate; it still
-  // reports the strategy it was configured as.
-  const Topology topo = make_star(4);
-  const UpDownRouting base(topo);
-  const auto s = make_tree_strategy(make_cfg(TreeStrategyKind::kMultiRoot),
+  const auto s = make_tree_strategy(make_cfg(TreeStrategyKind::kLoadAware),
                                     topo, base, UpDownOptions());
-  const auto* mr = dynamic_cast<const detail::MultiRootStrategy*>(s.get());
-  ASSERT_NE(mr, nullptr);
-  EXPECT_EQ(mr->candidate_roots().size(), 1u);
-  EXPECT_EQ(s->kind(), TreeStrategyKind::kMultiRoot);
-  EXPECT_STREQ(s->name(), "multi-root");
+  const GroupId g = 0;
+  const HostId src = 0;
+  const auto reached = [&](const McastPlan& plan) {
+    std::set<NodeId> nodes;
+    std::multiset<HostId> hosts;
+    for (const McastRouteTree& br : plan.branches)
+      walk_branch(topo, s->group_routing(g), topo.switch_of_host(src), br,
+                  false, &nodes, &hosts);
+    return std::vector<HostId>(hosts.begin(), hosts.end());
+  };
+  const std::vector<std::vector<HostId>> views = {
+      {0, 3, 7, 11, 14},  // initial members
+      {0, 3, 11, 14},     // 7 left
+      {0, 3, 9, 11, 14},  // 9 joined
+  };
+  for (const std::vector<HostId>& members : views) {
+    const McastPlan plan = s->plan_multicast(g, src, members);
+    const std::vector<HostId> want(members.begin() + 1, members.end());
+    EXPECT_EQ(plan.dests, want);
+    EXPECT_EQ(reached(plan), want);
+  }
+  EXPECT_EQ(s->worms_planned(), static_cast<std::int64_t>(views.size()));
 }
 
 ExperimentConfig gate_cfg(TreeStrategyKind kind) {
@@ -310,7 +305,7 @@ TEST_P(GateStrategyTest, ConcurrentBurstDrainsUnderInterruptScheme) {
     EXPECT_EQ(ctx->destinations_reached, ctx->destinations_total);
 }
 
-TEST_P(GateStrategyTest, SurvivesMemberDeathAndRootMigration) {
+TEST_P(GateStrategyTest, SurvivesMemberDeath) {
   const auto kind = static_cast<TreeStrategyKind>(GetParam());
   MulticastGroupSpec group;
   group.id = 0;
@@ -324,15 +319,6 @@ TEST_P(GateStrategyTest, SurvivesMemberDeathAndRootMigration) {
   auto second = net.send_switch_multicast(2, 0, 300);
   net.run_to_quiescence();
   EXPECT_EQ(second->destinations_reached, 4) << "dead member still targeted";
-
-  // Migrate the root and multicast again: strategies must follow the new
-  // orientation without stale cached plans.
-  const NodeId new_root = net.topology().switch_of_host(13);
-  net.migrate_root(new_root, net.sim().now() + 10);
-  net.run_until(net.sim().now() + 50'000);
-  auto third = net.send_switch_multicast(5, 0, 300);
-  net.run_to_quiescence();
-  EXPECT_EQ(third->destinations_reached, 4);
   EXPECT_EQ(net.metrics().outstanding(), 0);
 }
 

@@ -207,46 +207,11 @@ TEST(UpDown, RouteToSelfThrows) {
   EXPECT_THROW(r.route(1, 1), std::logic_error);
 }
 
-TEST(UpDown, SetRootRecomputesInPlaceToFreshEquivalent) {
-  const Topology t = make_torus(4, 4);
-  UpDownRouting migrated(t);
-  const NodeId new_root = t.switch_of_host(10);
-  ASSERT_NE(migrated.root(), new_root);
-  migrated.set_root(new_root);
-  EXPECT_EQ(migrated.root(), new_root);
-
-  // In-place migration matches a routing built at the new root directly.
-  UpDownRouting::Options opts;
-  opts.root = new_root;
-  const UpDownRouting fresh(t, opts);
-  for (HostId s = 0; s < t.num_hosts(); ++s)
-    for (HostId d = 0; d < t.num_hosts(); ++d) {
-      if (s == d) continue;
-      EXPECT_EQ(migrated.route(s, d).ports(), fresh.route(s, d).ports());
-    }
-  for (NodeId n = 0; n < t.num_nodes(); ++n)
-    EXPECT_EQ(migrated.level(n), fresh.level(n));
-}
-
-TEST(UpDown, SetRootAllPairsStayLegal) {
-  RandomStream rng(5);
-  const Topology t = make_random_mesh(10, 3.0, rng);
-  UpDownRouting r(t);
-  for (HostId h = 0; h < t.num_hosts(); h += 3) {
-    r.set_root(t.switch_of_host(h));
-    for (HostId s = 0; s < t.num_hosts(); ++s)
-      for (HostId d = 0; d < t.num_hosts(); ++d) {
-        if (s == d) continue;
-        expect_legal(t, r, s, d);
-        walk_route(t, s, d, r.route(s, d));
-      }
-  }
-}
-
-TEST(UpDown, SetRootToHostThrows) {
+TEST(UpDown, HostRootThrows) {
   const Topology t = make_star(3);
-  UpDownRouting r(t);
-  EXPECT_THROW(r.set_root(t.node_of_host(0)), std::logic_error);
+  UpDownOptions opts;
+  opts.root = t.node_of_host(0);
+  EXPECT_THROW(UpDownRouting(t, opts), std::logic_error);
 }
 
 TEST(UpDown, LevelOverrideMustLabelEveryNode) {
@@ -302,7 +267,7 @@ TEST(UpDown, LevelOverrideOrientsLinksByStage) {
 // before it kept one BFS row per source switch: a fresh BFS over (switch,
 // phase) for each (from, to) pair, read only through UpDownRouting's public
 // labels. The table must reproduce it exactly, before and after failures
-// and root migration.
+// and at a non-default root.
 
 /// Ports of the reference legal path from_sw -> to_sw (no host exit), or
 /// nullopt when no surviving legal path exists.
@@ -482,13 +447,18 @@ TEST_P(RouteTableOracleTest, MatchesReferenceThroughFailuresAndRootMoves) {
     expect_matches_reference(t, r, tree_only);
   }
 
+  // A non-default root through the same two failures.
   NodeId new_root = kNoNode;
   for (NodeId n = 0; n < t.num_nodes(); ++n)
     if (t.node(n).kind == NodeKind::kSwitch && n != r.root()) new_root = n;
-  r.set_root(new_root);
-  ASSERT_EQ(r.root(), new_root);
-  SCOPED_TRACE("after set_root");
-  expect_matches_reference(t, r, tree_only);
+  UpDownOptions moved_opts = c.opts;
+  moved_opts.root = new_root;
+  UpDownRouting moved(t, moved_opts);
+  moved.fail_link(fabric_links.front());
+  moved.fail_link(fabric_links[fabric_links.size() / 2]);
+  ASSERT_EQ(moved.root(), new_root);
+  SCOPED_TRACE("non-default root after two fail_link calls");
+  expect_matches_reference(t, moved, tree_only);
 }
 
 std::string oracle_case_name(const ::testing::TestParamInfo<int>& info) {
