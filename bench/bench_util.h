@@ -39,9 +39,9 @@ namespace wormcast::bench {
 ///   --check           run wormcheck protocol expectations over every sweep
 ///                     point's trace; any violation (or checker refusal)
 ///                     fails the run with exit 1 and a deterministic report
-///   --strategy NAME   tree strategy for benches that support it
-///                     (single-root | load-aware); rejected
-///                     here so a typo fails fast
+///   --strategy NAME   run only this tree strategy (tree_strategies;
+///                     single-root | load-aware); an unknown name is
+///                     rejected here so a typo fails fast
 struct BenchArgs {
   bool quick = false;
   bool check = false;

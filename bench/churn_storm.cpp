@@ -59,7 +59,7 @@ struct Point {
 };
 
 Point run_point(const Combo& combo, Time gap, Time measure, std::uint64_t seed,
-                TreeStrategyKind strategy, std::size_t trace_cap,
+                std::size_t trace_cap,
                 bench::CheckCollector& checks, std::size_t slot,
                 std::string label) {
   // Circuit scheme at a load both the splice-in and the hop-window patch
@@ -67,7 +67,6 @@ Point run_point(const Combo& combo, Time gap, Time measure, std::uint64_t seed,
   // survivable and leave-no-suspect is checked against a live detector.
   ExperimentConfig cfg = bench::sim_defaults(Scheme::kHamiltonianSF, 0.02,
                                              1.0, seed);
-  cfg.tree.kind = strategy;
   cfg.protocol.ack_timeout = 10'000;
   cfg.protocol.retry_backoff = 2'000;
   cfg.protocol.retry_jitter = 1'000;
@@ -200,8 +199,7 @@ int main(int argc, char** argv) {
   const Time measure = args.quick ? 300'000 : 800'000;
 
   std::printf("# Membership churn under chaos schedules on the 8-host "
-              "testbed (circuit scheme, %s trees)\n",
-              tree_strategy_name(args.strategy));
+              "testbed (circuit scheme)\n");
   std::printf("# (coordinator queue=4 slots @ 20k/op; suspicion=60k; flaps "
               "6k down / 25k up; %d rep(s)/point; lost must be 0)\n",
               args.reps);
@@ -234,8 +232,8 @@ int main(int argc, char** argv) {
     std::snprintf(label, sizeof label, "gap=%lld combo=%s rep=%zu",
                   static_cast<long long>(gap), combo.name, rep);
     raw[i] = run_point(combo, gap, measure,
-                       harness::point_seed(kBaseSeed, rep), args.strategy,
-                       args.trace_cap, checks, i, label);
+                       harness::point_seed(kBaseSeed, rep), args.trace_cap,
+                       checks, i, label);
   });
 
   bool lost_any = false;
@@ -271,7 +269,6 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
   bench::stamp_sweep_meta(json, pool, walls, sweep);
   json.set_meta("reps", static_cast<double>(args.reps));
-  json.set_meta("strategy", std::string(tree_strategy_name(args.strategy)));
   if (lost_any)
     std::fprintf(stderr,
                  "churn_storm: FAIL -- lost-forever payloads detected "

@@ -60,17 +60,7 @@ int CircuitTable::circuit_hop_length(const UpDownRouting& routing) const {
   return total;
 }
 
-namespace {
-
-TreeTable::EdgeCost hop_cost(const UpDownRouting& routing) {
-  return [&routing](HostId parent, HostId child) {
-    return routing.hop_count(parent, child);
-  };
-}
-
-}  // namespace
-
-TreeTable::TreeTable(std::vector<HostId> members, const EdgeCost& cost,
+TreeTable::TreeTable(std::vector<HostId> members, const UpDownRouting& routing,
                      int max_fanout)
     : members_(std::move(members)) {
   if (members_.empty()) throw std::invalid_argument("empty multicast group");
@@ -89,7 +79,7 @@ TreeTable::TreeTable(std::vector<HostId> members, const EdgeCost& cost,
       if (max_fanout > 0 &&
           static_cast<int>(children_[candidate].size()) >= max_fanout)
         continue;
-      const int c = cost(candidate, m);
+      const int c = routing.hop_count(candidate, m);
       if (best == kNoHost || c < best_cost) {
         best = candidate;
         best_cost = c;
@@ -103,10 +93,6 @@ TreeTable::TreeTable(std::vector<HostId> members, const EdgeCost& cost,
   }
   // Children naturally accumulate in ascending ID order (insertion order).
 }
-
-TreeTable::TreeTable(std::vector<HostId> members, const UpDownRouting& routing,
-                     int max_fanout)
-    : TreeTable(std::move(members), hop_cost(routing), max_fanout) {}
 
 bool TreeTable::contains(HostId h) const {
   return std::binary_search(members_.begin(), members_.end(), h);
@@ -126,12 +112,6 @@ const std::vector<HostId>& TreeTable::children(HostId h) const {
 
 TreeTable::RemovalResult TreeTable::remove_member(HostId h,
                                                   const UpDownRouting& routing,
-                                                  int max_fanout) {
-  return remove_member(h, hop_cost(routing), max_fanout);
-}
-
-TreeTable::RemovalResult TreeTable::remove_member(HostId h,
-                                                  const EdgeCost& cost,
                                                   int max_fanout) {
   RemovalResult result;
   const auto it = std::lower_bound(members_.begin(), members_.end(), h);
@@ -170,7 +150,7 @@ TreeTable::RemovalResult TreeTable::remove_member(HostId h,
         if (!relax_cap && max_fanout > 0 &&
             static_cast<int>(children_[candidate].size()) >= max_fanout)
           continue;
-        const int c = cost(candidate, o);
+        const int c = routing.hop_count(candidate, o);
         if (best == kNoHost || c < best_cost) {
           best = candidate;
           best_cost = c;
@@ -189,11 +169,6 @@ TreeTable::RemovalResult TreeTable::remove_member(HostId h,
 
 TreeTable::AddResult TreeTable::add_member(HostId h,
                                            const UpDownRouting& routing,
-                                           int max_fanout) {
-  return add_member(h, hop_cost(routing), max_fanout);
-}
-
-TreeTable::AddResult TreeTable::add_member(HostId h, const EdgeCost& cost,
                                            int max_fanout) {
   AddResult result;
   const auto it = std::lower_bound(members_.begin(), members_.end(), h);
@@ -222,7 +197,7 @@ TreeTable::AddResult TreeTable::add_member(HostId h, const EdgeCost& cost,
       if (!relax_cap && max_fanout > 0 &&
           static_cast<int>(children_[candidate].size()) >= max_fanout)
         continue;
-      const int c = cost(candidate, h);
+      const int c = routing.hop_count(candidate, h);
       if (best == kNoHost || c < best_cost) {
         best = candidate;
         best_cost = c;
@@ -248,26 +223,12 @@ int TreeTable::depth() const {
 }
 
 GroupTables::GroupTables(const std::vector<MulticastGroupSpec>& specs,
-                         const UpDownRouting& routing, int max_tree_fanout,
-                         const TreeStrategy* strategy)
-    : routing_(routing), max_tree_fanout_(max_tree_fanout),
-      strategy_(strategy) {
+                         const UpDownRouting& routing, int max_tree_fanout)
+    : routing_(routing), max_tree_fanout_(max_tree_fanout) {
   for (const MulticastGroupSpec& spec : specs) {
     circuits_.emplace(spec.id, CircuitTable(spec.members));
-    trees_.emplace(spec.id, TreeTable(spec.members, edge_cost(spec.id),
-                                      max_tree_fanout));
+    trees_.emplace(spec.id, TreeTable(spec.members, routing, max_tree_fanout));
   }
-}
-
-TreeTable::EdgeCost GroupTables::edge_cost(GroupId g) const {
-  if (strategy_ == nullptr) {
-    return [this](HostId parent, HostId child) {
-      return routing_.hop_count(parent, child);
-    };
-  }
-  return [this, g](HostId parent, HostId child) {
-    return strategy_->attach_cost(g, parent, child);
-  };
 }
 
 std::vector<GroupId> GroupTables::groups_containing(HostId h) const {
@@ -303,7 +264,7 @@ GroupTables::RepairStats GroupTables::remove_member_from(GroupId g, HostId h) {
   circuit.remove(h);
   ++stats.circuits_spliced;
   const TreeTable::RemovalResult r =
-      trees_.at(g).remove_member(h, edge_cost(g), max_tree_fanout_);
+      trees_.at(g).remove_member(h, routing_, max_tree_fanout_);
   stats.subtrees_reparented += r.subtrees_reparented;
   if (r.root_promoted) ++stats.roots_promoted;
   for (const auto& [orphan, parent] : r.reattached)
@@ -320,7 +281,7 @@ GroupTables::JoinResult GroupTables::add_member(GroupId g, HostId h) {
   result.joined = true;
   result.circuit_pred = circuit.insert(h);
   const TreeTable::AddResult a =
-      trees_.at(g).add_member(h, edge_cost(g), max_tree_fanout_);
+      trees_.at(g).add_member(h, routing_, max_tree_fanout_);
   result.became_root = a.became_root;
   result.tree_parent = a.parent;
   return result;

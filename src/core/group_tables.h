@@ -8,15 +8,15 @@
 // higher ID than its parent. We build the cheapest such tree greedily:
 // members are inserted in increasing ID order and each attaches to the
 // already-inserted member with the smallest unicast hop count (ties to the
-// lowest ID; fanout capped), so the parent always carries a lower ID.
+// lowest ID; fanout capped), so the parent always carries a lower ID. That
+// hop count is the paper's rule (Section 6) under every tree strategy:
+// strategies plan switch-level multicasts only (see TreeStrategy).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
-#include "net/tree_strategy.h"
 #include "net/updown.h"
 #include "sim/types.h"
 #include "traffic/groups.h"
@@ -71,18 +71,10 @@ class CircuitTable {
 /// Rooted multicast tree over one group's members (Figure 9).
 class TreeTable {
  public:
-  /// Cost of attaching `child` (second argument) under `parent` (first);
-  /// the greedy construction minimizes it per insertion. The plain metric
-  /// is the unicast hop count; tree strategies substitute their own (e.g.
-  /// load-penalized) metric via GroupTables.
-  using EdgeCost = std::function<int(HostId, HostId)>;
-
   TreeTable() = default;
-  /// Builds the ID-ordered greedy tree. `max_fanout` caps children per
-  /// node (0 = unlimited).
-  TreeTable(std::vector<HostId> members, const EdgeCost& cost,
-            int max_fanout = 0);
-  /// Convenience: edge cost = `routing`'s unicast hop count.
+  /// Builds the ID-ordered greedy tree, attaching each member under the
+  /// one with the smallest `routing.hop_count`. `max_fanout` caps children
+  /// per node (0 = unlimited).
   TreeTable(std::vector<HostId> members, const UpDownRouting& routing,
             int max_fanout = 0);
 
@@ -110,7 +102,6 @@ class TreeTable {
   /// full), so the parent-ID < child-ID invariant survives repair. If the
   /// root died, the lowest surviving ID — necessarily one of the root's own
   /// children — is promoted in place.
-  RemovalResult remove_member(HostId h, const EdgeCost& cost, int max_fanout);
   RemovalResult remove_member(HostId h, const UpDownRouting& routing,
                               int max_fanout);
 
@@ -126,7 +117,6 @@ class TreeTable {
   /// min-hop parent among lower-ID members with fanout slack (cap relaxed
   /// only when every candidate is full). A joiner below the current root
   /// becomes the new root instead. No existing edge moves either way.
-  AddResult add_member(HostId h, const EdgeCost& cost, int max_fanout);
   AddResult add_member(HostId h, const UpDownRouting& routing, int max_fanout);
 
   /// Estimated resident bytes (memory audit): member list plus the
@@ -153,12 +143,10 @@ class TreeTable {
 /// in place when the failure detector declares a member dead.
 class GroupTables {
  public:
-  /// `strategy`, when given, supplies the per-group tree attach-cost metric
-  /// (TreeStrategy::attach_cost); it must outlive the tables. Without one,
-  /// the metric is `routing`'s unicast hop count (the paper's rule).
+  /// Trees attach by `routing`'s unicast hop count (the paper's rule);
+  /// `routing` must outlive the tables.
   GroupTables(const std::vector<MulticastGroupSpec>& specs,
-              const UpDownRouting& routing, int max_tree_fanout = 0,
-              const TreeStrategy* strategy = nullptr);
+              const UpDownRouting& routing, int max_tree_fanout = 0);
 
   [[nodiscard]] const CircuitTable& circuit(GroupId g) const;
   [[nodiscard]] const TreeTable& tree(GroupId g) const;
@@ -208,13 +196,8 @@ class GroupTables {
   JoinResult add_member(GroupId g, HostId h);
 
  private:
-  /// The attach-cost metric for group `g` (strategy-supplied or plain hop
-  /// count). The returned callable borrows `this`: use-and-drop only.
-  [[nodiscard]] TreeTable::EdgeCost edge_cost(GroupId g) const;
-
   const UpDownRouting& routing_;
   int max_tree_fanout_ = 0;
-  const TreeStrategy* strategy_ = nullptr;
   std::unordered_map<GroupId, CircuitTable> circuits_;
   std::unordered_map<GroupId, TreeTable> trees_;
 

@@ -12,6 +12,7 @@ namespace wormcast {
 HostProtocol::HostProtocol(Simulator& sim, HostAdapter& adapter,
                            const UpDownRouting& routing,
                            const GroupTables& tables, Metrics& metrics,
+                           RecyclePool<Worm>& worm_pool,
                            const ProtocolConfig& config, RandomStream rng,
                            int n_hosts)
     : sim_(sim),
@@ -25,6 +26,7 @@ HostProtocol::HostProtocol(Simulator& sim, HostAdapter& adapter,
       n_hosts_(n_hosts),
       pool_(config.buffer_classes ? BufferPool(config.pool_bytes, 2)
                                   : BufferPool::unpartitioned(config.pool_bytes)),
+      worm_pool_(worm_pool),
       detector_(config) {
   adapter_.set_client(this);
   if (config_.scheme == Scheme::kCentralizedCredit &&

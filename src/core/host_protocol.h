@@ -45,9 +45,12 @@ namespace wormcast {
 
 class HostProtocol final : public AdapterClient {
  public:
+  /// Every worm this host emits comes from `worm_pool`, the network's
+  /// shared worm arena (sim/arena.h).
   HostProtocol(Simulator& sim, HostAdapter& adapter, const UpDownRouting& routing,
                const GroupTables& tables, Metrics& metrics,
-               const ProtocolConfig& config, RandomStream rng, int n_hosts);
+               RecyclePool<Worm>& worm_pool, const ProtocolConfig& config,
+               RandomStream rng, int n_hosts);
   HostProtocol(const HostProtocol&) = delete;
   HostProtocol& operator=(const HostProtocol&) = delete;
 
@@ -102,11 +105,6 @@ class HostProtocol final : public AdapterClient {
   /// unresolved circuit sends whose remaining window now spans the joiner
   /// (the splice added one stop), so the circuit tail is not starved.
   void on_member_joined(GroupId g, HostId joiner);
-
-  /// Points the protocol at the network's shared worm arena (sim/arena.h);
-  /// without one (unit tests building protocols directly) worms fall back
-  /// to plain make_shared.
-  void set_worm_pool(RecyclePool<Worm>* pool) { worm_pool_ = pool; }
 
   [[nodiscard]] const BufferPool& pool() const { return pool_; }
   /// Forwarding tasks currently holding buffer space.
@@ -269,7 +267,7 @@ class HostProtocol final : public AdapterClient {
   int n_hosts_ = 0;
   bool dead_ = false;  // crash-stopped
   BufferPool pool_;
-  RecyclePool<Worm>* worm_pool_ = nullptr;  // Network-owned; may be null
+  RecyclePool<Worm>& worm_pool_;  // Network-owned
 
   /// Forwarding tasks by message id (at most one per message: each member
   /// appears once in the circuit/tree).

@@ -14,8 +14,7 @@ namespace wormcast {
 
 WormPtr HostProtocol::make_worm(WormKind kind, HostId dst, std::int64_t payload,
                                 std::int64_t header, std::uint64_t id) const {
-  auto worm = worm_pool_ != nullptr ? worm_pool_->make()
-                                    : std::make_shared<Worm>();
+  auto worm = worm_pool_.make();
   worm->id = id;
   worm->kind = kind;
   worm->src = host_;

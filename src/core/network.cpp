@@ -21,14 +21,12 @@ Network::Network(Topology topo, std::vector<MulticastGroupSpec> groups,
   routing_ = std::make_unique<UpDownRouting>(topo_, config_.routing);
   strategy_ =
       make_tree_strategy(config_.tree, topo_, *routing_, config_.routing);
-  strategy_->set_load_probe(
-      [this](NodeId n) { return fabric_->node_egress_bytes(n); });
   mcast_engine_ = std::make_unique<SwitchMcastEngine>(
-      sim_, topo_, strategy_->primary_routing(), config_.switch_mcast);
+      sim_, topo_, strategy_->primary_routing(), worm_pool_,
+      config_.switch_mcast);
   fabric_->install_mcast_engine(mcast_engine_.get());
   tables_ = std::make_unique<GroupTables>(groups_, *routing_,
-                                          config_.protocol.max_tree_fanout,
-                                          strategy_.get());
+                                          config_.protocol.max_tree_fanout);
   RandomStream master(config_.seed);
   // The injector always exists (unarmed when no faults are configured) so
   // tests can force faults or schedule outages without rebuilding.
@@ -43,14 +41,12 @@ Network::Network(Topology topo, std::vector<MulticastGroupSpec> groups,
         std::make_unique<HostAdapter>(sim_, *fabric_, h, config_.adapter));
     adapters_.back()->set_fault_injector(faults_.get());
     protocols_.push_back(std::make_unique<HostProtocol>(
-        sim_, *adapters_.back(), *routing_, *tables_, metrics_,
+        sim_, *adapters_.back(), *routing_, *tables_, metrics_, worm_pool_,
         config_.protocol, master.fork(0x5000 + static_cast<std::uint64_t>(h)),
         n));
-    protocols_.back()->set_worm_pool(&worm_pool_);
     protocols_.back()->set_failure_listener(
         [this](HostId dead) { declare_host_dead(dead); });
   }
-  mcast_engine_->set_worm_pool(&worm_pool_);
   traffic_ = std::make_unique<TrafficGenerator>(
       sim_, config_.traffic, groups_, n, master.fork(0x7AFF1C),
       [this](const Demand& d) { inject(d); });
@@ -222,6 +218,13 @@ void Network::fail_link(LinkId l, Time when) {
     strategy_->fail_link(l);
     ++metrics_.counts.links_failed;
   });
+}
+
+bool Network::replan_trees() {
+  std::vector<std::int64_t> load(static_cast<std::size_t>(topo_.num_nodes()));
+  for (NodeId n = 0; n < topo_.num_nodes(); ++n)
+    load[static_cast<std::size_t>(n)] = fabric_->node_egress_bytes(n);
+  return strategy_->replan(load);
 }
 
 int Network::flap_link(LinkId l, Time from, Time until, Time mean_down,

@@ -196,10 +196,11 @@ class Network {
   /// --jobs. Returns the number of down-windows scheduled.
   int flap_link(LinkId l, Time from, Time until, Time mean_down, Time mean_up);
 
-  /// Re-plans strategy trees against the current load snapshot (the
-  /// load-aware strategy's refresh hook; a no-op for static strategies).
-  /// Returns true when any future plan changed.
-  bool replan_trees() { return strategy_->replan(); }
+  /// Re-plans strategy trees against each node's forwarded bytes so far
+  /// (Fabric::node_egress_bytes; the load-aware strategy's refresh hook, a
+  /// no-op for static strategies). Returns true when any future plan
+  /// changed.
+  bool replan_trees();
 
   // --- membership churn -------------------------------------------------
 

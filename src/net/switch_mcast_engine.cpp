@@ -89,8 +89,13 @@ struct McastConn {
 
 SwitchMcastEngine::SwitchMcastEngine(Simulator& sim, const Topology& topo,
                                      const UpDownRouting& routing,
+                                     RecyclePool<Worm>& worm_pool,
                                      SwitchMcastConfig config)
-    : sim_(sim), topo_(topo), routing_(routing), config_(config) {}
+    : sim_(sim),
+      topo_(topo),
+      routing_(routing),
+      config_(config),
+      worm_pool_(worm_pool) {}
 
 SwitchMcastEngine::~SwitchMcastEngine() = default;
 
@@ -201,8 +206,7 @@ void SwitchMcastEngine::claim_complete(Conn& c, std::size_t idx) {
   WORMTRACE(sim_, kMcastFragOpen, c.sw->node(), b.port, c.worm->id, idx);
   // Fresh worm object per fragment: downstream treats each fragment as an
   // independent worm carrying its own (re-prepended) route.
-  auto frag = worm_pool_ != nullptr ? worm_pool_->make()
-                                    : std::make_shared<Worm>();
+  auto frag = worm_pool_.make();
   frag->id = c.worm->id;
   frag->kind = WormKind::kSwitchMcast;
   frag->src = c.worm->src;

@@ -74,8 +74,10 @@ struct SwitchMcastConfig {
 
 class SwitchMcastEngine {
  public:
+  /// Per-switch fragment worms come from `worm_pool`, the network's shared
+  /// worm arena, so they recycle instead of allocating.
   SwitchMcastEngine(Simulator& sim, const Topology& topo,
-                    const UpDownRouting& routing,
+                    const UpDownRouting& routing, RecyclePool<Worm>& worm_pool,
                     SwitchMcastConfig config = SwitchMcastConfig());
   ~SwitchMcastEngine();
   SwitchMcastEngine(const SwitchMcastEngine&) = delete;
@@ -94,10 +96,6 @@ class SwitchMcastEngine {
   /// schedules the retransmission.
   using FlushHandler = std::function<void(const WormPtr&)>;
   void set_flush_handler(FlushHandler handler) { flush_handler_ = std::move(handler); }
-
-  /// Points the engine at the network's shared worm arena so per-switch
-  /// fragment worms recycle instead of allocating; optional (tests).
-  void set_worm_pool(RecyclePool<Worm>* pool) { worm_pool_ = pool; }
 
   [[nodiscard]] std::int64_t connections_opened() const { return connections_; }
   [[nodiscard]] std::int64_t fragments_sent() const { return fragments_; }
@@ -137,7 +135,7 @@ class SwitchMcastEngine {
   const UpDownRouting& routing_;
   SwitchMcastConfig config_;
   FlushHandler flush_handler_;
-  RecyclePool<Worm>* worm_pool_ = nullptr;  // Network-owned; may be null
+  RecyclePool<Worm>& worm_pool_;  // Network-owned
   std::unordered_map<InPort*, std::unique_ptr<Conn>> conns_;
   std::int64_t connections_ = 0;
   std::int64_t fragments_ = 0;

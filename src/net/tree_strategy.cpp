@@ -42,11 +42,6 @@ TreeStrategy::TreeStrategy(const Topology& topo,
         return opts;
       }()) {}
 
-int TreeStrategy::attach_cost(GroupId g, HostId parent, HostId child) const {
-  (void)g;
-  return base_routing_.hop_count(parent, child);
-}
-
 namespace detail {
 
 McastPlan SingleRootStrategy::plan_multicast(

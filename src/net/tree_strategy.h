@@ -1,14 +1,15 @@
-// Pluggable multicast tree strategies.
+// Pluggable switch-level multicast planners.
 //
 // The paper serializes every switch-level multicast through one fixed
 // up/down spanning tree rooted at a single switch (Section 3). That is the
 // structural bottleneck at scale: the root switch carries a share of every
 // worm and the slowest branch paces the whole destination set. A
-// TreeStrategy owns the group-structure construction instead — which
-// routing a group's worm rides and what the host-level greedy tree pays
-// per edge — so an alternative builder (load-aware branching avoidance)
-// plugs in per run without touching the engine. Every strategy sends a
-// multicast as exactly one worm.
+// TreeStrategy plans those worms instead — which branch forest a switch
+// multicast rides — so an alternative planner (load-aware branching
+// avoidance) plugs in per run without touching the engine. Every strategy
+// sends a multicast as exactly one worm. Strategies plan switch
+// multicasts only: the host-level circuits and trees (GroupTables) keep
+// the paper's unicast hop-count rule whatever strategy runs.
 //
 // The base class owns the one tree-restricted UpDownRouting, rooted at the
 // general routing's root; the Network keeps the general routing for
@@ -18,10 +19,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "net/source_route.h"
@@ -67,9 +66,6 @@ struct McastPlan {
 
 class TreeStrategy {
  public:
-  /// Deterministic per-switch load snapshot (e.g. forwarded bytes).
-  using LoadProbe = std::function<std::int64_t(NodeId)>;
-
   /// `base_opts` seeds the owned tree routing, pinned to
   /// base_routing.root() and restricted to the spanning tree.
   TreeStrategy(const Topology& topo, const UpDownRouting& base_routing,
@@ -87,10 +83,6 @@ class TreeStrategy {
   /// network's lifetime.
   [[nodiscard]] const UpDownRouting& primary_routing() const { return tree_; }
 
-  /// The routing group `g`'s switch-level worms are planned against (and
-  /// the one their paths are legal under).
-  [[nodiscard]] virtual const UpDownRouting& group_routing(GroupId g) const = 0;
-
   /// Plans one switch-level multicast from `src` to `dests` (the source is
   /// skipped if present). Plans depend only on their arguments and the
   /// strategy's routing and penalty state, so a membership change needs no
@@ -99,24 +91,18 @@ class TreeStrategy {
   [[nodiscard]] virtual McastPlan plan_multicast(
       GroupId g, HostId src, const std::vector<HostId>& dests) const = 0;
 
-  /// Edge cost the host-level greedy tree construction (GroupTables) pays
-  /// for attaching `child` under `parent` in group `g`. The default is the
-  /// general routing's unicast hop count — exactly the pre-strategy rule.
-  [[nodiscard]] virtual int attach_cost(GroupId g, HostId parent,
-                                        HostId child) const;
-
   /// A link died permanently: recompute the tree routing (overrides also
   /// drop cached plans). The Network forwards its fail_link here after the
   /// general routing has recomputed.
   virtual void fail_link(LinkId l) { tree_.fail_link(l); }
 
-  /// Installs the observed-load snapshot source (used by kLoadAware).
-  virtual void set_load_probe(LoadProbe probe) { (void)std::move(probe); }
-
-  /// Re-plans trees against the current load snapshot. Returns true when
-  /// any penalty (and hence any future plan) changed. Default: nothing to
-  /// re-plan.
-  virtual bool replan() { return false; }
+  /// Re-plans against an observed-load snapshot (`load[n]` for every
+  /// NodeId n, e.g. forwarded bytes; kLoadAware reads the switches').
+  /// Returns true when any penalty (and hence any future plan) changed.
+  /// Default: nothing to re-plan.
+  virtual bool replan(const std::vector<std::int64_t>& /*load*/) {
+    return false;
+  }
 
   // Counters (serialized by Network::register_counters).
   [[nodiscard]] std::int64_t worms_planned() const { return worms_planned_; }
@@ -124,8 +110,7 @@ class TreeStrategy {
 
  protected:
   const Topology& topo_;
-  /// The network-wide general up/down routing (host-level unicast paths);
-  /// also the default attach-cost metric.
+  /// The network-wide general up/down routing (host-level unicast paths).
   const UpDownRouting& base_routing_;
   /// The spanning-tree-only routing at base_routing_'s root.
   UpDownRouting tree_;

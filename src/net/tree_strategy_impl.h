@@ -4,6 +4,7 @@
 #pragma once
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/tree_strategy.h"
@@ -25,9 +26,6 @@ class SingleRootStrategy : public TreeStrategy {
   [[nodiscard]] TreeStrategyKind kind() const override {
     return TreeStrategyKind::kSingleRoot;
   }
-  [[nodiscard]] const UpDownRouting& group_routing(GroupId) const override {
-    return tree_;
-  }
   [[nodiscard]] McastPlan plan_multicast(
       GroupId g, HostId src, const std::vector<HostId>& dests) const override;
 };
@@ -43,18 +41,12 @@ class LoadAwareStrategy : public TreeStrategy {
   [[nodiscard]] TreeStrategyKind kind() const override {
     return TreeStrategyKind::kLoadAware;
   }
-  /// Worm paths are planned on the full up/down graph, so their legality
-  /// reference is the *general* routing, not the tree-restricted one.
-  [[nodiscard]] const UpDownRouting& group_routing(GroupId) const override {
-    return base_routing_;
-  }
   [[nodiscard]] McastPlan plan_multicast(
       GroupId g, HostId src, const std::vector<HostId>& dests) const override;
-  [[nodiscard]] int attach_cost(GroupId g, HostId parent,
-                                HostId child) const override;
   void fail_link(LinkId l) override;
-  void set_load_probe(LoadProbe probe) override { probe_ = std::move(probe); }
-  bool replan() override;
+  /// Penalty = static capacity term + kLoadPenaltyHops scaled by each
+  /// switch's share of the hottest switch's load (rounded half up).
+  bool replan(const std::vector<std::int64_t>& load) override;
 
   /// Current detour penalty (hops) charged for routing through `sw`.
   [[nodiscard]] std::int64_t penalty(NodeId sw) const {
@@ -64,10 +56,8 @@ class LoadAwareStrategy : public TreeStrategy {
  private:
   /// Penalized shortest legal up/down port paths from `src` to each dest.
   [[nodiscard]] std::vector<std::pair<HostId, std::vector<PortId>>>
-  penalized_paths(HostId src, GroupId g,
-                  const std::vector<HostId>& dests) const;
+  penalized_paths(HostId src, const std::vector<HostId>& dests) const;
 
-  LoadProbe probe_;
   std::vector<std::int64_t> penalty_;  // by switch NodeId (hosts stay 0)
   /// By (group, source). A hit must cover exactly the asked destinations,
   /// so a membership change re-plans on its next send.

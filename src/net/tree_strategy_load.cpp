@@ -40,45 +40,30 @@ LoadAwareStrategy::LoadAwareStrategy(const Topology& topo,
     : TreeStrategy(topo, base, base_opts),
       penalty_(static_penalties(topo, kCapacityPenaltyHops)) {}
 
-int LoadAwareStrategy::attach_cost(GroupId g, HostId parent,
-                                   HostId child) const {
-  (void)g;
-  // Attaching `child` under `parent` makes parent's switch a forwarding
-  // (and potential branch) point: charge its detour penalty on top of the
-  // plain hop distance.
-  const std::int64_t cost =
-      base_routing_.hop_count(parent, child) +
-      penalty_[static_cast<std::size_t>(topo_.switch_of_host(parent))];
-  return static_cast<int>(std::min<std::int64_t>(
-      cost, std::numeric_limits<int>::max()));
-}
-
 void LoadAwareStrategy::fail_link(LinkId l) {
   TreeStrategy::fail_link(l);
   plan_cache_.clear();
 }
 
-bool LoadAwareStrategy::replan() {
+bool LoadAwareStrategy::replan(const std::vector<std::int64_t>& load) {
+  if (load.size() != static_cast<std::size_t>(topo_.num_nodes()))
+    throw std::invalid_argument("replan: one load entry per node");
   ++replans_;
   std::vector<std::int64_t> next = static_penalties(topo_, kCapacityPenaltyHops);
-  if (probe_) {
-    // Scale the observed-load term so the hottest switch pays the full
-    // kLoadPenaltyHops and cooler switches scale down linearly (rounded
-    // to nearest hop — small asymmetries shouldn't perturb routes).
-    std::vector<std::int64_t> load(next.size(), 0);
-    std::int64_t max_load = 0;
+  // Scale the observed-load term so the hottest switch pays the full
+  // kLoadPenaltyHops and cooler switches scale down linearly (rounded to
+  // nearest hop — small asymmetries shouldn't perturb routes).
+  std::int64_t max_load = 0;
+  for (NodeId n = 0; n < topo_.num_nodes(); ++n)
+    if (topo_.node(n).kind == NodeKind::kSwitch)
+      max_load = std::max(max_load, load[n]);
+  if (max_load > 0) {
     for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
       if (topo_.node(n).kind != NodeKind::kSwitch) continue;
-      load[n] = std::max<std::int64_t>(0, probe_(n));
-      max_load = std::max(max_load, load[n]);
-    }
-    if (max_load > 0) {
-      for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
-        if (topo_.node(n).kind != NodeKind::kSwitch) continue;
-        next[n] += (std::int64_t{kLoadPenaltyHops} * load[n] +
-                    max_load / 2) /
-                   max_load;
-      }
+      next[n] += (std::int64_t{kLoadPenaltyHops} *
+                      std::max<std::int64_t>(0, load[n]) +
+                  max_load / 2) /
+                 max_load;
     }
   }
   const bool changed = next != penalty_;
@@ -90,9 +75,8 @@ bool LoadAwareStrategy::replan() {
 }
 
 std::vector<std::pair<HostId, std::vector<PortId>>>
-LoadAwareStrategy::penalized_paths(HostId src, GroupId g,
+LoadAwareStrategy::penalized_paths(HostId src,
                                    const std::vector<HostId>& dests) const {
-  (void)g;
   const NodeId src_sw = topo_.switch_of_host(src);
   const auto n_nodes = static_cast<std::size_t>(topo_.num_nodes());
 
@@ -189,7 +173,7 @@ McastPlan LoadAwareStrategy::plan_multicast(
     }
   }
 
-  const auto penalized = penalized_paths(src, g, want);
+  const auto penalized = penalized_paths(src, want);
   std::vector<HostPath> paths;
   paths.reserve(penalized.size());
   for (const auto& [host, ports] : penalized)

@@ -1,14 +1,17 @@
 // Pluggable tree strategies: plan invariants every strategy must satisfy
 // (destination cover, branch-walk destination sets, up/down legality,
-// cache invalidation on link death), strategy-specific structure, and the
-// network's multicast admission gate — overlapping trees serialize FIFO,
-// node-disjoint trees dispatch concurrently, and the scheme (b) burst that
-// used to deadlock without the gate drains to zero outstanding.
+// cache invalidation on link death), strategy-specific structure,
+// load-aware re-planning against a load vector, the contract that host
+// trees ignore the strategy, and the network's multicast admission gate —
+// overlapping trees serialize FIFO, node-disjoint trees dispatch
+// concurrently, and the scheme (b) burst that used to deadlock without the
+// gate drains to zero outstanding.
 #include "net/tree_strategy.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 #include <vector>
@@ -61,6 +64,15 @@ void walk_branch(const Topology& t, const UpDownRouting& r, NodeId at,
     walk_branch(t, r, next, child, gone_down || !up, nodes, hosts);
 }
 
+/// The routing `s` plans its worms on, and so the one their paths must be
+/// legal under: the spanning tree for single-root, the full up/down graph
+/// (the general routing `base`) for load-aware.
+const UpDownRouting& planned_on(const TreeStrategy& s,
+                                const UpDownRouting& base) {
+  return s.kind() == TreeStrategyKind::kSingleRoot ? s.primary_routing()
+                                                   : base;
+}
+
 /// Parameters: (fabric index for make_topo, TreeStrategyKind).
 class TreeStrategyPropertyTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -79,7 +91,7 @@ TEST_P(TreeStrategyPropertyTest, PlansCoverLegallyAndDisjointly) {
 
   for (const HostId src : {members[0], members[1], members.back()}) {
     const McastPlan plan = strategy->plan_multicast(g, src, members);
-    const UpDownRouting& r = strategy->group_routing(g);
+    const UpDownRouting& r = planned_on(*strategy, base);
     std::set<NodeId> nodes;
     std::multiset<HostId> reached;
     for (const McastRouteTree& br : plan.branches)
@@ -115,8 +127,8 @@ TEST_P(TreeStrategyPropertyTest, LinkDeathInvalidatesCachedPlans) {
   std::set<NodeId> nodes;
   std::multiset<HostId> hosts;
   for (const McastRouteTree& br : before.branches)
-    walk_branch(topo, strategy->group_routing(g), topo.switch_of_host(src), br,
-                false, &nodes, &hosts);
+    walk_branch(topo, planned_on(*strategy, base), topo.switch_of_host(src),
+                br, false, &nodes, &hosts);
   for (LinkId l = 0; l < topo.num_links() && victim == kNoLink; ++l) {
     const TopoLink& tl = topo.link(l);
     if (topo.node(tl.node_a).kind != NodeKind::kSwitch ||
@@ -135,8 +147,8 @@ TEST_P(TreeStrategyPropertyTest, LinkDeathInvalidatesCachedPlans) {
   std::set<NodeId> n2;
   std::multiset<HostId> reached;
   for (const McastRouteTree& br : after.branches)
-    walk_branch(topo, strategy->group_routing(g), topo.switch_of_host(src), br,
-                false, &n2, &reached);
+    walk_branch(topo, planned_on(*strategy, base), topo.switch_of_host(src),
+                br, false, &n2, &reached);
   std::function<void(NodeId, const McastRouteTree&)> no_dead =
       [&](NodeId at, const McastRouteTree& tr) {
         EXPECT_NE(topo.link_at(at, tr.port), victim) << "plan uses dead link";
@@ -167,8 +179,7 @@ TEST(TreeStrategyStructure, SingleRootEmitsOneOnTreeWorm) {
   ASSERT_NE(dynamic_cast<const detail::SingleRootStrategy*>(s.get()), nullptr);
   EXPECT_EQ(s->kind(), TreeStrategyKind::kSingleRoot);
   // Every group rides the one tree routing, rooted at the base root.
-  const UpDownRouting& r = s->group_routing(0);
-  EXPECT_EQ(&r, &s->primary_routing());
+  const UpDownRouting& r = s->primary_routing();
   EXPECT_EQ(r.root(), base.root());
   // Every traversed link lies on the strategy routing's spanning tree.
   std::function<void(NodeId, const McastRouteTree&)> on_tree =
@@ -195,8 +206,8 @@ TEST(TreeStrategyStructure, LoadAwareReplansAfterMembershipChange) {
     std::set<NodeId> nodes;
     std::multiset<HostId> hosts;
     for (const McastRouteTree& br : plan.branches)
-      walk_branch(topo, s->group_routing(g), topo.switch_of_host(src), br,
-                  false, &nodes, &hosts);
+      walk_branch(topo, base, topo.switch_of_host(src), br, false, &nodes,
+                  &hosts);
     return std::vector<HostId>(hosts.begin(), hosts.end());
   };
   const std::vector<std::vector<HostId>> views = {
@@ -211,6 +222,191 @@ TEST(TreeStrategyStructure, LoadAwareReplansAfterMembershipChange) {
     EXPECT_EQ(reached(plan), want);
   }
   EXPECT_EQ(s->worms_planned(), static_cast<std::int64_t>(views.size()));
+}
+
+/// Every switch-to-switch link a plan's branches cross.
+std::set<LinkId> plan_fabric_links(const Topology& t, HostId src,
+                                   const McastPlan& plan) {
+  std::set<LinkId> out;
+  std::function<void(NodeId, const McastRouteTree&)> walk =
+      [&](NodeId at, const McastRouteTree& tr) {
+        const NodeId next = t.neighbor_via(at, tr.port);
+        if (t.node(next).kind == NodeKind::kSwitch)
+          out.insert(t.link_at(at, tr.port));
+        for (const McastRouteTree& c : tr.children) walk(next, c);
+      };
+  for (const McastRouteTree& br : plan.branches)
+    walk(t.switch_of_host(src), br);
+  return out;
+}
+
+TEST(LoadAwareReplan, HottestSwitchGainsTheFullLoadPenalty) {
+  // The staged Clos has unequal switch degrees, so the static capacity
+  // term is not zero everywhere: the load term is checked as a gain on it.
+  UpDownOptions opts;
+  const Topology topo = make_topo(3, &opts);
+  const UpDownRouting base(topo, opts);
+  detail::LoadAwareStrategy s(topo, base, opts);
+  const auto n_nodes = static_cast<std::size_t>(topo.num_nodes());
+  std::vector<NodeId> switches;
+  std::vector<std::int64_t> before(n_nodes);
+  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    before[static_cast<std::size_t>(n)] = s.penalty(n);
+    if (topo.node(n).kind == NodeKind::kSwitch) switches.push_back(n);
+  }
+  ASSERT_GE(switches.size(), 4u);
+
+  // Hosts carry far more bytes than any switch: they must neither set the
+  // scale nor take a penalty.
+  std::vector<std::int64_t> load(n_nodes, 0);
+  for (NodeId n = 0; n < topo.num_nodes(); ++n)
+    if (topo.node(n).kind == NodeKind::kHost)
+      load[static_cast<std::size_t>(n)] = 1'000'000;
+  std::vector<std::int64_t> gain(n_nodes, 0);
+  const auto set = [&](NodeId sw, std::int64_t bytes, std::int64_t hops) {
+    load[static_cast<std::size_t>(sw)] = bytes;
+    gain[static_cast<std::size_t>(sw)] = hops;
+  };
+  set(switches[0], 8, detail::kLoadPenaltyHops);  // the hottest switch
+  set(switches[1], 1, 1);  // 4 * 1/8 = 0.5: half-way rounds up
+  set(switches[2], 3, 2);  // 1.5 -> 2
+  set(switches[3], 6, 3);  // 3.0 exactly
+  static_assert(detail::kLoadPenaltyHops == 4, "gains above assume 4 hops");
+
+  EXPECT_TRUE(s.replan(load));
+  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    const auto i = static_cast<std::size_t>(n);
+    if (topo.node(n).kind == NodeKind::kHost)
+      EXPECT_EQ(s.penalty(n), 0) << "host node " << n;
+    else
+      EXPECT_EQ(s.penalty(n) - before[i], gain[i]) << "switch " << n;
+  }
+  EXPECT_EQ(s.replans(), 1);
+}
+
+TEST(LoadAwareReplan, OnlyAChangedLoadDropsCachedPlans) {
+  const Topology topo = make_torus(4, 4);
+  UpDownRouting base(topo);
+  detail::LoadAwareStrategy s(topo, base, UpDownOptions());
+  const auto n_nodes = static_cast<std::size_t>(topo.num_nodes());
+  const std::vector<HostId> members{0, 5, 10, 15};
+  const GroupId g = 0;
+  const HostId src = 0;
+
+  // No load leaves the static penalties (all zero on a torus) as they were.
+  EXPECT_FALSE(s.replan(std::vector<std::int64_t>(n_nodes, 0)));
+  std::vector<std::int64_t> load(n_nodes, 0);
+  load[static_cast<std::size_t>(topo.switch_of_host(5))] = 100;
+  EXPECT_TRUE(s.replan(load));
+  const McastPlan first = s.plan_multicast(g, src, members);
+
+  // Kill a link the plan crosses in the general routing only: a fresh plan
+  // would route around it, the cached one still crosses it.
+  const std::set<LinkId> used = plan_fabric_links(topo, src, first);
+  ASSERT_FALSE(used.empty());
+  const LinkId victim = *used.begin();
+  base.fail_link(victim);
+
+  EXPECT_FALSE(s.replan(load)) << "an unchanged load changes no penalty";
+  const McastPlan kept = s.plan_multicast(g, src, members);
+  EXPECT_EQ(plan_fabric_links(topo, src, kept), used)
+      << "an unchanged load must keep the cached plan";
+
+  load[static_cast<std::size_t>(topo.switch_of_host(5))] = 0;
+  load[static_cast<std::size_t>(topo.switch_of_host(10))] = 100;
+  EXPECT_TRUE(s.replan(load));
+  const McastPlan fresh = s.plan_multicast(g, src, members);
+  EXPECT_EQ(plan_fabric_links(topo, src, fresh).count(victim), 0u)
+      << "a changed load must re-plan";
+  EXPECT_EQ(fresh.dests, first.dests);
+  EXPECT_EQ(s.replans(), 4);
+}
+
+TEST(LoadAwareReplan, NextPlanSteersOffTheHotSwitch) {
+  const Topology topo = make_torus(4, 4);
+  const UpDownRouting base(topo);
+  detail::LoadAwareStrategy s(topo, base, UpDownOptions());
+  const std::vector<HostId> members{0, 10};  // opposite corners of a 2x2
+  const HostId src = 0;
+  const auto nodes_on = [&](const McastPlan& plan) {
+    std::set<NodeId> nodes;
+    std::multiset<HostId> hosts;
+    for (const McastRouteTree& br : plan.branches)
+      walk_branch(topo, base, topo.switch_of_host(src), br, false, &nodes,
+                  &hosts);
+    return nodes;
+  };
+  const McastPlan cold = s.plan_multicast(0, src, members);
+
+  // A transit switch: on the cold plan, but neither endpoint's.
+  NodeId hot = kNoNode;
+  for (const NodeId n : nodes_on(cold))
+    if (topo.node(n).kind == NodeKind::kSwitch &&
+        n != topo.switch_of_host(0) && n != topo.switch_of_host(10))
+      hot = n;
+  ASSERT_NE(hot, kNoNode);
+  std::vector<std::int64_t> load(static_cast<std::size_t>(topo.num_nodes()),
+                                 0);
+  load[static_cast<std::size_t>(hot)] = 1'000;
+  EXPECT_TRUE(s.replan(load));
+  EXPECT_EQ(s.penalty(hot), detail::kLoadPenaltyHops);
+
+  const McastPlan steered = s.plan_multicast(0, src, members);
+  EXPECT_EQ(steered.dests, cold.dests);
+  EXPECT_EQ(nodes_on(steered).count(hot), 0u)
+      << "the plan still transits the hot switch " << hot;
+  EXPECT_EQ(s.replans(), 1);
+}
+
+TEST(TreeStrategyContract, HostTreesKeepTheHopCountRule) {
+  // Strategies plan switch-level multicasts only: the host-level trees a
+  // tree scheme relays over are the same under every strategy, after a
+  // failure repair and after a join too. The random mesh's switches have
+  // unequal degrees, so a strategy penalty on tree edges would show.
+  RandomStream rng(4242);
+  const Topology topo = make_random_mesh(12, 3.0, rng);
+  std::set<std::size_t> degrees;
+  for (NodeId n = 0; n < topo.num_nodes(); ++n)
+    if (topo.node(n).kind == NodeKind::kSwitch)
+      degrees.insert(topo.node(n).ports.size());
+  ASSERT_GT(degrees.size(), 1u);
+
+  std::vector<MulticastGroupSpec> groups(3);
+  groups[0].id = 0, groups[0].members = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  groups[1].id = 1, groups[1].members = {1, 3, 4, 6, 8, 9, 11};
+  groups[2].id = 2, groups[2].members = {0, 2, 5, 7, 10};
+  const auto make_net = [&](TreeStrategyKind kind) {
+    ExperimentConfig cfg;
+    cfg.protocol.scheme = Scheme::kTreeSF;
+    cfg.tree.kind = kind;
+    return std::make_unique<Network>(topo, groups, cfg);
+  };
+  const auto single = make_net(TreeStrategyKind::kSingleRoot);
+  const auto aware = make_net(TreeStrategyKind::kLoadAware);
+  const auto expect_same_trees = [&](const char* when) {
+    for (const MulticastGroupSpec& spec : groups) {
+      const TreeTable& a = single->tables().tree(spec.id);
+      const TreeTable& b = aware->tables().tree(spec.id);
+      ASSERT_EQ(a.members(), b.members()) << when << ", group " << spec.id;
+      for (const HostId h : a.members()) {
+        EXPECT_EQ(a.parent(h), b.parent(h))
+            << when << ", group " << spec.id << ", host " << h;
+        EXPECT_EQ(a.children(h), b.children(h))
+            << when << ", group " << spec.id << ", host " << h;
+      }
+    }
+  };
+  expect_same_trees("at construction");
+
+  for (Network* net : {single.get(), aware.get()}) net->declare_host_dead(4);
+  expect_same_trees("after declare_host_dead(4)");
+
+  for (Network* net : {single.get(), aware.get()}) {
+    net->request_join(2, 9, 1'000);
+    net->run_to_quiescence();
+    ASSERT_TRUE(net->tables().is_member(2, 9));
+  }
+  expect_same_trees("after host 9 joined group 2");
 }
 
 ExperimentConfig gate_cfg(TreeStrategyKind kind) {
