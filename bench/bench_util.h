@@ -39,9 +39,11 @@ namespace wormcast::bench {
 ///   --check           run wormcheck protocol expectations over every sweep
 ///                     point's trace; any violation (or checker refusal)
 ///                     fails the run with exit 1 and a deterministic report
-///   --strategy NAME   run only this tree strategy (tree_strategies;
-///                     single-root | load-aware); an unknown name is
-///                     rejected here so a typo fails fast
+///   --strategy NAME   run only this tree strategy (single-root |
+///                     load-aware); only benches that pass
+///                     `accepts_strategy` (tree_strategies) take it, the
+///                     rest reject it like any unknown flag, and an unknown
+///                     name is rejected here so a typo fails fast
 struct BenchArgs {
   bool quick = false;
   bool check = false;
@@ -64,55 +66,62 @@ struct BenchArgs {
 inline constexpr std::size_t kCheckTraceCapacity = std::size_t{1} << 22;
 
 /// Prints the usage line to stderr and exits(2).
-[[noreturn]] inline void bench_usage_exit(const char* argv0) {
+[[noreturn]] inline void bench_usage_exit(const char* argv0,
+                                          bool accepts_strategy) {
   std::fprintf(stderr,
                "usage: %s [--quick] [--check] [--jobs N] [--reps N] "
-               "[--trace-cap N] [--trace-out <file.trace.json>] "
-               "[--strategy NAME]\n",
-               argv0);
+               "[--trace-cap N] [--trace-out <file.trace.json>]%s\n",
+               argv0, accepts_strategy ? " [--strategy NAME]" : "");
   std::exit(2);
 }
 
 /// Parses the value of a count flag (`--jobs`, `--reps`, `--trace-cap`):
-/// a whole decimal integer in [1, max], or usage and exit(2).
-inline long long parse_count_flag(
-    const char* argv0, const char* flag, const char* text,
-    long long max = std::numeric_limits<int>::max()) {
+/// a whole decimal integer in [1, max], or 0 after saying why not.
+inline long long parse_count_flag(const char* flag, const char* text,
+                                  long long max) {
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(text, &end, 10);
   if (end == text || *end != '\0' || errno == ERANGE || v < 1 || v > max) {
     std::fprintf(stderr, "invalid %s value '%s' (expected an integer >= 1)\n",
                  flag, text);
-    bench_usage_exit(argv0);
+    return 0;
   }
   return v;
 }
 
 /// Parses the shared flags; prints usage and exits(2) on anything else.
-inline BenchArgs parse_bench_args(int argc, char** argv) {
+/// `--strategy` is a shared flag only where `accepts_strategy` is set.
+inline BenchArgs parse_bench_args(int argc, char** argv,
+                                  bool accepts_strategy = false) {
   BenchArgs args;
+  const auto usage = [&] { bench_usage_exit(argv[0], accepts_strategy); };
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    // Parses argv[i]'s value and steps past it.
+    const auto count = [&](long long max) {
+      const long long v = parse_count_flag(argv[i], argv[i + 1], max);
+      if (v == 0) usage();
+      ++i;
+      return v;
+    };
     if (arg == "--quick") {
       args.quick = true;
     } else if (arg == "--check") {
       args.check = true;
     } else if (arg == "--jobs" && has_value) {
-      args.jobs =
-          static_cast<int>(parse_count_flag(argv[0], "--jobs", argv[++i]));
+      args.jobs = static_cast<int>(count(kIntMax));
     } else if (arg == "--reps" && has_value) {
-      args.reps =
-          static_cast<int>(parse_count_flag(argv[0], "--reps", argv[++i]));
+      args.reps = static_cast<int>(count(kIntMax));
     } else if (arg == "--trace-cap" && has_value) {
       args.trace_cap = static_cast<std::size_t>(
-          parse_count_flag(argv[0], "--trace-cap", argv[++i],
-                           std::numeric_limits<long long>::max()));
+          count(std::numeric_limits<long long>::max()));
       args.trace_cap_explicit = true;
     } else if (arg == "--trace-out" && has_value) {
       args.trace_out = argv[++i];
-    } else if (arg == "--strategy" && has_value) {
+    } else if (arg == "--strategy" && has_value && accepts_strategy) {
       const char* name = argv[++i];
       if (!parse_tree_strategy(name, &args.strategy)) {
         std::fprintf(stderr,
@@ -123,7 +132,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
       }
       args.strategy_explicit = true;
     } else {
-      bench_usage_exit(argv[0]);
+      usage();
     }
   }
   if (args.check && !args.trace_cap_explicit)

@@ -240,7 +240,8 @@ PointResult run_point(int topo_idx, GroupShape shape, TreeStrategyKind strat,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  const bench::BenchArgs args =
+      bench::parse_bench_args(argc, argv, /*accepts_strategy=*/true);
   const int rounds = args.quick ? 4 : 8;
   const int n_topos = args.quick ? 2 : 3;  // quick: torus + shufflenet
   const auto* shapes = args.quick ? kQuickShapes : kShapes;

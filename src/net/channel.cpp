@@ -15,6 +15,10 @@ void Channel::attach_feed(ByteFeed* feed) {
 void Channel::detach_feed() {
   assert(feed_ != nullptr);
   feed_ = nullptr;
+  // A pump the feed self-scheduled for a later tick (a branch waiting for
+  // its route encoding) must not swallow the next feed's kick: it is void
+  // from now on, and the next feed schedules its own.
+  pump_scheduled_ = false;
 }
 
 void Channel::kick() {
@@ -28,11 +32,18 @@ void Channel::schedule_pump() {
   const Time when = std::max(sim_.now(), last_send_ + 1);
   // A STOP in effect by then would idle that pump; the GO's kick re-arms.
   if (!stop_landings_.empty() && stop_landings_.front() <= when) return;
+  pump_at(when);
+}
+
+void Channel::pump_at(Time when) {
   pump_scheduled_ = true;
+  pump_at_ = when;
   // Late class: a pump scheduled a whole run ahead must still run after
   // the same-tick deliveries and protocol events, exactly like a per-byte
   // pump scheduled one byte-time ahead would.
-  sim_.at_late(when, [this] { pump(); });
+  sim_.at_late(when, [this] {
+    if (pump_scheduled_ && pump_at_ == sim_.now()) pump();  // else void
+  });
 }
 
 std::int64_t Channel::bytes_sent() const {
@@ -64,10 +75,7 @@ void Channel::pump() {
     // by bytes that have not logically arrived yet — in the latter case no
     // kick will ever come, so self-schedule at the next logical arrival.
     const Time next = feed_->next_byte_time();
-    if (next != kTimeNever) {
-      pump_scheduled_ = true;
-      sim_.at_late(std::max(next, last_send_ + 1), [this] { pump(); });
-    }
+    if (next != kTimeNever) pump_at(std::max(next, last_send_ + 1));
     return;
   }
   // A feed's run of n > 1 is plain body bytes of a worm whose fault mode

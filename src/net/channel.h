@@ -27,16 +27,18 @@
 // to d bytes never outruns one, provided the receiver takes its STOP, GO
 // and overflow decisions at the per-byte ticks (switch_rt.h: on logical
 // occupancy). The receiver's budget does not bind an *established* worm:
-// one that holds every output from the receiver to its adapter, with no
+// one that holds every output from the receiver to its adapters, with no
 // STOP sent there and none in effect or in flight beyond, no armed fault
 // injector, and every switch input below the STOP threshold
-// (RxSink::drains_freely, a read-only walk down the path; an adapter
-// drains every worm). No STOP can be decided on its bytes again, so its
-// body crosses the hop in one run, cut only by this channel's own limits.
-// Results are bit-for-bit identical in both modes (the equivalence suite
-// pins this). Switch-level multicast branches commit runs as a gang: the
-// replication engine gives every branch channel of a connection the same
-// run in the same tick (switch_mcast_engine.h).
+// (RxSink::drains_freely, a read-only walk down the path; at a switch-level
+// multicast it goes on down every branch once all of them are mid-body;
+// an adapter drains every worm). No STOP can be decided on its
+// bytes again, so its body crosses the hop in one run, cut only by this
+// channel's own limits. Results are bit-for-bit identical in both modes
+// (the equivalence suite pins this). Switch-level multicast branches
+// commit body runs as a gang: the replication engine gives every branch
+// channel of a connection the same run in the same tick; a branch's
+// subroute prefix leaves as one run after its head (switch_mcast_engine.h).
 #pragma once
 
 #include <cstdint>
@@ -144,7 +146,8 @@ class Channel {
   void kick();
 
   /// Detaches the feed without a tail (a multicast branch releasing a port
-  /// on which it has not yet sent anything). Precondition: attached.
+  /// on which it has not yet sent anything), voiding any pump it had
+  /// scheduled. Precondition: attached.
   void detach_feed();
 
   /// Sets the receiver; must be done before any traffic flows.
@@ -230,6 +233,8 @@ class Channel {
 
   void pump();
   void schedule_pump();
+  /// Schedules the (one) pending pump at `when`, late class.
+  void pump_at(Time when);
   /// Puts a run on the wire toward the local sink: reserves its delivery
   /// key now and schedules the delivery if the lane was empty.
   void enqueue_delivery(InFlight b);
@@ -250,6 +255,11 @@ class Channel {
   /// bytes_swallowed which counter the not-yet-logically-sent tail of the
   /// run belongs to).
   bool last_run_swallowed_ = false;
+  /// Per-worm fault classification (packed here with the flags).
+  FaultMode fault_mode_ = FaultMode::kNone;
+  /// Tick of the pending pump while pump_scheduled_; an event that fires
+  /// at any other tick is void (its feed was detached).
+  Time pump_at_ = -1;
   /// Logical send time of the newest committed byte; a run at t commits
   /// sends through t+n-1, so this can sit in the future.
   Time last_send_ = -1;
@@ -264,7 +274,6 @@ class Channel {
   /// The worm whose bytes the feed is sending (set at its head; compared
   /// for identity only, never dereferenced after its tail).
   const Worm* tx_worm_ = nullptr;
-  FaultMode fault_mode_ = FaultMode::kNone;
   std::int64_t fault_pass_left_ = 0;  // kTruncate: bytes still delivered
   // Trace track identity (transmitter end) and the current worm's id for
   // head/tail span pairing; maintained only while tracing is enabled.

@@ -45,7 +45,10 @@ struct SwitchMcastEngine::Branch {
   bool gang_pending = false;  // owes this tick's gang run (McastConn::gang_n)
   std::unique_ptr<BranchFeed> feed;
 
-  /// Mid-body: the next byte is a plain body byte of an open fragment.
+  /// Mid-body: the next byte is a plain body byte of an open fragment. A
+  /// prefix run counts as sent when taken, but its channel sends nothing
+  /// else until the run's last tick has passed (burst_headroom is 0), and
+  /// the next switch's connection is mid-body only once all of it arrived.
   [[nodiscard]] bool mid_body() const {
     return open && holding_port && !closing && !done && frag_sent > 0 &&
            frag_prefix_sent == static_cast<std::int64_t>(prefix.size());
@@ -235,9 +238,11 @@ std::int64_t SwitchMcastEngine::branch_run(const Conn& c,
   if (b.done || !b.open || !b.holding_port) return 0;
   // The whole route encoding must have arrived before copies flow.
   if (c.in->front_arrived() < c.encoding_len) return 0;
-  if (b.frag_prefix_sent < static_cast<std::int64_t>(b.prefix.size()) ||
-      b.closing)
-    return 1;
+  // The head steps alone; the rest of the prefix leaves as one run.
+  const auto prefix_left =
+      static_cast<std::int64_t>(b.prefix.size()) - b.frag_prefix_sent;
+  if (prefix_left > 0) return b.frag_sent == 0 ? 1 : prefix_left;
+  if (b.closing) return 1;
   if (b.body_taken >= c.body_arrived()) return 0;
   // Lockstep: only the laggard(s) advance, and only a laggard can open the
   // tick's gang run (a leader waits for the minimum to move).
@@ -253,9 +258,14 @@ Time SwitchMcastEngine::branch_next_byte_time(const Conn& c,
   const Branch& b = c.branches[idx];
   if (b.done || !b.open || !b.holding_port) return kTimeNever;
   const std::int64_t arrived = c.in->front_arrived();
-  const bool pending = arrived < c.in->front_received();
+  const std::int64_t received = c.in->front_received();
+  // A buffered encoding's last byte arrives encoding_len - arrived ticks
+  // from now; one that a run has yet to bring comes with that run's kick.
   if (arrived < c.encoding_len)
-    return pending ? sim_.now() + 1 : kTimeNever;
+    return received >= c.encoding_len
+               ? sim_.now() + (c.encoding_len - arrived)
+               : kTimeNever;
+  const bool pending = arrived < received;
   if (pending && b.body_taken == c.min_taken &&
       b.body_taken >= c.body_arrived())
     return sim_.now() + 1;
@@ -299,8 +309,9 @@ TxByte SwitchMcastEngine::branch_take(Conn& c, std::size_t idx,
   // A run's newest byte leaves at now + n - 1, as in InPort::take.
   c.sw->out_port(b.port).last_data_byte = sim_.now() + n - 1;
   if (b.frag_prefix_sent < static_cast<std::int64_t>(b.prefix.size())) {
-    assert(n == 1);
-    ++b.frag_prefix_sent;
+    assert((n == 1 || !out.head) &&
+           b.frag_prefix_sent + n <= static_cast<std::int64_t>(b.prefix.size()));
+    b.frag_prefix_sent += n;
     return out;
   }
   if (b.closing) {
@@ -386,6 +397,21 @@ void SwitchMcastEngine::finish(Conn& c) {
     c.in->mcast_consume(c.body_arrived() - c.min_taken);
   c.in->mcast_finish_front();
   conns_.erase(key);
+}
+
+bool SwitchMcastEngine::drains_freely(const Conn& c) const {
+  // Every branch sends a body byte in every tick it holds one (laggards,
+  // then leaders once the minimum moves), so each input byte that arrives
+  // comes with one that leaves, provided no branch is ever STOPped: the
+  // walk goes on down every branch channel (DESIGN §6b). A branch whose
+  // prefix run is still leaving fails there: the next switch has not yet
+  // received the whole encoding, so its connection is not mid-body.
+  for (const Branch& b : c.branches) {
+    if (!b.mid_body() ||
+        !c.sw->out_port(b.port).channel->drains_freely(*b.frag_worm))
+      return false;
+  }
+  return true;
 }
 
 bool SwitchMcastEngine::any_branch_stopped(const Conn& c) const {

@@ -30,16 +30,24 @@
 // Gang runs (burst mode, DESIGN §6b). Lockstep means a branch advances
 // only while it sits at the connection's minimum body_taken, so every
 // branch is at the minimum L or one ahead at L+1. When, at tick t, every
-// branch is mid-body (open, holding its port, prefix sent, not closing),
+// branch is mid-body (open, holding its port, prefix gone, not closing),
 // every branch channel can take a run of n bytes now, and the input holds
 // the bytes, each branch would send one body byte per tick for the next
 // n ticks under per-byte stepping. The first branch channel to pump in
 // tick t then commits that run for the whole connection, the input
 // releases its n bytes (they leave its logical occupancy one per tick),
 // and every sibling's pump in the same tick takes exactly the same n.
-// Heads, prefixes, fragment trailers, final tails and ticks where the
-// condition fails are runs of one through the same Branch state machine;
-// results are bit-identical either way.
+// A branch's head steps alone and the rest of its subroute prefix leaves
+// as one run (nothing but a STOP, which the channel's cap handles, can
+// hold a prefix byte once the encoding has arrived). Fragment trailers,
+// final tails and ticks where the gang condition fails are runs of one
+// through the same Branch state machine; results are bit-identical
+// either way. When every branch also drains freely downstream, the
+// connection is established (drains_freely): the channel into its input
+// and every branch channel below it are no longer bound by the receiver's
+// slack budget, so an uncontended tree crosses each hop as head, prefix
+// run, a few budget-sized runs while the branches below open, one body
+// run and tail.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +99,11 @@ class SwitchMcastEngine {
   /// branch holds. Returns true when it flushed the unicast (scheme (c));
   /// false lets it wait in the arbitration queue.
   bool maybe_flush_unicast(SwitchRt& sw, InPort& in, PortId out);
+  /// True when every branch of `conn` is mid-body and its channel drains
+  /// the branch's fragment freely (Channel::drains_freely): the connection
+  /// then removes an input byte in every tick one arrives. The input
+  /// port's established-worm walk (InPort::drains_freely) goes on here.
+  [[nodiscard]] bool drains_freely(const McastConn& conn) const;
 
   /// Called when a unicast worm is flushed (scheme (c)); the host side
   /// schedules the retransmission.

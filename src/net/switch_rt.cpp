@@ -135,10 +135,12 @@ std::int64_t InPort::rx_burst_budget(std::int64_t in_flight) const {
 
 bool InPort::drains_freely(const Worm& worm) const {
   if (rx_queue_.size() != 1 || rx_queue_.front().worm.get() != &worm ||
-      !connected_ || worm.kind == WormKind::kSwitchMcast || stop_sent_ ||
+      stop_sent_ ||
       occupancy(sw_.sim().now()) + 1 >= sw_.config().stop_threshold)
     return false;
-  return sw_.out_port(out_port_).channel->drains_freely(worm);
+  if (connected_) return sw_.out_port(out_port_).channel->drains_freely(worm);
+  return mcast_conn_ != nullptr &&
+         sw_.mcast_engine()->drains_freely(*mcast_conn_);
 }
 
 std::int64_t InPort::run_available() const {

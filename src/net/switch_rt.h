@@ -16,11 +16,12 @@
 // per-byte tick whatever runs the channels commit.
 //
 // A port whose arriving worm is established (drains_freely: the worm is
-// its only one, connected as a unicast, no STOP sent, occupancy below
-// K_s - 1, and the same holds all the way to the receiving adapter)
-// forwards every byte in the tick it arrives, so no decision can fall on
-// the worm's bytes: its channel accepts the rest of the body in one run
-// and the port arms no check for it (DESIGN §6b).
+// its only one, no STOP sent, occupancy below K_s - 1; either connected to
+// one output, or owned by a switch-level multicast connection whose
+// branches are all mid-body; and the same holds all the way to every
+// receiving adapter) removes a byte in every tick one arrives, so no
+// decision can fall on the worm's bytes: its channel accepts the rest of
+// the body in one run and the port arms no check for it (DESIGN §6b).
 #pragma once
 
 #include <algorithm>
@@ -68,9 +69,11 @@ class InPort final : public RxSink, public ByteFeed {
   /// even if nothing more leaves.
   [[nodiscard]] std::int64_t rx_burst_budget(
       std::int64_t in_flight) const override;
-  /// True when `worm` is this port's only worm, connected to its output
-  /// as a unicast, with no STOP sent, room for one more byte below the
-  /// STOP threshold, and its output channel draining freely.
+  /// True when `worm` is this port's only worm, with no STOP sent and
+  /// room for one more byte below the STOP threshold, and either its
+  /// output channel drains freely (a unicast, or a broadcast worm still
+  /// climbing) or its multicast connection does
+  /// (SwitchMcastEngine::drains_freely).
   [[nodiscard]] bool drains_freely(const Worm& worm) const override;
 
   // ByteFeed — bytes leaving through the connected output channel.

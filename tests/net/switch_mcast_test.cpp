@@ -3,6 +3,12 @@
 // scheme (c) flushing of unicasts blocked on multicast-IDLE ports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "core/network.h"
 #include "net/mcast_route_builder.h"
 #include "net/topologies.h"
@@ -225,6 +231,242 @@ TEST(SwitchMcast, InterruptProducesFragmentsUnderContention) {
   EXPECT_GT(net.switch_mcast_engine().fragments_sent(),
             net.switch_mcast_engine().connections_opened());
   EXPECT_EQ(net.metrics().outstanding(), 0);
+}
+
+// Established switch multicasts (DESIGN §6b): once every branch of a
+// connection is mid-body and drains freely down to the adapters, the
+// channel into the connection's input, and every branch channel below it,
+// moves the rest of the body in one run. Four switches in a line on 5 bt
+// links; host 0 multicasts to hosts 2 and 3, so switches 0 and 1 forward
+// one branch each and switch 2 replicates toward host 2 and switch 3.
+// `contended` first sends a long unicast from host 1 to host 3, which
+// holds switch 1's output toward switch 2: the multicast backs up into
+// switches 1 and 0 (STOP/GO on both links), then streams once the
+// unicast's tail has passed.
+struct TreeRun {
+  /// Per tick, for every switch port: input occupancy, output bytes sent
+  /// and output STOP state.
+  std::vector<std::vector<std::int64_t>> ticks;
+  /// Events dispatched by the end of each tick.
+  std::vector<std::int64_t> events;
+  /// Per tick: switch 0's input from host 0 reports that the multicast
+  /// drains freely.
+  std::vector<bool> established;
+  std::vector<TraceEvent> trace;
+  NodeId host0 = kNoNode;
+  NodeId sw0 = kNoNode;
+  NodeId sw1 = kNoNode;
+  PortId sw0_to_sw1 = kNoPort;
+  std::uint64_t mcast_id = 0;
+};
+
+constexpr std::int64_t kTreeBody = 1'000;
+
+TreeRun run_tree(bool burst, bool contended) {
+  MulticastGroupSpec group;
+  group.id = 0;
+  group.members = {0, 2, 3};
+  ExperimentConfig cfg = switch_cfg(contended ? SwitchMcastScheme::kIdleFill
+                                              : SwitchMcastScheme::kInterrupt);
+  cfg.fabric.burst_channels = burst;
+  Network net(make_line(4), {group}, cfg);
+  net.enable_tracing(std::size_t{1} << 16);
+  if (contended) {
+    Demand uni;
+    uni.src = 1;
+    uni.dst = 3;
+    uni.length = 3'000;
+    net.inject(uni);
+  }
+  auto ctx = net.send_switch_multicast(0, 0, kTreeBody);
+
+  TreeRun r;
+  const Topology& topo = net.topology();
+  r.host0 = topo.node_of_host(0);
+  r.sw0 = topo.switch_of_host(0);
+  r.sw1 = topo.switch_of_host(1);
+  std::vector<SwitchRt*> switches;
+  for (NodeId n = 0; n < topo.num_nodes(); ++n)
+    if (topo.node(n).kind == NodeKind::kSwitch)
+      switches.push_back(&net.fabric().switch_at(n));
+  SwitchRt& sw0 = net.fabric().switch_at(r.sw0);
+  Channel& link0 = net.fabric().host_tx_channel(0);
+  PortId in0 = kNoPort;
+  for (PortId p = 0; p < static_cast<PortId>(sw0.n_ports()); ++p) {
+    if (sw0.in_channel(p) == &link0) in0 = p;
+    if (topo.neighbor_via(r.sw0, p) == r.sw1) r.sw0_to_sw1 = p;
+  }
+  WormPtr worm;
+  for (Time t = 0; t < 5'000; ++t) {
+    net.run_until(t);
+    std::vector<std::int64_t> tick;
+    for (SwitchRt* sw : switches) {
+      for (PortId p = 0; p < static_cast<PortId>(sw->n_ports()); ++p) {
+        const Channel& out = *sw->out_port(p).channel;
+        tick.push_back(sw->in_port(p).buffered());
+        tick.push_back(out.bytes_sent());
+        tick.push_back(out.tx_stopped() ? 1 : 0);
+      }
+    }
+    r.ticks.push_back(std::move(tick));
+    r.events.push_back(net.sim().events_dispatched());
+    InPort& port0 = sw0.in_port(in0);
+    if (worm == nullptr && port0.buffered() > 0) worm = port0.front_worm();
+    r.established.push_back(worm != nullptr &&
+                            sw0.sink(in0)->drains_freely(*worm));
+  }
+  net.run_to_quiescence();
+  EXPECT_EQ(ctx->destinations_reached, 2);
+  EXPECT_EQ(net.adapter(2).payload_bytes_received(), kTreeBody);
+  EXPECT_EQ(net.adapter(3).payload_bytes_received(),
+            kTreeBody + (contended ? 3'000 : 0));
+  EXPECT_EQ(net.fabric().total_overflows(), 0);
+  r.mcast_id = worm != nullptr ? worm->id : 0;
+  r.trace = net.sim().tracer().snapshot(std::size_t{1} << 16);
+  return r;
+}
+
+/// Every flight-recorder event but the run records, sorted.
+std::vector<std::tuple<Time, int, std::int32_t, std::int32_t>> tree_decisions(
+    const TreeRun& r) {
+  std::vector<std::tuple<Time, int, std::int32_t, std::int32_t>> out;
+  for (const TraceEvent& e : r.trace)
+    if (e.type != TraceEventType::kChanBurst)
+      out.emplace_back(e.t, static_cast<int>(e.type), e.node, e.port);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(SwitchMcast, EstablishedTreeCrossesEachBranchHopInOneBodyRun) {
+  const TreeRun burst = run_tree(true, /*contended=*/false);
+  const TreeRun per_byte = run_tree(false, /*contended=*/false);
+  // Every tick's occupancy, send count and STOP state, and every head,
+  // tail, STOP, GO and fragment decision, match per-byte stepping.
+  EXPECT_TRUE(burst.ticks == per_byte.ticks);
+  EXPECT_EQ(tree_decisions(burst), tree_decisions(per_byte));
+
+  // The multicast's runs on each switch output: a head, then (toward a
+  // switch) the rest of the subroute prefix as one run in the next tick,
+  // then a body whose last run of more than one byte is its longest and
+  // carries at least half of it, then the tail.
+  struct Hop {
+    Time head = kTimeNever;
+    bool to_switch = false;
+    std::vector<std::pair<Time, std::int64_t>> runs;
+    bool tail = false;
+  };
+  std::map<std::pair<std::int32_t, std::int32_t>, Hop> hops;
+  for (const TraceEvent& e : burst.trace) {
+    if (e.worm != burst.mcast_id || e.node == burst.host0 ||
+        (e.type != TraceEventType::kChanHead &&
+         e.type != TraceEventType::kChanBurst &&
+         e.type != TraceEventType::kChanTail))
+      continue;
+    Hop& hop = hops[{e.node, e.port}];
+    if (e.type == TraceEventType::kChanHead) {
+      hop.head = e.t;
+      // Fragments toward a switch carry their subroute ahead of the body.
+      hop.to_switch = e.arg > kTreeBody + 1;
+    } else if (e.type == TraceEventType::kChanBurst) {
+      hop.runs.emplace_back(e.t, e.arg);
+    } else if (e.type == TraceEventType::kChanTail) {
+      hop.tail = true;
+    }
+  }
+  ASSERT_EQ(hops.size(), 5u) << "switches 0, 1 and 3 forward one branch, "
+                                "switch 2 two";
+  int to_switch = 0;
+  for (const auto& [where, hop] : hops) {
+    SCOPED_TRACE(testing::Message() << "node " << where.first << " port "
+                                    << where.second);
+    ASSERT_NE(hop.head, kTimeNever);
+    ASSERT_FALSE(hop.runs.empty());
+    EXPECT_TRUE(hop.tail);
+    if (hop.to_switch) {
+      ++to_switch;
+      EXPECT_EQ(hop.runs.front().first, hop.head + 1)
+          << "the prefix did not leave as one run right after the head";
+    }
+    const auto longest = std::max_element(
+        hop.runs.begin(), hop.runs.end(),
+        [](const auto& x, const auto& y) { return x.second < y.second; });
+    EXPECT_GE(longest->second, kTreeBody / 2);
+    EXPECT_EQ(longest, hop.runs.end() - 1);
+  }
+  EXPECT_EQ(to_switch, 3);
+}
+
+TEST(SwitchMcast, StopOnABranchBlocksWideningUntilTheGoLands) {
+  // From the tick switch 1's input decides a STOP until the GO that
+  // answers it lands on switch 0's branch channel, the multicast is not
+  // established at switch 0's input: switch 1's input holds stop_sent_,
+  // then the STOP, the stopped transmitter and the GO stand in the way. At
+  // switch 0's own input the window ends when its GO is decided. Once the
+  // last GO has landed, the multicast is established.
+  const TreeRun r = run_tree(true, /*contended=*/true);
+  const TreeRun per_byte = run_tree(false, /*contended=*/true);
+  EXPECT_TRUE(r.ticks == per_byte.ticks);
+  EXPECT_EQ(tree_decisions(r), tree_decisions(per_byte));
+  int windows = 0;
+  Time last_go = -1;
+  for (const auto& [node, port, open_until_landing] :
+       {std::tuple{r.host0, PortId{0}, false},
+        std::tuple{r.sw0, r.sw0_to_sw1, true}}) {
+    Time decided = kTimeNever;
+    for (const TraceEvent& e : r.trace) {
+      if (e.node != node || e.port != port) continue;
+      if (e.type == TraceEventType::kChanStop) {
+        decided = e.t - kDefaultLinkDelay;
+      } else if (e.type == TraceEventType::kChanGo && decided != kTimeNever) {
+        ++windows;
+        const Time end = open_until_landing ? e.t : e.t - kDefaultLinkDelay;
+        for (Time t = decided; t < end; ++t)
+          EXPECT_FALSE(r.established[static_cast<std::size_t>(t)])
+              << "established at " << t << " inside [" << decided << ", "
+              << end << ") on node " << node;
+        last_go = std::max(last_go, e.t);
+        decided = kTimeNever;
+      }
+    }
+  }
+  EXPECT_GE(windows, 2) << "both links must STOP and GO";
+  ASSERT_GE(last_go, 0);
+  EXPECT_TRUE(std::find(r.established.begin() + last_go, r.established.end(),
+                        true) != r.established.end())
+      << "the multicast never established after the last GO";
+  // Until then, runs into switch 0 stay within the static slack budget.
+  const SwitchConfig sw_cfg;
+  for (const TraceEvent& e : r.trace) {
+    if (e.type == TraceEventType::kChanBurst && e.node == r.host0 &&
+        e.t < last_go) {
+      EXPECT_LE(e.arg, sw_cfg.stop_threshold - 1) << "at " << e.t;
+    }
+  }
+}
+
+TEST(SwitchMcast, BranchWaitingForABufferedEncodingSchedulesNoPump) {
+  // The route encoding reaches switch 0 in one run, so when the
+  // connection opens its last bytes are buffered but still arriving. The
+  // branch pumps once, in the tick the encoding's last byte arrives, and
+  // sends its head there; nothing fires at any tick in between.
+  const TreeRun r = run_tree(true, /*contended=*/false);
+  Time start = kTimeNever;
+  Time head = kTimeNever;
+  for (const TraceEvent& e : r.trace) {
+    if (e.node != r.sw0) continue;
+    if (e.type == TraceEventType::kMcastStart && start == kTimeNever)
+      start = e.t;
+    if (e.type == TraceEventType::kChanHead && e.port == r.sw0_to_sw1 &&
+        head == kTimeNever)
+      head = e.t;
+  }
+  ASSERT_NE(start, kTimeNever);
+  ASSERT_NE(head, kTimeNever);
+  ASSERT_GT(head, start + 1) << "the encoding was not still arriving";
+  for (Time t = start + 1; t < head; ++t)
+    EXPECT_EQ(r.events[static_cast<std::size_t>(t)],
+              r.events[static_cast<std::size_t>(start)])
+        << "an event fired at " << t;
 }
 
 }  // namespace
