@@ -172,7 +172,6 @@ class HostAdapter final : public ByteFeed, public RxSink {
   [[nodiscard]] std::int64_t run_available() const override;
   TxByte take(std::int64_t n) override;
   void on_tail_sent() override;
-  [[nodiscard]] Time next_byte_time() const override;
 
   // RxSink (receive side; called by the host's downlink channel).
   void on_head(const WormPtr& worm, std::int64_t wire_len, bool tail) override;

@@ -62,18 +62,14 @@ std::int64_t Channel::bytes_swallowed() const {
 void Channel::pump() {
   pump_scheduled_ = false;
   if (feed_ == nullptr || stopped_) return;
-  if (last_send_ >= sim_.now()) {
-    // This tick is already claimed (a run's logical sends extend through
-    // last_send_, or a byte went out this tick): hold the line rate and
-    // resume right after the run.
-    if (!pump_scheduled_) schedule_pump();
-    return;
-  }
+  // Every pump is set for last_send_ + 1 or later, and pump_at_ voids a
+  // stale one, so this tick is never already claimed.
+  assert(last_send_ < sim_.now());
   const std::int64_t run = feed_->run_available();
   if (run == 0) {
-    // Starved either for a kick (feed will call kick() when ready) or only
-    // by bytes that have not logically arrived yet — in the latter case no
-    // kick will ever come, so self-schedule at the next logical arrival.
+    // Starved either for a kick (feed will call kick() when ready) or, for
+    // a multicast branch only, by input bytes that have not logically
+    // arrived yet: no kick will come then, so self-schedule at the arrival.
     const Time next = feed_->next_byte_time();
     if (next != kTimeNever) pump_at(std::max(next, last_send_ + 1));
     return;
@@ -84,9 +80,10 @@ void Channel::pump() {
   const std::int64_t n =
       run > 1 ? std::max<std::int64_t>(1, std::min(run, burst_headroom())) : 1;
 
-  // Claim this tick before calling into the feed: take() can free
-  // slack-buffer space and re-entrantly kick() this channel, and that kick
-  // must see last_send_ current so it schedules the next tick, not this one.
+  // Claim this tick before calling into the feed: take() can re-entrantly
+  // kick() this channel (a multicast branch's single-byte take kicks its
+  // connection's branch channels), and that kick must see last_send_
+  // current so it schedules the next tick, not this one.
   last_send_ = sim_.now();
   TxByte b = feed_->take(n);
   assert(b.count == n);

@@ -85,7 +85,11 @@ class ByteFeed {
   /// When run_available() is 0 *only because* physically buffered bytes
   /// have not logically arrived yet, the time at which the next one does
   /// (the channel self-schedules a pump there — no kick will come).
-  /// kTimeNever when a kick will announce the next byte instead.
+  /// kTimeNever when a kick will announce the next byte instead. Only a
+  /// multicast branch ever waits so (a lockstep laggard, or a route
+  /// encoding still arriving): a feed that commits every buffered byte
+  /// once one has arrived is never starved by pending bytes, because a
+  /// channel's runs land only after the previous one has fully arrived.
   [[nodiscard]] virtual Time next_byte_time() const { return kTimeNever; }
 };
 

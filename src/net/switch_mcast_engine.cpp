@@ -30,6 +30,9 @@ class SwitchMcastEngine::BranchFeed final : public ByteFeed {
 };
 
 struct SwitchMcastEngine::Branch {
+  /// The branch lifecycle (switch_mcast_engine.h).
+  enum class State : std::uint8_t { kIdle, kClaiming, kOpen, kClosing, kDone };
+
   PortId port = kNoPort;
   std::vector<std::uint8_t> prefix;  // re-sent at the start of each fragment
   bool to_host = false;              // the port leads to a host adapter
@@ -37,11 +40,7 @@ struct SwitchMcastEngine::Branch {
   std::int64_t body_taken = 0;       // cumulative body bytes sent
   std::int64_t frag_prefix_sent = 0;
   std::int64_t frag_sent = 0;        // bytes sent in the current fragment
-  bool holding_port = false;
-  bool open = false;     // fragment in progress
-  bool closing = false;  // next byte is the synthetic fragment trailer
-  bool claim_pending = false;
-  bool done = false;
+  State state = State::kIdle;
   bool gang_pending = false;  // owes this tick's gang run (McastConn::gang_n)
   std::unique_ptr<BranchFeed> feed;
 
@@ -50,8 +49,12 @@ struct SwitchMcastEngine::Branch {
   /// else until the run's last tick has passed (burst_headroom is 0), and
   /// the next switch's connection is mid-body only once all of it arrived.
   [[nodiscard]] bool mid_body() const {
-    return open && holding_port && !closing && !done && frag_sent > 0 &&
+    return state == State::kOpen && frag_sent > 0 &&
            frag_prefix_sent == static_cast<std::int64_t>(prefix.size());
+  }
+  /// Holds its port with a fragment that still has bytes to send.
+  [[nodiscard]] bool sending() const {
+    return state == State::kOpen || state == State::kClosing;
   }
 };
 
@@ -66,7 +69,6 @@ struct McastConn {
   std::int64_t encoding_len = 0;     // route prefix bytes on the input
   std::int64_t prefix_consumed = 1;  // do_route consumed the first byte
   std::vector<Branch> branches;
-  bool check_scheduled = false;
   /// Lockstep bookkeeping: the minimum body_taken over all branches and how
   /// many branches sit at it (every other branch is exactly one ahead).
   /// Input body bytes below the minimum are released to GO signalling.
@@ -148,9 +150,7 @@ void SwitchMcastEngine::start(InPort& in) {
             c.branches.size());
   consume_prefix(*raw);
   for (std::size_t i = 0; i < raw->branches.size(); ++i) open_fragment(*raw, i);
-  if (config_.scheme == SwitchMcastScheme::kInterrupt &&
-      !raw->check_scheduled) {
-    raw->check_scheduled = true;
+  if (config_.scheme == SwitchMcastScheme::kInterrupt) {
     InPort* key = &in;
     sim_.after(config_.interrupt_check, [this, key] { periodic_check(key); });
   }
@@ -179,30 +179,23 @@ void SwitchMcastEngine::consume_prefix(Conn& c) {
 
 void SwitchMcastEngine::open_fragment(Conn& c, std::size_t idx) {
   Branch& b = c.branches[idx];
-  assert(!b.open && !b.done);
-  if (b.claim_pending) return;
-  if (!b.holding_port) {
-    Conn* conn_ptr = &c;
-    const bool got = c.sw->claim_output_for_mcast(
-        b.port, [this, conn_ptr, idx] { claim_complete(*conn_ptr, idx); });
-    if (!got) {
-      // Hold decision: the branch waits for the port while its siblings
-      // (scheme-dependent) keep or yield theirs.
-      WORMTRACE(sim_, kMcastHold, c.sw->node(), b.port, c.worm->id, idx);
-      b.claim_pending = true;
-      return;
-    }
-    b.holding_port = true;
+  assert(b.state == Branch::State::kIdle);
+  Conn* conn_ptr = &c;
+  const bool got = c.sw->claim_output_for_mcast(
+      b.port, [this, conn_ptr, idx] { claim_complete(*conn_ptr, idx); });
+  if (!got) {
+    // Hold decision: the branch waits for the port while its siblings
+    // (scheme-dependent) keep or yield theirs.
+    WORMTRACE(sim_, kMcastHold, c.sw->node(), b.port, c.worm->id, idx);
+    b.state = Branch::State::kClaiming;
+    return;
   }
   claim_complete(c, idx);
 }
 
 void SwitchMcastEngine::claim_complete(Conn& c, std::size_t idx) {
   Branch& b = c.branches[idx];
-  b.claim_pending = false;
-  b.holding_port = true;
-  b.open = true;
-  b.closing = false;
+  b.state = Branch::State::kOpen;
   b.frag_prefix_sent = 0;
   b.frag_sent = 0;
   ++fragments_;
@@ -235,14 +228,14 @@ std::int64_t SwitchMcastEngine::branch_run(const Conn& c,
     assert(c.gang_at == sim_.now() && "gang run not taken in its tick");
     return c.gang_n;
   }
-  if (b.done || !b.open || !b.holding_port) return 0;
+  if (!b.sending()) return 0;
   // The whole route encoding must have arrived before copies flow.
   if (c.in->front_arrived() < c.encoding_len) return 0;
   // The head steps alone; the rest of the prefix leaves as one run.
   const auto prefix_left =
       static_cast<std::int64_t>(b.prefix.size()) - b.frag_prefix_sent;
   if (prefix_left > 0) return b.frag_sent == 0 ? 1 : prefix_left;
-  if (b.closing) return 1;
+  if (b.state == Branch::State::kClosing) return 1;
   if (b.body_taken >= c.body_arrived()) return 0;
   // Lockstep: only the laggard(s) advance, and only a laggard can open the
   // tick's gang run (a leader waits for the minimum to move).
@@ -256,7 +249,7 @@ Time SwitchMcastEngine::branch_next_byte_time(const Conn& c,
   // arrived: one arrives every byte-time and no kick will announce it.
   // Every other wait (port claim, lockstep, an empty input) ends in a kick.
   const Branch& b = c.branches[idx];
-  if (b.done || !b.open || !b.holding_port) return kTimeNever;
+  if (!b.sending()) return kTimeNever;
   const std::int64_t arrived = c.in->front_arrived();
   const std::int64_t received = c.in->front_received();
   // A buffered encoding's last byte arrives encoding_len - arrived ticks
@@ -314,11 +307,10 @@ TxByte SwitchMcastEngine::branch_take(Conn& c, std::size_t idx,
     b.frag_prefix_sent += n;
     return out;
   }
-  if (b.closing) {
+  if (b.state == Branch::State::kClosing) {
     // Synthetic fragment trailer.
     assert(n == 1);
     out.tail = true;
-    b.closing = false;
     return out;
   }
   if (b.gang_pending) {
@@ -333,7 +325,7 @@ TxByte SwitchMcastEngine::branch_take(Conn& c, std::size_t idx,
   b.body_taken += n;
   if (c.body_final() && b.body_taken == c.body_arrived()) {
     out.tail = true;
-    b.done = true;
+    b.state = Branch::State::kDone;
   }
   if (n == 1) after_body_take(c);
   return out;
@@ -369,32 +361,31 @@ void SwitchMcastEngine::after_body_take(Conn& c) {
 
 void SwitchMcastEngine::kick_all(Conn& c) {
   for (Branch& b : c.branches) {
-    if (b.open && b.holding_port)
-      c.sw->out_port(b.port).channel->kick();
+    if (b.sending()) c.sw->out_port(b.port).channel->kick();
   }
 }
 
 void SwitchMcastEngine::branch_tail_sent(Conn& c, std::size_t idx) {
   Branch& b = c.branches[idx];
-  assert(b.open && b.holding_port);
-  b.open = false;
-  b.holding_port = false;
+  assert(b.state == Branch::State::kClosing ||
+         b.state == Branch::State::kDone);
+  const bool done = b.state == Branch::State::kDone;
+  if (!done) b.state = Branch::State::kIdle;
   b.feed.reset();
   WORMTRACE(sim_, kMcastFragClose, c.sw->node(), b.port, c.worm->id,
-            b.done ? 1 : 0);
+            done ? 1 : 0);
   c.sw->release_mcast_output(b.port);
-  if (!b.done) return;  // fragment closed; reopened by periodic_check
+  if (!done) return;  // fragment closed; reopened by periodic_check
   for (const Branch& br : c.branches)
-    if (!br.done) return;
+    if (br.state != Branch::State::kDone) return;
   finish(c);
 }
 
 void SwitchMcastEngine::finish(Conn& c) {
   InPort* key = c.in;
   WORMTRACE(sim_, kMcastFinish, c.sw->node(), c.in->port(), c.worm->id, 0);
-  // Release any input bytes not yet consumed.
-  if (c.min_taken < c.body_arrived())
-    c.in->mcast_consume(c.body_arrived() - c.min_taken);
+  // The last laggard's final tail consumed the last input byte.
+  assert(c.min_taken == c.body_arrived());
   c.in->mcast_finish_front();
   conns_.erase(key);
 }
@@ -416,31 +407,29 @@ bool SwitchMcastEngine::drains_freely(const Conn& c) const {
 
 bool SwitchMcastEngine::any_branch_stopped(const Conn& c) const {
   for (const Branch& b : c.branches) {
-    if (b.done) continue;
     // A branch that cannot even claim its output port (Figure 3: another
     // worm holds it) blocks the multicast just like backpressure does.
-    if (b.claim_pending) return true;
-    if (!b.open) continue;
-    if (c.sw->out_port(b.port).channel->tx_stopped()) return true;
+    if (b.state == Branch::State::kClaiming) return true;
+    if (b.sending() && c.sw->out_port(b.port).channel->tx_stopped())
+      return true;
   }
   return false;
 }
 
 void SwitchMcastEngine::close_fragment(Conn& c, std::size_t idx) {
   Branch& b = c.branches[idx];
-  assert(b.open);
+  assert(b.state == Branch::State::kOpen);
   if (b.frag_sent == 0) {
     // Nothing sent yet: release silently (no downstream framing started).
     Channel* ch = c.sw->out_port(b.port).channel;
     ch->detach_feed();
     b.feed.reset();
-    b.open = false;
-    b.holding_port = false;
+    b.state = Branch::State::kIdle;
     WORMTRACE(sim_, kMcastFragClose, c.sw->node(), b.port, c.worm->id, 0);
     c.sw->release_mcast_output(b.port);
     return;
   }
-  b.closing = true;
+  b.state = Branch::State::kClosing;
   c.sw->out_port(b.port).channel->kick();
 }
 
@@ -449,24 +438,20 @@ void SwitchMcastEngine::periodic_check(InPort* key) {
   // chain is keyed by input port, not by connection.
   if (key->mcast_conn() == nullptr) return;  // connection finished
   Conn& c = *key->mcast_conn();
-  if (config_.scheme == SwitchMcastScheme::kInterrupt) {
-    if (any_branch_stopped(c)) {
-      // Interrupt: non-blocked branches give up their paths (Section 3,
-      // variant (b)) so other traffic can use them.
-      WORMTRACE(sim_, kMcastInterrupt, c.sw->node(), c.in->port(),
-                c.worm->id, 0);
-      for (std::size_t i = 0; i < c.branches.size(); ++i) {
-        Branch& b = c.branches[i];
-        if (!b.open || b.done || b.closing) continue;
-        if (c.sw->out_port(b.port).channel->tx_stopped()) continue;
-        close_fragment(c, i);
-      }
-    } else {
-      for (std::size_t i = 0; i < c.branches.size(); ++i) {
-        Branch& b = c.branches[i];
-        if (!b.open && !b.done) open_fragment(c, i);
-      }
+  if (any_branch_stopped(c)) {
+    // Interrupt: non-blocked branches give up their paths (Section 3,
+    // variant (b)) so other traffic can use them.
+    WORMTRACE(sim_, kMcastInterrupt, c.sw->node(), c.in->port(), c.worm->id,
+              0);
+    for (std::size_t i = 0; i < c.branches.size(); ++i) {
+      Branch& b = c.branches[i];
+      if (b.state != Branch::State::kOpen) continue;
+      if (c.sw->out_port(b.port).channel->tx_stopped()) continue;
+      close_fragment(c, i);
     }
+  } else {
+    for (std::size_t i = 0; i < c.branches.size(); ++i)
+      if (c.branches[i].state == Branch::State::kIdle) open_fragment(c, i);
   }
   sim_.after(config_.interrupt_check, [this, key] { periodic_check(key); });
 }

@@ -27,10 +27,17 @@
 //    network (backward reset) and its source retransmits after a random
 //    timeout.
 //
+// Each branch has one lifecycle state: idle (between scheme (b)
+// fragments), claiming (queued for its output port), open (a fragment in
+// progress on the held port), closing (the fragment's synthetic trailer
+// is next) and done (the final tail is taken; the port goes once it is
+// sent). A branch holds its port exactly while open or closing, and only
+// then does its channel pump for it.
+//
 // Gang runs (burst mode, DESIGN §6b). Lockstep means a branch advances
 // only while it sits at the connection's minimum body_taken, so every
 // branch is at the minimum L or one ahead at L+1. When, at tick t, every
-// branch is mid-body (open, holding its port, prefix gone, not closing),
+// branch is mid-body (Branch state kOpen, head and prefix gone),
 // every branch channel can take a run of n bytes now, and the input holds
 // the bytes, each branch would send one body byte per tick for the next
 // n ticks under per-byte stepping. The first branch channel to pump in

@@ -121,15 +121,13 @@ std::int64_t InPort::arrival_occupancy(Time s) const {
 std::int64_t InPort::rx_burst_budget(std::int64_t in_flight) const {
   const SwitchConfig& cfg = sw_.config();
   const Time delay = sw_.in_channel(port_)->delay();
-  const std::int64_t lookahead =
-      delay > kRoutingLatency && delay >= cfg.stop_threshold ? delay : 0;
+  const std::int64_t lookahead = delay > kRoutingLatency ? delay : 0;
   if (stop_sent_) return lookahead;
   // With nothing more leaving than is already released, the byte arriving
-  // at any later tick sees at most buffered_ + in_flight + run, or, while
-  // released bytes still leave, one above the occupancy now.
-  const Time now = sw_.sim().now();
-  if (drain_end_ > now && occupancy(now) + 1 >= cfg.stop_threshold)
-    return lookahead;
+  // at any later tick sees at most buffered_ + in_flight + run. While
+  // released bytes still leave it sees one above the occupancy now, which
+  // reaches K_s - 1 only in the tick of a GO whose STOP still stands at the
+  // transmitter and so already cuts the run (DESIGN §6b).
   return std::max(lookahead, cfg.stop_threshold - 1 - buffered_ - in_flight);
 }
 
@@ -153,16 +151,6 @@ std::int64_t InPort::run_available() const {
   std::int64_t n = (front.received - 1) - forwarded_;
   if (front.tail_seen) --n;
   return std::max<std::int64_t>(1, n);
-}
-
-Time InPort::next_byte_time() const {
-  if (!connected_ || rx_queue_.empty()) return kTimeNever;
-  const RxWorm& front = rx_queue_.front();
-  const std::int64_t physical = (front.received - 1) - forwarded_;
-  // Starved only by bytes that are buffered but not logically arrived: one
-  // becomes forwardable every byte-time, and no kick will announce it.
-  if (physical > 0 && front_available() <= 0) return sw_.sim().now() + 1;
-  return kTimeNever;
 }
 
 TxByte InPort::take(std::int64_t n) {

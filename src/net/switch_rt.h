@@ -62,11 +62,11 @@ class InPort final : public RxSink, public ByteFeed {
   // RxSink — bytes arriving from the upstream channel.
   void on_head(const WormPtr& worm, std::int64_t wire_len, bool tail) override;
   void on_body(std::int64_t n, bool tail) override;
-  /// The link delay d on a link at least as long as the STOP threshold and
-  /// longer than kRoutingLatency (the lookahead: a STOP that could halt
-  /// any byte of a run of d is already in flight), or more while no STOP
-  /// can be decided before the run and everything in flight has landed,
-  /// even if nothing more leaves.
+  /// The link delay d on a link longer than kRoutingLatency (the
+  /// lookahead: a STOP that could halt any byte of a run of d is already
+  /// in flight), or more while no STOP is sent and none can be decided
+  /// before the run and everything in flight has landed, even if nothing
+  /// more leaves.
   [[nodiscard]] std::int64_t rx_burst_budget(
       std::int64_t in_flight) const override;
   /// True when `worm` is this port's only worm, with no STOP sent and
@@ -80,7 +80,6 @@ class InPort final : public RxSink, public ByteFeed {
   [[nodiscard]] std::int64_t run_available() const override;
   TxByte take(std::int64_t n) override;
   void on_tail_sent() override;
-  [[nodiscard]] Time next_byte_time() const override;
 
   [[nodiscard]] PortId port() const { return port_; }
   /// Logical slack-buffer occupancy now.

@@ -337,9 +337,9 @@ Topology make_link_topo(const LinkCase& c, ExperimentConfig& cfg) {
 
 // Every case above runs on the default 5 bt links. These sweep the delays
 // that decide how long a run may be: a switch-bound channel commits up to
-// its link delay (the lookahead) on a link at least as long as the STOP
-// threshold, and otherwise only what the receiver's slack buffer provably
-// absorbs without a STOP. At 40 bt every hop bursts through streaming
+// its link delay (the lookahead) on a link longer than kRoutingLatency,
+// and otherwise only what the receiver's slack buffer provably absorbs
+// without a STOP. At 40 bt every hop bursts through streaming
 // worms, so STOP, GO and overflow decisions fall inside runs and the input
 // ports must take them at their per-byte ticks; at 1 bt runs stay within
 // the slack budget.

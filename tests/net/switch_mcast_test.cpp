@@ -328,9 +328,9 @@ TreeRun run_tree(bool burst, bool contended) {
 
 /// Every flight-recorder event but the run records, sorted.
 std::vector<std::tuple<Time, int, std::int32_t, std::int32_t>> tree_decisions(
-    const TreeRun& r) {
+    const std::vector<TraceEvent>& trace) {
   std::vector<std::tuple<Time, int, std::int32_t, std::int32_t>> out;
-  for (const TraceEvent& e : r.trace)
+  for (const TraceEvent& e : trace)
     if (e.type != TraceEventType::kChanBurst)
       out.emplace_back(e.t, static_cast<int>(e.type), e.node, e.port);
   std::sort(out.begin(), out.end());
@@ -343,7 +343,7 @@ TEST(SwitchMcast, EstablishedTreeCrossesEachBranchHopInOneBodyRun) {
   // Every tick's occupancy, send count and STOP state, and every head,
   // tail, STOP, GO and fragment decision, match per-byte stepping.
   EXPECT_TRUE(burst.ticks == per_byte.ticks);
-  EXPECT_EQ(tree_decisions(burst), tree_decisions(per_byte));
+  EXPECT_EQ(tree_decisions(burst.trace), tree_decisions(per_byte.trace));
 
   // The multicast's runs on each switch output: a head, then (toward a
   // switch) the rest of the subroute prefix as one run in the next tick,
@@ -406,7 +406,7 @@ TEST(SwitchMcast, StopOnABranchBlocksWideningUntilTheGoLands) {
   const TreeRun r = run_tree(true, /*contended=*/true);
   const TreeRun per_byte = run_tree(false, /*contended=*/true);
   EXPECT_TRUE(r.ticks == per_byte.ticks);
-  EXPECT_EQ(tree_decisions(r), tree_decisions(per_byte));
+  EXPECT_EQ(tree_decisions(r.trace), tree_decisions(per_byte.trace));
   int windows = 0;
   Time last_go = -1;
   for (const auto& [node, port, open_until_landing] :
@@ -467,6 +467,96 @@ TEST(SwitchMcast, BranchWaitingForABufferedEncodingSchedulesNoPump) {
     EXPECT_EQ(r.events[static_cast<std::size_t>(t)],
               r.events[static_cast<std::size_t>(start)])
         << "an event fired at " << t;
+}
+
+// Scheme (c) with a unicast short enough to be fully buffered when its
+// port turns multicast-IDLE: the flush retires the whole worm at once, and
+// the worm queued behind it at the same input is routed next. Host 2's
+// long unicast holds switch 2's output toward switch 3, so the multicast
+// from host 0 stalls there and idles on switch 1's output toward switch 2.
+// Host 1 sends a short unicast to host 2, which blocks on that port, and
+// right behind it one to host 0, whose port is free.
+struct ShortFlushRun {
+  Network::Summary summary;
+  std::vector<TraceEvent> trace;
+  NodeId host1 = kNoNode;
+  NodeId sw1 = kNoNode;
+  std::int64_t host0_bytes = 0;
+};
+
+constexpr std::int64_t kShortUnicast = 8;
+constexpr std::int64_t kNextUnicast = 200;
+
+ShortFlushRun run_short_flush(bool burst) {
+  MulticastGroupSpec group;
+  group.id = 0;
+  group.members = {0, 2, 3};
+  ExperimentConfig cfg = switch_cfg(SwitchMcastScheme::kFlushUnicast);
+  cfg.switch_mcast.idle_flush_threshold = 64;
+  cfg.fabric.burst_channels = burst;
+  Network net(make_line(4), {group}, cfg);
+  net.enable_tracing(std::size_t{1} << 16);
+  const auto send = [&net](HostId src, HostId dst, std::int64_t length) {
+    Demand d;
+    d.src = src;
+    d.dst = dst;
+    d.length = length;
+    net.inject(d);
+  };
+  send(2, 3, 6'000);
+  net.send_switch_multicast(0, 0, 800);
+  net.sim().at(30, [&] {
+    send(1, 2, kShortUnicast);
+    send(1, 0, kNextUnicast);
+  });
+  net.run_to_quiescence();
+  ShortFlushRun r;
+  r.summary = net.summary();
+  r.trace = net.sim().tracer().snapshot(std::size_t{1} << 16);
+  r.host1 = net.topology().node_of_host(1);
+  r.sw1 = net.topology().switch_of_host(1);
+  r.host0_bytes = net.adapter(0).payload_bytes_received();
+  return r;
+}
+
+TEST(SwitchMcast, FlushOfAFullyBufferedUnicastRoutesTheNextWorm) {
+  const ShortFlushRun burst = run_short_flush(true);
+  const ShortFlushRun per_byte = run_short_flush(false);
+  EXPECT_TRUE(burst.summary == per_byte.summary);
+  EXPECT_EQ(tree_decisions(burst.trace), tree_decisions(per_byte.trace));
+
+  const ShortFlushRun& r = burst;
+  EXPECT_GE(r.summary.unicasts_flushed, 1);
+  EXPECT_EQ(r.summary.outstanding, 0);
+  EXPECT_EQ(r.host0_bytes, kNextUnicast);
+  // Host 1's first two worms: the short unicast, then the next one.
+  std::vector<std::uint64_t> sent;
+  for (const TraceEvent& e : r.trace)
+    if (e.type == TraceEventType::kChanHead && e.node == r.host1 &&
+        std::find(sent.begin(), sent.end(), e.worm) == sent.end())
+      sent.push_back(e.worm);
+  ASSERT_GE(sent.size(), 2u);
+  const std::uint64_t short_id = sent[0];
+  const std::uint64_t next_id = sent[1];
+  Time tail_lands = kTimeNever;
+  Time flushed = kTimeNever;
+  Time next_granted = kTimeNever;
+  for (const TraceEvent& e : r.trace) {
+    if (e.type == TraceEventType::kChanTail && e.node == r.host1 &&
+        e.worm == short_id && tail_lands == kTimeNever)
+      tail_lands = e.t + kDefaultLinkDelay;
+    if (e.type == TraceEventType::kMcastIdleFlush && e.node == r.sw1 &&
+        e.worm == short_id && flushed == kTimeNever)
+      flushed = e.t;
+    if (e.type == TraceEventType::kArbGrant && e.node == r.sw1 &&
+        e.worm == next_id)
+      next_granted = e.t;
+  }
+  ASSERT_NE(flushed, kTimeNever) << "the short unicast was never flushed";
+  ASSERT_NE(tail_lands, kTimeNever);
+  EXPECT_LE(tail_lands, flushed) << "the flushed unicast was still arriving";
+  EXPECT_EQ(next_granted, flushed + kRoutingLatency)
+      << "the next worm was not routed right after the flush";
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -231,6 +232,113 @@ TEST(Switch, LongLinkRunsKeepStopAndGoOnTheirPerByteTicks) {
   EXPECT_GT(sent[go_at], sent[go_at - 1]);
 }
 
+/// Every flight-recorder event but the run records, sorted.
+std::vector<std::tuple<Time, int, std::int32_t, std::int32_t>> decisions(
+    const std::vector<TraceEvent>& trace) {
+  std::vector<std::tuple<Time, int, std::int32_t, std::int32_t>> out;
+  for (const TraceEvent& e : trace)
+    if (e.type != TraceEventType::kChanBurst)
+      out.emplace_back(e.t, static_cast<int>(e.type), e.node, e.port);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Switch, GoDecidedWhileReleasedBytesLeaveKeepsRunsExact) {
+  // With K_g = K_s - 1 a port can decide a GO at occupancy K_s - 1 while
+  // released bytes still leave, so the next arrival will STOP again. Its
+  // slack budget ignores that (DESIGN §6b): the STOP the GO answers still
+  // stands at the transmitter and cuts any run there, and a later STOP
+  // lands after it. One worm crosses a line of three switches on 3 bt
+  // links (no lookahead) with K_s = 4; switch 1's input from switch 0
+  // STOPs and GOes as the worm streams, and every tick must match
+  // per-byte stepping.
+  constexpr std::int64_t kStop = 4;
+  constexpr Time kDelay = 3;
+  struct Run {
+    std::vector<std::int64_t> occupancy;  // switch 1's input, after each tick
+    std::vector<std::int64_t> sent;       // switch 0 -> switch 1
+    std::vector<bool> stopped;
+    std::vector<TraceEvent> trace;
+    NodeId sw0 = kNoNode;
+    NodeId sw1 = kNoNode;
+    PortId sw0_to_sw1 = kNoPort;
+    PortId sw1_to_sw2 = kNoPort;
+  };
+  const auto run_mode = [&](bool burst) {
+    ExperimentConfig cfg = basic();
+    cfg.fabric.burst_channels = burst;
+    cfg.fabric.sw.stop_threshold = kStop;
+    cfg.fabric.sw.go_threshold = kStop - 1;
+    Network net(make_line(3, kDelay, kDelay), {}, cfg);
+    net.enable_tracing(std::size_t{1} << 16);
+    Demand d;
+    d.src = 0;
+    d.dst = 2;
+    d.length = 1'500;
+    net.inject(d);
+    const Topology& topo = net.topology();
+    Run r;
+    r.sw0 = topo.switch_of_host(0);
+    r.sw1 = topo.switch_of_host(1);
+    SwitchRt& sw0 = net.fabric().switch_at(r.sw0);
+    SwitchRt& sw1 = net.fabric().switch_at(r.sw1);
+    for (PortId p = 0; p < static_cast<PortId>(sw0.n_ports()); ++p)
+      if (topo.neighbor_via(r.sw0, p) == r.sw1) r.sw0_to_sw1 = p;
+    for (PortId p = 0; p < static_cast<PortId>(sw1.n_ports()); ++p)
+      if (topo.neighbor_via(r.sw1, p) == topo.switch_of_host(2))
+        r.sw1_to_sw2 = p;
+    Channel& link = *sw0.out_port(r.sw0_to_sw1).channel;
+    PortId in = kNoPort;
+    for (PortId p = 0; p < static_cast<PortId>(sw1.n_ports()); ++p)
+      if (sw1.in_channel(p) == &link) in = p;
+    for (Time t = 0; t < 2'000; ++t) {
+      net.run_until(t);
+      r.occupancy.push_back(sw1.in_port(in).buffered());
+      r.sent.push_back(link.bytes_sent());
+      r.stopped.push_back(link.tx_stopped());
+    }
+    net.run_to_quiescence();
+    EXPECT_EQ(net.adapter(2).payload_bytes_received(), 1'500);
+    EXPECT_EQ(net.fabric().total_overflows(), 0);
+    r.trace = net.sim().tracer().snapshot(std::size_t{1} << 16);
+    return r;
+  };
+  const Run burst = run_mode(true);
+  const Run per_byte = run_mode(false);
+  EXPECT_EQ(burst.occupancy, per_byte.occupancy);
+  EXPECT_EQ(burst.sent, per_byte.sent);
+  EXPECT_EQ(burst.stopped, per_byte.stopped);
+  EXPECT_EQ(decisions(burst.trace), decisions(per_byte.trace));
+
+  // A GO landing at G on switch 0's link was decided at g = G - d; the
+  // STOP it answers, landing at L, was still in flight then when L > g.
+  // Count the GOs decided at occupancy K_s - 1 while a run switch 1's
+  // output committed by g still sends in g + 1.
+  Time stop_landed = -1;
+  std::vector<std::pair<Time, Time>> stop_go;  // (STOP landing, GO landing)
+  std::map<Time, Time> run_end;  // switch 1's output: run start -> last send
+  for (const TraceEvent& e : burst.trace) {
+    if (e.node == burst.sw0 && e.port == burst.sw0_to_sw1) {
+      if (e.type == TraceEventType::kChanStop) stop_landed = e.t;
+      if (e.type == TraceEventType::kChanGo)
+        stop_go.emplace_back(stop_landed, e.t);
+    }
+    if (e.node == burst.sw1 && e.port == burst.sw1_to_sw2 &&
+        e.type == TraceEventType::kChanBurst)
+      run_end[e.t] = e.t + e.arg - 1;
+  }
+  int reached = 0;
+  for (const auto& [stop_at, go_at] : stop_go) {
+    const Time g = go_at - kDelay;
+    const auto run = run_end.upper_bound(g);  // first run starting after g
+    const bool leaving = run != run_end.begin() && std::prev(run)->second > g;
+    if (stop_at > g && leaving &&
+        burst.occupancy[static_cast<std::size_t>(g)] == kStop - 1)
+      ++reached;
+  }
+  EXPECT_GT(reached, 0) << "no GO was decided while released bytes left";
+}
+
 // Established worms (DESIGN §6b): once a unicast worm holds every output
 // from an input port to its receiving adapter, with no STOP sent, in
 // effect or in flight on the way, the channel into that port moves the
@@ -324,24 +432,13 @@ LineRun run_line(bool burst, bool queue_b = false) {
   return r;
 }
 
-/// Every flight-recorder event but the run records, sorted.
-std::vector<std::tuple<Time, int, std::int32_t, std::int32_t>> decisions(
-    const LineRun& r) {
-  std::vector<std::tuple<Time, int, std::int32_t, std::int32_t>> out;
-  for (const TraceEvent& e : r.trace)
-    if (e.type != TraceEventType::kChanBurst)
-      out.emplace_back(e.t, static_cast<int>(e.type), e.node, e.port);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 TEST(Switch, EstablishedWormCrossesEachHopInOneRun) {
   const LineRun burst = run_line(true);
   const LineRun per_byte = run_line(false);
   // Every tick's occupancy, send count and STOP state, and every STOP,
   // GO, head, tail and grant, match per-byte stepping.
   EXPECT_TRUE(burst.ticks == per_byte.ticks);
-  EXPECT_EQ(decisions(burst), decisions(per_byte));
+  EXPECT_EQ(decisions(burst.trace), decisions(per_byte.trace));
   const SwitchConfig sw_cfg;
   int stops = 0;
   for (const TraceEvent& e : burst.trace)
@@ -374,7 +471,7 @@ TEST(Switch, WormQueuedBehindAnEstablishedOneKeepsTheSlackBudget) {
   const LineRun burst = run_line(true, /*queue_b=*/true);
   const LineRun per_byte = run_line(false, /*queue_b=*/true);
   EXPECT_TRUE(burst.ticks == per_byte.ticks);
-  EXPECT_EQ(decisions(burst), decisions(per_byte));
+  EXPECT_EQ(decisions(burst.trace), decisions(per_byte.trace));
   Time a_leaves = kTimeNever;
   Time b_arrives = kTimeNever;
   std::uint64_t b_id = 0;

@@ -473,12 +473,40 @@ TEST(McastAdmissionGate, EachDispatchPlansItsTreeOnce) {
   EXPECT_EQ(net.metrics().outstanding(), 0);
 }
 
+TEST(LoadAwareReplan, NetworkHookReadsEveryNodesEgress) {
+  // Network::replan_trees hands the strategy each node's transmitted bytes
+  // (Fabric::node_egress_bytes). After a loaded run those bytes add up over
+  // the hosts to the fabric's host egress, and the switches' share changes
+  // load-aware's penalties; single-root has nothing to re-plan.
+  MulticastGroupSpec group;
+  group.id = 0;
+  group.members = {0, 5, 10, 15};
+  for (const TreeStrategyKind kind :
+       {TreeStrategyKind::kSingleRoot, TreeStrategyKind::kLoadAware}) {
+    SCOPED_TRACE(tree_strategy_name(kind));
+    Network net(make_torus(4, 4), {group}, gate_cfg(kind));
+    for (const HostId src : group.members)
+      net.send_switch_multicast(src, 0, 600);
+    net.run_to_quiescence();
+    ASSERT_EQ(net.metrics().outstanding(), 0);
+    std::int64_t host_bytes = 0;
+    for (HostId h = 0; h < net.num_hosts(); ++h)
+      host_bytes +=
+          net.fabric().node_egress_bytes(net.topology().node_of_host(h));
+    EXPECT_GT(host_bytes, 4 * 600);
+    EXPECT_EQ(host_bytes, net.fabric().host_egress_bytes());
+    const bool load_aware = kind == TreeStrategyKind::kLoadAware;
+    EXPECT_EQ(net.replan_trees(), load_aware);
+    EXPECT_FALSE(net.replan_trees()) << "an unchanged load changed a plan";
+  }
+}
+
 class GateStrategyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(GateStrategyTest, ConcurrentBurstDrainsUnderInterruptScheme) {
   // Regression for the scheme (b) port-claim/backpressure deadlock: a
   // burst of overlapping multicasts from many sources used to wedge in
-  // claim_pending <-> tx_stopped cycles before the admission gate.
+  // port-claim <-> tx_stopped cycles before the admission gate.
   const auto kind = static_cast<TreeStrategyKind>(GetParam());
   std::vector<MulticastGroupSpec> groups(4);
   for (int g = 0; g < 4; ++g) {
