@@ -15,6 +15,7 @@ void Channel::attach_feed(ByteFeed* feed) {
 void Channel::detach_feed() {
   assert(feed_ != nullptr);
   feed_ = nullptr;
+  unpark();  // as the void event it stands for (see pump_at)
   // A pump the feed self-scheduled for a later tick (a branch waiting for
   // its route encoding) must not swallow the next feed's kick: it is void
   // from now on, and the next feed schedules its own.
@@ -22,8 +23,13 @@ void Channel::detach_feed() {
 }
 
 void Channel::kick() {
-  if (feed_ == nullptr || stopped_ || pump_scheduled_) return;
-  schedule_pump();
+  if (feed_ == nullptr || stopped_) return;
+  if (parked_key_ != 0 && sim_.yet_to_fire(pump_at_, parked_key_)) {
+    if (!feed_->waits_for_kick()) unpark();  // runs in its own slot
+    return;
+  }
+  parked_key_ = 0;  // one whose slot has passed would have found nothing
+  if (!pump_scheduled_) schedule_pump();
 }
 
 void Channel::schedule_pump() {
@@ -32,18 +38,29 @@ void Channel::schedule_pump() {
   const Time when = std::max(sim_.now(), last_send_ + 1);
   // A STOP in effect by then would idle that pump; the GO's kick re-arms.
   if (!stop_landings_.empty() && stop_landings_.front() <= when) return;
-  pump_at(when);
-}
-
-void Channel::pump_at(Time when) {
-  pump_scheduled_ = true;
-  pump_at_ = when;
   // Late class: a pump scheduled a whole run ahead must still run after
   // the same-tick deliveries and protocol events, exactly like a per-byte
   // pump scheduled one byte-time ahead would.
-  sim_.at_late(when, [this] {
-    if (pump_scheduled_ && pump_at_ == sim_.now()) pump();  // else void
+  pump_at_ = when;
+  parked_key_ = sim_.reserve_key(/*late=*/true);
+  if (!feed_->waits_for_kick()) unpark();  // else it would find nothing
+}
+
+void Channel::pump_at(Time when, std::uint64_t key) {
+  pump_scheduled_ = true;
+  pump_at_ = when;
+  sim_.at_keyed(when, key, [this] {
+    // Void unless a pump is due now; a void event (its feed detached)
+    // runs the next feed's pump, inserted or parked, in its tick.
+    if (pump_at_ == sim_.now() && (pump_scheduled_ || parked_key_ != 0))
+      pump();
   });
+}
+
+void Channel::unpark() {
+  if (parked_key_ != 0 && sim_.yet_to_fire(pump_at_, parked_key_))
+    pump_at(pump_at_, parked_key_);
+  parked_key_ = 0;
 }
 
 std::int64_t Channel::bytes_sent() const {
@@ -61,6 +78,7 @@ std::int64_t Channel::bytes_swallowed() const {
 
 void Channel::pump() {
   pump_scheduled_ = false;
+  parked_key_ = 0;
   if (feed_ == nullptr || stopped_) return;
   // Every pump is set for last_send_ + 1 or later, and pump_at_ voids a
   // stale one, so this tick is never already claimed.
@@ -71,7 +89,8 @@ void Channel::pump() {
     // a multicast branch only, by input bytes that have not logically
     // arrived yet: no kick will come then, so self-schedule at the arrival.
     const Time next = feed_->next_byte_time();
-    if (next != kTimeNever) pump_at(std::max(next, last_send_ + 1));
+    if (next != kTimeNever)
+      pump_at(std::max(next, last_send_ + 1), sim_.reserve_key(/*late=*/true));
     return;
   }
   // A feed's run of n > 1 is plain body bytes of a worm whose fault mode
@@ -138,8 +157,8 @@ void Channel::pump() {
     ByteFeed* done = feed_;
     feed_ = nullptr;
     done->on_tail_sent();  // may attach a new feed (re-entrant safe)
-  } else if (!pump_scheduled_) {  // a re-entrant kick may have scheduled
-    schedule_pump();
+  } else if (!pump_scheduled_ && parked_key_ == 0) {
+    schedule_pump();  // unless a re-entrant kick already did
   }
 }
 
@@ -209,6 +228,17 @@ void Channel::enqueue_delivery(InFlight b) {
   b.land = sim_.now() + delay_;
   b.key = sim_.reserve_key();
   in_flight_bytes_ += b.count;
+  // A plain body run landing where the lane's last one ends extends it
+  // (its key goes unused): the sink takes it one byte per byte-time from
+  // the same first landing (DESIGN §6b, lane coalescing).
+  if (burst_ && delay_ > kRoutingLatency && !b.head && !b.tail &&
+      !in_flight_.empty()) {
+    InFlight& last = in_flight_.back();
+    if (!last.head && !last.tail && last.land + last.count == b.land) {
+      last.count += b.count;
+      return;
+    }
+  }
   in_flight_.push_back(std::move(b));
   if (in_flight_.size() == 1) schedule_lane_head();
 }

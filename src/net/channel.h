@@ -39,6 +39,9 @@
 // commit body runs as a gang: the replication engine gives every branch
 // channel of a connection the same run in the same tick; a branch's
 // subroute prefix leaves as one run after its head (switch_mcast_engine.h).
+// A pump that only a kick can feed parks under the queue key it would have
+// had, and a burst-mode body run landing right behind the lane's last run
+// on a link longer than kRoutingLatency extends it (DESIGN §6b).
 #pragma once
 
 #include <cstdint>
@@ -53,6 +56,10 @@
 #include "sim/types.h"
 
 namespace wormcast {
+
+/// Head routing/arbitration latency at a switch, in byte-times: on longer
+/// links a byte arriving at s lands before a routing decision due at s.
+inline constexpr Time kRoutingLatency = 4;
 
 /// One run as granted by a ByteFeed: a single byte (count 1), which may be
 /// a worm's head or tail, or `count` plain body bytes.
@@ -91,6 +98,10 @@ class ByteFeed {
   /// once one has arrived is never starved by pending bytes, because a
   /// channel's runs land only after the previous one has fully arrived.
   [[nodiscard]] virtual Time next_byte_time() const { return kTimeNever; }
+
+  /// True when run_available() stays 0 (next_byte_time() kTimeNever) until
+  /// the next Channel::kick(): the channel parks its pump. False is safe.
+  [[nodiscard]] virtual bool waits_for_kick() const { return false; }
 };
 
 /// Consumes bytes at a Channel's receiver. Implemented by switch input
@@ -134,7 +145,8 @@ class RxSink {
 /// A directed byte pipe with propagation delay and STOP/GO backpressure.
 class Channel {
  public:
-  Channel(Simulator& sim, Time delay) : sim_(sim), delay_(delay) {}
+  Channel(Simulator& sim, Time delay)
+      : sim_(sim), delay_(static_cast<std::int32_t>(delay)) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
@@ -170,7 +182,7 @@ class Channel {
 
   /// Names this channel's trace track: the (node, port) of its transmitter
   /// end. Set once at fabric wiring; purely observational (wormtrace).
-  void set_trace_id(std::int32_t node, std::int32_t port) {
+  void set_trace_id(std::int32_t node, PortId port) {
     trace_node_ = node;
     trace_port_ = port;
   }
@@ -237,8 +249,10 @@ class Channel {
 
   void pump();
   void schedule_pump();
-  /// Schedules the (one) pending pump at `when`, late class.
-  void pump_at(Time when);
+  /// Inserts the (one) pending pump at `when` under the late-class `key`.
+  void pump_at(Time when, std::uint64_t key);
+  /// Inserts the parked pump at its slot if that is still ahead.
+  void unpark();
   /// Puts a run on the wire toward the local sink: reserves its delivery
   /// key now and schedules the delivery if the lane was empty.
   void enqueue_delivery(InFlight b);
@@ -248,10 +262,12 @@ class Channel {
   void classify_fault(const TxByte& b);
 
   Simulator& sim_;
-  Time delay_;
   ByteFeed* feed_ = nullptr;
   RxSink* sink_ = nullptr;
   FaultInjector* faults_ = nullptr;
+  std::int32_t delay_;  // narrow, packed: sizeof(Channel) is audited
+  std::int32_t trace_node_ = -1;  // trace track (transmitter end)
+  PortId trace_port_ = kNoPort;
   bool stopped_ = false;
   bool burst_ = true;
   bool pump_scheduled_ = false;
@@ -261,9 +277,11 @@ class Channel {
   bool last_run_swallowed_ = false;
   /// Per-worm fault classification (packed here with the flags).
   FaultMode fault_mode_ = FaultMode::kNone;
-  /// Tick of the pending pump while pump_scheduled_; an event that fires
-  /// at any other tick is void (its feed was detached).
+  /// Tick of the pending pump while pump_scheduled_ or parked; an event
+  /// that fires at any other tick is void (its feed was detached).
   Time pump_at_ = -1;
+  /// The parked pump's queue key (0: none). Never set while pump_scheduled_.
+  std::uint64_t parked_key_ = 0;
   /// Logical send time of the newest committed byte; a run at t commits
   /// sends through t+n-1, so this can sit in the future.
   Time last_send_ = -1;
@@ -279,10 +297,7 @@ class Channel {
   /// for identity only, never dereferenced after its tail).
   const Worm* tx_worm_ = nullptr;
   std::int64_t fault_pass_left_ = 0;  // kTruncate: bytes still delivered
-  // Trace track identity (transmitter end) and the current worm's id for
-  // head/tail span pairing; maintained only while tracing is enabled.
-  std::int32_t trace_node_ = -1;
-  std::int32_t trace_port_ = -1;
+  // The current worm's id for head/tail span pairing (tracing only).
   std::uint64_t trace_worm_ = 0;
 };
 

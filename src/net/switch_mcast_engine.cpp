@@ -22,6 +22,9 @@ class SwitchMcastEngine::BranchFeed final : public ByteFeed {
   [[nodiscard]] Time next_byte_time() const override {
     return engine_.branch_next_byte_time(conn_, idx_);
   }
+  [[nodiscard]] bool waits_for_kick() const override {
+    return engine_.branch_waits_for_kick(conn_, idx_);
+  }
 
  private:
   SwitchMcastEngine& engine_;
@@ -263,6 +266,19 @@ Time SwitchMcastEngine::branch_next_byte_time(const Conn& c,
       b.body_taken >= c.body_arrived())
     return sim_.now() + 1;
   return kTimeNever;
+}
+
+bool SwitchMcastEngine::branch_waits_for_kick(const Conn& c,
+                                              std::size_t idx) const {
+  // Kicks end these waits: the encoding landing, the minimum moving past a
+  // leader, a laggard's next input byte landing. Landed bytes are timed.
+  const Branch& b = c.branches[idx];
+  if (b.gang_pending || b.state != Branch::State::kOpen) return false;
+  if (c.in->front_arrived() < c.encoding_len)
+    return c.in->front_received() < c.encoding_len;
+  if (b.frag_prefix_sent < static_cast<std::int64_t>(b.prefix.size()))
+    return false;
+  return b.body_taken != c.min_taken || b.body_taken >= c.body_received();
 }
 
 std::int64_t SwitchMcastEngine::gang_room(const Conn& c) const {

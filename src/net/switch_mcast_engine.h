@@ -136,6 +136,8 @@ class SwitchMcastEngine {
   TxByte branch_take(Conn& conn, std::size_t idx, std::int64_t n);
   [[nodiscard]] Time branch_next_byte_time(const Conn& conn,
                                            std::size_t idx) const;
+  [[nodiscard]] bool branch_waits_for_kick(const Conn& conn,
+                                           std::size_t idx) const;
   [[nodiscard]] std::int64_t gang_room(const Conn& conn) const;
   void commit_gang(Conn& conn, std::size_t idx, std::int64_t n);
   void after_body_take(Conn& conn);

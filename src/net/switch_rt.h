@@ -51,9 +51,6 @@ struct SwitchConfig {
   std::int64_t go_threshold = 8;
 };
 
-/// Head routing/arbitration latency in byte-times.
-inline constexpr Time kRoutingLatency = 4;
-
 /// One switch input port: slack buffer plus forwarding state machine.
 class InPort final : public RxSink, public ByteFeed {
  public:
@@ -80,6 +77,10 @@ class InPort final : public RxSink, public ByteFeed {
   [[nodiscard]] std::int64_t run_available() const override;
   TxByte take(std::int64_t n) override;
   void on_tail_sent() override;
+  /// Only a landing (on_body kicks) brings bytes past the forwarded ones.
+  [[nodiscard]] bool waits_for_kick() const override {
+    return rx_queue_.front().received - 1 == forwarded_;
+  }
 
   [[nodiscard]] PortId port() const { return port_; }
   /// Logical slack-buffer occupancy now.

@@ -87,6 +87,11 @@ class EventQueue {
     return (static_cast<std::uint64_t>(late) << 63) | next_seq_++;
   }
 
+  /// The newest key reserved so far in the given class.
+  [[nodiscard]] std::uint64_t newest_key(bool late) const {
+    return (static_cast<std::uint64_t>(late) << 63) | (next_seq_ - 1);
+  }
+
   /// Schedules `action` at `when` under a key from reserve_key(). Each
   /// reserved key may be used once; the event fires where an event
   /// scheduled at reservation time would have.
@@ -104,6 +109,9 @@ class EventQueue {
   [[nodiscard]] Time next_time() const {
     return live_count_ == 0 ? kTimeNever : heap_.front().time;
   }
+
+  /// Tie-break key of the event pop() returns next. Precondition: !empty().
+  [[nodiscard]] std::uint64_t next_key() const { return heap_.front().key; }
 
   /// Removes and returns the earliest live event. Precondition: !empty().
   struct Popped {

@@ -27,6 +27,7 @@ EventHandle Simulator::at_keyed(Time when, std::uint64_t key,
 }
 
 void Simulator::dispatch_one() {
+  key_ = queue_.next_key();
   auto [time, action] = queue_.pop();
   assert(time >= now_);
   now_ = time;
@@ -42,7 +43,10 @@ void Simulator::run() {
 void Simulator::run_until(Time deadline) {
   stopped_ = false;
   while (!stopped_ && queue_.next_time() <= deadline) dispatch_one();
-  if (!stopped_ && now_ < deadline) now_ = deadline;
+  if (stopped_ || now_ > deadline) return;
+  now_ = deadline;
+  // Every event queued by now at or before the deadline has fired.
+  key_ = queue_.newest_key(/*late=*/true);
 }
 
 }  // namespace wormcast

@@ -42,9 +42,17 @@ class Simulator {
   /// Delivery lanes (see EventQueue): reserve_key() takes an event's
   /// tie-break key now; at_keyed() inserts it later, at `when >= now()`,
   /// where at() at reservation time would have put it.
-  [[nodiscard]] std::uint64_t reserve_key() { return queue_.reserve_key(); }
+  [[nodiscard]] std::uint64_t reserve_key(bool late = false) {
+    return queue_.reserve_key(late);
+  }
   EventHandle at_keyed(Time when, std::uint64_t key,
                        EventQueue::Action action);
+
+  /// True when an event at `when` under `key` would still fire: it is
+  /// later than the event being dispatched (or than a finished run_until).
+  [[nodiscard]] bool yet_to_fire(Time when, std::uint64_t key) const {
+    return when > now_ || (when == now_ && key > key_);
+  }
 
   void cancel(EventHandle handle) { queue_.cancel(handle); }
 
@@ -89,6 +97,8 @@ class Simulator {
   EventQueue queue_;
   Tracer tracer_;
   Time now_ = 0;
+  /// Key of the dispatching event (after run_until: the newest reserved).
+  std::uint64_t key_ = 0;
   bool stopped_ = false;
   std::int64_t progress_ = 0;
   std::int64_t dispatched_ = 0;

@@ -337,6 +337,90 @@ TEST(Channel, ReentrantKickFromTakePathKeepsLineRate) {
     EXPECT_EQ(sink.times[i] - sink.times[i - 1], 1) << "at byte " << i;
 }
 
+/// Sends a head, then a body byte each time the test grants one, and
+/// waits for a kick in between (ByteFeed::waits_for_kick).
+class GrantedFeed final : public ByteFeed {
+ public:
+  GrantedFeed(Simulator& sim, std::vector<std::pair<Time, int>>& log)
+      : sim_(sim), log_(log) {}
+  [[nodiscard]] std::int64_t run_available() const override {
+    return sent_ < granted_ ? 1 : 0;
+  }
+  TxByte take(std::int64_t) override {
+    TxByte b;
+    b.head = sent_ == 0;
+    if (b.head) {
+      b.worm = worm_of(9);
+      b.wire_len = 10;
+    }
+    b.tail = ++sent_ == 10;
+    log_.emplace_back(sim_.now(), 0);
+    return b;
+  }
+  void on_tail_sent() override {}
+  [[nodiscard]] bool waits_for_kick() const override {
+    return run_available() == 0;
+  }
+  void grant() { ++granted_; }
+
+ private:
+  Simulator& sim_;
+  std::vector<std::pair<Time, int>>& log_;
+  std::int64_t granted_ = 1;
+  std::int64_t sent_ = 0;
+};
+
+// The pump after the head parks (the feed waits for a kick) under the key
+// it reserved at t=0. A kick at t=1 inserts it there, so it still fires
+// before a late event that was scheduled for t=1 after it parked, exactly
+// as the pump would have if it had been in the queue all along.
+TEST(Channel, ParkedPumpKeepsTheQueuePositionOfItsSchedule) {
+  Simulator sim;
+  Channel ch(sim, 5);
+  RecordSink sink(sim);
+  ch.set_sink(&sink);
+  std::vector<std::pair<Time, int>> log;
+  GrantedFeed feed(sim, log);
+  ch.attach_feed(&feed);
+  sim.at_late(0, [&] {
+    sim.at_late(1, [&] { log.emplace_back(sim.now(), 1); });
+  });
+  sim.at(1, [&] {
+    feed.grant();
+    ch.kick();
+  });
+  sim.run_until(0);
+  // The lane head, the kick at t=1 and the late event at t=1.
+  EXPECT_EQ(sim.pending_events(), 3u)
+      << "the pump after the head was inserted, not parked";
+  sim.run();
+  const std::vector<std::pair<Time, int>> expected{{0, 0}, {1, 0}, {1, 1}};
+  EXPECT_EQ(log, expected);
+}
+
+// A kick that comes after the parked pump's slot has passed schedules a
+// fresh pump at the kick's own tick; one that finds the feed still
+// waiting inserts nothing.
+TEST(Channel, KickAfterTheParkedSlotSendsAtOnceAndIdleKicksInsertNothing) {
+  Simulator sim;
+  Channel ch(sim, 5);
+  RecordSink sink(sim);
+  ch.set_sink(&sink);
+  std::vector<std::pair<Time, int>> log;
+  GrantedFeed feed(sim, log);
+  ch.attach_feed(&feed);
+  sim.run_until(20);
+  const std::size_t pending = sim.pending_events();
+  ch.kick();  // still nothing to send
+  EXPECT_EQ(sim.pending_events(), pending);
+  feed.grant();
+  ch.kick();
+  sim.run();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[1].first, 20);
+  EXPECT_EQ(sink.times, (std::vector<Time>{5, 25}));
+}
+
 TEST(Channel, DetachFeedStopsTransmissionSilently) {
   Simulator sim;
   Channel ch(sim, 2);

@@ -142,5 +142,129 @@ TEST(DeliveryLane, LanesInterleaveBySendOrder) {
   EXPECT_EQ(shared_ticks, 200);  // both land one byte per tick, t = 40 .. 239
 }
 
+/// One delivery as the sink saw it.
+struct Delivery {
+  Time at = 0;
+  std::int64_t n = 1;
+  bool head = false;
+  bool tail = false;
+  bool operator==(const Delivery&) const = default;
+};
+
+/// Logs every delivery and every byte's logical arrival tick.
+class RunSink final : public RxSink {
+ public:
+  explicit RunSink(Simulator& sim) : sim_(sim) {}
+  void on_head(const WormPtr&, std::int64_t, bool tail) override {
+    deliveries.push_back({sim_.now(), 1, true, tail});
+    arrivals.push_back(sim_.now());
+  }
+  void on_body(std::int64_t n, bool tail) override {
+    deliveries.push_back({sim_.now(), n, false, tail});
+    for (std::int64_t i = 0; i < n; ++i) arrivals.push_back(sim_.now() + i);
+  }
+  std::vector<Delivery> deliveries;
+  std::vector<Time> arrivals;
+
+ private:
+  Simulator& sim_;
+};
+
+/// Streams a `len`-byte worm one byte per pump over a `delay` link, with
+/// a gap: no byte is available from `gap_from` until `gap_to`.
+RunSink stream(Time delay, bool burst, std::int64_t len,
+               std::int64_t gap_from = -1, Time gap_to = 0) {
+  class GapFeed final : public ByteFeed {
+   public:
+    GapFeed(std::int64_t len, std::int64_t gap_from)
+        : len_(len), limit_(gap_from < 0 ? len : gap_from) {}
+    [[nodiscard]] std::int64_t run_available() const override {
+      return sent_ < limit_ ? 1 : 0;
+    }
+    TxByte take(std::int64_t) override {
+      TxByte b;
+      b.head = sent_ == 0;
+      if (b.head) {
+        b.worm = std::make_shared<Worm>();
+        b.wire_len = len_;
+      }
+      b.tail = ++sent_ == len_;
+      return b;
+    }
+    void on_tail_sent() override {}
+    void lift() { limit_ = len_; }
+
+   private:
+    std::int64_t len_;
+    std::int64_t limit_;
+    std::int64_t sent_ = 0;
+  };
+  Simulator sim;
+  Channel ch(sim, delay);
+  ch.set_burst_enabled(burst);
+  RunSink sink(sim);
+  ch.set_sink(&sink);
+  GapFeed feed(len, gap_from);
+  ch.attach_feed(&feed);
+  if (gap_from >= 0) {
+    sim.at(gap_to, [&] {
+      feed.lift();
+      ch.kick();
+    });
+  }
+  sim.run();
+  return sink;
+}
+
+// Burst mode on a link longer than kRoutingLatency: single-byte body
+// sends that land back to back ride one delivery, as many as are on the
+// wire at once (the link delay), and every byte still arrives at the tick
+// per-byte stepping gives it. Heads and tails keep deliveries of their own.
+TEST(DeliveryLane, ContiguousBodyBytesOnALongLinkShareOneDelivery) {
+  constexpr Time kDelay = 40;
+  const RunSink burst = stream(kDelay, true, 100);
+  const RunSink per_byte = stream(kDelay, false, 100);
+  EXPECT_EQ(burst.arrivals, per_byte.arrivals);
+  ASSERT_EQ(burst.arrivals.size(), 100u);
+  for (std::size_t i = 0; i < burst.arrivals.size(); ++i)
+    EXPECT_EQ(burst.arrivals[i], kDelay + static_cast<Time>(i));
+  // Bytes 1..40 were on the wire together when byte 1 landed at 41, and
+  // 41..80 when byte 41 did; 81..98 follow, then the tail alone.
+  const std::vector<Delivery> expected{{40, 1, true, false},
+                                       {41, 40, false, false},
+                                       {81, 40, false, false},
+                                       {121, 18, false, false},
+                                       {139, 1, false, true}};
+  EXPECT_EQ(burst.deliveries, expected);
+}
+
+// A gap on the wire ends a merged run: the bytes after it take their own
+// delivery, at their own landing tick.
+TEST(DeliveryLane, AGapOnTheWireStartsANewDelivery) {
+  const RunSink burst = stream(40, true, 30, /*gap_from=*/10, /*gap_to=*/20);
+  const RunSink per_byte = stream(40, false, 30, 10, 20);
+  EXPECT_EQ(burst.arrivals, per_byte.arrivals);
+  const std::vector<Delivery> expected{{40, 1, true, false},
+                                       {41, 9, false, false},
+                                       {60, 19, false, false},
+                                       {79, 1, false, true}};
+  EXPECT_EQ(burst.deliveries, expected);
+}
+
+// Per-byte mode, and burst mode on links of kRoutingLatency or shorter,
+// deliver every byte on its own; a 5 bt link is the shortest that merges.
+TEST(DeliveryLane, ShortLinksAndPerByteModeDeliverEveryByteAlone) {
+  for (const auto& [delay, burst] :
+       {std::pair{kRoutingLatency, true}, std::pair{Time{1}, true},
+        std::pair{Time{40}, false}}) {
+    const RunSink sink = stream(delay, burst, 50);
+    EXPECT_EQ(sink.deliveries.size(), 50u)
+        << "delay " << delay << (burst ? " burst" : " per-byte");
+  }
+  const RunSink five = stream(kRoutingLatency + 1, true, 50);
+  EXPECT_EQ(five.arrivals, stream(kRoutingLatency + 1, false, 50).arrivals);
+  EXPECT_LT(five.deliveries.size(), 50u);
+}
+
 }  // namespace
 }  // namespace wormcast

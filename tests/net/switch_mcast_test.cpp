@@ -469,6 +469,53 @@ TEST(SwitchMcast, BranchWaitingForABufferedEncodingSchedulesNoPump) {
         << "an event fired at " << t;
 }
 
+TEST(SwitchMcast, KickToALockstepLeaderInsertsNoEvent) {
+  // Line of four under scheme (a): host 2's long unicast to host 3 holds
+  // switch 2's output toward switch 3, so when host 0's multicast reaches
+  // switch 2 its branch toward host 2 sends one body byte and then leads
+  // the stalled branch toward switch 3 by that byte. The leader's channel
+  // pump stays parked: a kick inserts no event, and nothing is sent until
+  // the unicast's tail frees the port.
+  MulticastGroupSpec group;
+  group.id = 0;
+  group.members = {0, 2, 3};
+  Network net(make_line(4), {group}, switch_cfg(SwitchMcastScheme::kIdleFill));
+  Demand uni;
+  uni.src = 2;
+  uni.dst = 3;
+  uni.length = 3'000;
+  net.inject(uni);
+  auto ctx = net.send_switch_multicast(0, 0, 200);
+  const Topology& topo = net.topology();
+  const NodeId sw2 = topo.switch_of_host(2);
+  SwitchRt& sw = net.fabric().switch_at(sw2);
+  PortId to_host = kNoPort;
+  PortId to_sw3 = kNoPort;
+  for (PortId p = 0; p < static_cast<PortId>(sw.n_ports()); ++p) {
+    if (topo.neighbor_via(sw2, p) == topo.node_of_host(2)) to_host = p;
+    if (topo.neighbor_via(sw2, p) == topo.switch_of_host(3)) to_sw3 = p;
+  }
+  Channel& leader = *sw.out_port(to_host).channel;
+  Time led = kTimeNever;
+  for (Time t = 0; t < 2'000 && led == kTimeNever; ++t) {
+    net.run_until(t);
+    if (sw.out_port(to_host).held_by_mcast && leader.bytes_sent() == 1 &&
+        sw.out_port(to_sw3).busy)
+      led = t;
+  }
+  ASSERT_NE(led, kTimeNever) << "the branch toward host 2 never led";
+  for (Time t = led + 1; t < led + 100; ++t) {
+    const std::size_t pending = net.sim().pending_events();
+    leader.kick();
+    EXPECT_EQ(net.sim().pending_events(), pending) << "at " << t;
+    net.run_until(t);
+    EXPECT_EQ(leader.bytes_sent(), 1) << "the leader sent at " << t;
+  }
+  net.run_to_quiescence();
+  EXPECT_EQ(ctx->destinations_reached, 2);
+  EXPECT_EQ(net.adapter(2).payload_bytes_received(), 200);
+}
+
 // Scheme (c) with a unicast short enough to be fully buffered when its
 // port turns multicast-IDLE: the flush retires the whole worm at once, and
 // the worm queued behind it at the same input is routed next. Host 2's
