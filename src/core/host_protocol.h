@@ -109,6 +109,8 @@ class HostProtocol final : public AdapterClient {
   [[nodiscard]] const BufferPool& pool() const { return pool_; }
   /// Forwarding tasks currently holding buffer space.
   [[nodiscard]] std::size_t active_tasks() const { return tasks_.size(); }
+  /// Bytes of this host's random engine once it has drawn (memory audit).
+  [[nodiscard]] std::size_t rng_heap_bytes() const { return rng_.heap_bytes(); }
 
   // AdapterClient.
   RxDecision on_rx_head(const WormPtr& worm,

@@ -384,8 +384,9 @@ void Network::register_counters(CounterRegistry& reg) const {
   // Memory audit: capacity-based resident-byte estimates per subsystem,
   // so BENCH json shows where a large fabric's memory goes. Deterministic
   // for a given run (capacities follow the event sequence, not the
-  // allocator). The protocol entry counts object shells only; the
-  // fabric/adapters/tables entries include their queues and tables.
+  // allocator). The protocol entry counts object shells plus each random
+  // engine a host has built; the fabric/adapters/tables entries include
+  // their queues and tables.
   reg.add("mem_fabric_bytes",
           i64([this] { return fabric_->heap_bytes_estimate(); }));
   reg.add("mem_adapters_bytes", i64([this] {
@@ -394,7 +395,9 @@ void Network::register_counters(CounterRegistry& reg) const {
     return bytes;
   }));
   reg.add("mem_protocols_bytes", i64([this] {
-    return protocols_.size() * sizeof(HostProtocol);
+    std::size_t bytes = protocols_.size() * sizeof(HostProtocol);
+    for (const auto& p : protocols_) bytes += p->rng_heap_bytes();
+    return bytes;
   }));
   reg.add("mem_tables_bytes",
           i64([this] { return tables_->heap_bytes_estimate(); }));

@@ -17,7 +17,7 @@ std::uint64_t RandomStream::seed_mix(std::uint64_t a, std::uint64_t b) {
 Time RandomStream::exp_interval(double mean) {
   assert(mean > 0.0);
   std::exponential_distribution<double> dist(1.0 / mean);
-  const double gap = dist(engine_);
+  const double gap = dist(engine());
   return std::max<Time>(1, static_cast<Time>(std::llround(gap)));
 }
 
@@ -27,20 +27,20 @@ std::int64_t RandomStream::geometric_length(double mean, std::int64_t min_len) {
   // success probability p = 1 / (mean - min_len + 1).
   const double p = 1.0 / (mean - static_cast<double>(min_len) + 1.0);
   std::geometric_distribution<std::int64_t> dist(p);
-  return min_len + dist(engine_);
+  return min_len + dist(engine());
 }
 
 std::int64_t RandomStream::uniform(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
   std::uniform_int_distribution<std::int64_t> dist(lo, hi);
-  return dist(engine_);
+  return dist(engine());
 }
 
 bool RandomStream::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   std::bernoulli_distribution dist(p);
-  return dist(engine_);
+  return dist(engine());
 }
 
 std::uint64_t RandomStream::keyed_hash(std::uint64_t k1, std::uint64_t k2,

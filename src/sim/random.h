@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
@@ -13,9 +14,24 @@ namespace wormcast {
 /// A seeded random stream. Every stochastic component owns its own stream
 /// (derived from the experiment seed) so that runs are reproducible and the
 /// draw order of one component cannot perturb another.
+///
+/// The 2.5 KB engine is built from the seed on the first sequential draw:
+/// a 1k-host network holds thousands of streams (one per host protocol,
+/// one per host in the traffic generator), most of which never draw or
+/// draw only keyed values, which use the seed alone. A copy carries the
+/// engine's state, so it draws what the original would have drawn next.
 class RandomStream {
  public:
-  explicit RandomStream(std::uint64_t seed) : engine_(seed), seed_(seed) {}
+  explicit RandomStream(std::uint64_t seed) : seed_(seed) {}
+  RandomStream(const RandomStream& other) : seed_(other.seed_) {
+    if (other.engine_)
+      engine_ = std::make_unique<std::mt19937_64>(*other.engine_);
+  }
+  RandomStream& operator=(const RandomStream& other) {
+    return *this = RandomStream(other);
+  }
+  RandomStream(RandomStream&&) noexcept = default;
+  RandomStream& operator=(RandomStream&&) noexcept = default;
 
   /// Creates an independent child stream; deterministic in (seed, salt).
   [[nodiscard]] RandomStream fork(std::uint64_t salt) const {
@@ -67,7 +83,15 @@ class RandomStream {
     }
   }
 
-  std::mt19937_64& engine() { return engine_; }
+  /// The sequential engine, built from the seed on first use.
+  std::mt19937_64& engine() {
+    if (!engine_) engine_ = std::make_unique<std::mt19937_64>(seed_);
+    return *engine_;
+  }
+  /// Bytes of the engine once built, else 0 (the memory audit).
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return engine_ ? sizeof(std::mt19937_64) : 0;
+  }
 
   /// Splitmix-style seed derivation: an independent, well-mixed seed that
   /// is a pure function of (a, b). Components fork per-entity streams with
@@ -80,8 +104,8 @@ class RandomStream {
   [[nodiscard]] std::uint64_t keyed_hash(std::uint64_t k1, std::uint64_t k2,
                                          std::uint64_t k3) const;
 
-  std::mt19937_64 engine_;
   std::uint64_t seed_ = 0;
+  std::unique_ptr<std::mt19937_64> engine_;
 };
 
 }  // namespace wormcast

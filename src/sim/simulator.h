@@ -1,8 +1,9 @@
 // The discrete-event simulation engine.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/trace.h"
@@ -13,12 +14,14 @@ namespace wormcast {
 /// Discrete-event simulator with a byte-time clock.
 ///
 /// Components schedule callbacks with `at` (absolute) or `after` (relative)
-/// and the engine fires them in timestamp order from one binary-heap
-/// EventQueue; channels feed it through delivery lanes (reserve_key +
+/// and the engine fires them in timestamp order from one two-tier
+/// EventQueue (a timing wheel for the next 256 byte-times, a heap for later
+/// timers); channels feed it through delivery lanes (reserve_key +
 /// at_keyed), so it holds one delivery per busy channel, not one per byte
-/// in flight. The engine also maintains a global *progress counter* that
-/// components bump whenever payload moves; the DeadlockWatchdog uses it to
-/// distinguish "quiescent" from "deadlocked".
+/// in flight. Scheduling and dispatch are inline: they are the event
+/// loop's hot path. The engine also maintains a global *progress counter*
+/// that components bump whenever payload moves; the DeadlockWatchdog uses
+/// it to distinguish "quiescent" from "deadlocked".
 class Simulator {
  public:
   Simulator() = default;
@@ -28,16 +31,25 @@ class Simulator {
   [[nodiscard]] Time now() const { return now_; }
 
   /// Schedules `action` at absolute time `when >= now()`.
-  EventHandle at(Time when, EventQueue::Action action);
+  EventHandle at(Time when, EventQueue::Action&& action) {
+    assert(when >= now_ && "scheduling into the past");
+    return queue_.schedule(when, std::move(action));
+  }
 
   /// Schedules `action` at `now() + delay`, `delay >= 0`.
-  EventHandle after(Time delay, EventQueue::Action action);
+  EventHandle after(Time delay, EventQueue::Action&& action) {
+    assert(delay >= 0 && "negative delay");
+    return queue_.schedule(now_ + delay, std::move(action));
+  }
 
   /// Late-class variant of at(): fires after every same-time normal event
   /// no matter when it was inserted. Used for channel pump self-schedules
   /// so burst-mode (scheduled a whole run ahead) and per-byte (scheduled
   /// one byte-time ahead) pumps occupy the same slot within a tick.
-  EventHandle at_late(Time when, EventQueue::Action action);
+  EventHandle at_late(Time when, EventQueue::Action&& action) {
+    assert(when >= now_ && "scheduling into the past");
+    return queue_.schedule(when, std::move(action), /*late=*/true);
+  }
 
   /// Delivery lanes (see EventQueue): reserve_key() takes an event's
   /// tie-break key now; at_keyed() inserts it later, at `when >= now()`,
@@ -46,7 +58,10 @@ class Simulator {
     return queue_.reserve_key(late);
   }
   EventHandle at_keyed(Time when, std::uint64_t key,
-                       EventQueue::Action action);
+                       EventQueue::Action&& action) {
+    assert(when >= now_ && "scheduling into the past");
+    return queue_.schedule_keyed(when, key, std::move(action));
+  }
 
   /// True when an event at `when` under `key` would still fire: it is
   /// later than the event being dispatched (or than a finished run_until).
@@ -92,7 +107,14 @@ class Simulator {
   [[nodiscard]] const Tracer& tracer() const { return tracer_; }
 
  private:
-  void dispatch_one();
+  void dispatch_one() {
+    auto [time, action, key] = queue_.pop();
+    assert(time >= now_);
+    now_ = time;
+    key_ = key;
+    ++dispatched_;
+    action();
+  }
 
   EventQueue queue_;
   Tracer tracer_;

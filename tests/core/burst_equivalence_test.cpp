@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -432,14 +433,38 @@ std::string link_case_name(const ::testing::TestParamInfo<LinkCase>& info) {
   return info.param.name;
 }
 
-constexpr LinkCase kTorus1{"torus_sw1_host1", false, 1, 1};
-constexpr LinkCase kTorus40{"torus_sw40_host40", false, 40, 40};
-constexpr LinkCase kTorus40Host1{"torus_sw40_host1", false, 40, 1};
-constexpr LinkCase kTorus1Host40{"torus_sw1_host40", false, 1, 40};
-constexpr LinkCase kClos1{"clos_sw1_host1", true, 1, 1};
-constexpr LinkCase kClos40{"clos_sw40_host40", true, 40, 40};
-constexpr LinkCase kClos40Host1{"clos_sw40_host1", true, 40, 1};
-constexpr LinkCase kClos1Host40{"clos_sw1_host40", true, 1, 40};
+/// gtest prints a LinkCase as its raw bytes, starting with the address of
+/// `name`, and test listings keep the start of that print as part of each
+/// test's full name. String literals land wherever the linker packs them,
+/// so the names sit at fixed offsets of one 256-byte-aligned block instead:
+/// the low byte of each address, and so each full test name, then stays
+/// the same whatever else the binary holds and wherever it is built. The
+/// offsets are the ones the names had when the cases were first listed.
+struct alignas(256) LinkCaseNames {
+  char lead[0xD4] = {};
+  char torus1[16] = "torus_sw1_host1";
+  char torus40[18] = "torus_sw40_host40";
+  char torus40_host1[17] = "torus_sw40_host1";
+  char torus1_host40[17] = "torus_sw1_host40";
+  char clos1[15] = "clos_sw1_host1";
+  char clos40[17] = "clos_sw40_host40";
+  char clos40_host1[16] = "clos_sw40_host1";
+  char clos1_host40[16] = "clos_sw1_host40";
+};
+static_assert(offsetof(LinkCaseNames, torus1) == 0xD4);
+static_assert(offsetof(LinkCaseNames, clos1) == 0x118);
+static_assert(offsetof(LinkCaseNames, clos40_host1) == 0x138);
+static_assert(offsetof(LinkCaseNames, clos1_host40) == 0x148);
+constexpr LinkCaseNames kLinkCaseNames;
+
+constexpr LinkCase kTorus1{kLinkCaseNames.torus1, false, 1, 1};
+constexpr LinkCase kTorus40{kLinkCaseNames.torus40, false, 40, 40};
+constexpr LinkCase kTorus40Host1{kLinkCaseNames.torus40_host1, false, 40, 1};
+constexpr LinkCase kTorus1Host40{kLinkCaseNames.torus1_host40, false, 1, 40};
+constexpr LinkCase kClos1{kLinkCaseNames.clos1, true, 1, 1};
+constexpr LinkCase kClos40{kLinkCaseNames.clos40, true, 40, 40};
+constexpr LinkCase kClos40Host1{kLinkCaseNames.clos40_host1, true, 40, 1};
+constexpr LinkCase kClos1Host40{kLinkCaseNames.clos1_host40, true, 1, 40};
 
 INSTANTIATE_TEST_SUITE_P(LinkDelays, BurstEquivalenceLinks,
                          ::testing::Values(kTorus1, kTorus40, kTorus40Host1,

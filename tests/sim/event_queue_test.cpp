@@ -7,6 +7,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <random>
 #include <string>
 #include <tuple>
@@ -791,6 +792,340 @@ TEST(EventQueueMemoryTest, BoundedByPeakLiveEvents) {
         << "round " << round;
   }
   EXPECT_EQ(q.peak_size(), 8192u);
+}
+
+// --- The two tiers: a wheel for the next kWheelSpan ticks, a heap beyond.
+
+constexpr Time kSpan = EventQueue::kWheelSpan;
+
+// Heap-tier twin of ParkedCancelledEntrySurvivesSlotReuse: every event is
+// at least one wheel span ahead, so the cancel parks a dead heap entry.
+TEST(EventQueueTierTest, ParkedCancelledFarEntrySurvivesSlotReuse) {
+  EventQueue q;
+  bool cancelled_ran = false;
+  bool replacement_ran = false;
+  q.schedule(kSpan + 5, [] {});  // live heap top keeps the entry parked
+  auto doomed = q.schedule(kSpan + 10, [&] { cancelled_ran = true; });
+  q.cancel(doomed);
+  EXPECT_EQ(q.cancelled_in_heap(), 1u);
+  q.schedule(kSpan + 20, [&] { replacement_ran = true; });  // reuses the slot
+  EXPECT_EQ(q.size(), 2u);
+  while (!q.empty()) q.pop().action();
+  EXPECT_FALSE(cancelled_ran);
+  EXPECT_TRUE(replacement_ran);
+}
+
+// Heap-tier twin of MassCancellationCompacts: the cancelled timers are all
+// beyond the wheel, so only compaction bounds the parked entries. They are
+// cancelled latest first, so that none is the heap's top and each parks.
+TEST(EventQueueTierTest, MassCancellationOfFarTimersCompacts) {
+  EventQueue q;
+  std::vector<EventHandle> handles;
+  bool survivor_ran = false;
+  q.schedule(1'000'000, [&] { survivor_ran = true; });
+  for (int i = 0; i < 4096; ++i)
+    handles.push_back(q.schedule(kSpan + i, [] {}));
+  EXPECT_EQ(q.peak_size(), 4097u);
+  std::size_t most_parked = 0;
+  for (auto h = handles.rbegin(); h != handles.rend(); ++h) {
+    q.cancel(*h);
+    most_parked = std::max(most_parked, q.cancelled_in_heap());
+    EXPECT_LE(q.cancelled_in_heap() * 2, q.size() + q.cancelled_in_heap());
+  }
+  EXPECT_GT(most_parked, 0u);  // the heap cancels lazily
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 1'000'000);
+  q.pop().action();
+  EXPECT_TRUE(survivor_ran);
+  EXPECT_TRUE(q.empty());
+}
+
+// Pops one event at `t` so that the wheel's window starts there.
+void advance_to(EventQueue& q, Time t) {
+  q.schedule(t, [] {});
+  ASSERT_EQ(q.pop().time, t);
+}
+
+// A far event entered the heap; once the window has moved, a near event at
+// the same tick enters the wheel. Their keys, not their tiers, decide.
+TEST(EventQueueTierTest, SameTickOrderAcrossTiersFollowsKeys) {
+  for (const bool far_key_smaller : {true, false}) {
+    EventQueue q;
+    std::vector<int> fired;
+    const Time t = kSpan + 44;
+    const std::uint64_t early = q.reserve_key();
+    q.schedule(t, [&] { fired.push_back(1); });  // heap: t is a span ahead
+    advance_to(q, 100);                          // t is now near
+    if (far_key_smaller) {
+      q.schedule(t, [&] { fired.push_back(2); });
+    } else {
+      q.schedule_keyed(t, early, [&] { fired.push_back(0); });
+    }
+    EXPECT_EQ(q.cancelled_in_heap(), 0u);
+    EXPECT_EQ(q.next_time(), t);
+    while (!q.empty()) q.pop().action();
+    EXPECT_EQ(fired, far_key_smaller ? (std::vector<int>{1, 2})
+                                     : (std::vector<int>{0, 1}));
+  }
+  // A near late event still fires after a far normal one at the same tick.
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule(kSpan + 1, [&] { fired.push_back(2); }, /*late=*/true);
+  q.schedule(kSpan + 1, [&] { fired.push_back(1); });
+  advance_to(q, 10);
+  q.schedule(kSpan + 1, [&] { fired.push_back(4); }, /*late=*/true);
+  q.schedule(kSpan + 1, [&] { fired.push_back(3); });
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(fired, (std::vector<int>{1, 3, 2, 4}));
+}
+
+// One bucket holding normal, late and lane events inserted out of key
+// order fires in (late, sequence) order.
+TEST(EventQueueTierTest, LateAndLaneKeysShareOneBucketInKeyOrder) {
+  EventQueue q;
+  std::vector<int> fired;
+  auto record = [&fired](int id) { return [&fired, id] { fired.push_back(id); }; };
+  const std::uint64_t lane_normal = q.reserve_key();
+  const std::uint64_t lane_late = q.reserve_key(/*late=*/true);
+  q.schedule(7, record(20), /*late=*/true);
+  q.schedule(7, record(2));
+  q.schedule(7, record(21), /*late=*/true);
+  q.schedule(7, record(3));  // a normal event behind late ones
+  q.schedule_keyed(7, lane_late, record(19));  // an old late key
+  q.schedule_keyed(7, lane_normal, record(1));  // the oldest key of all
+  q.schedule(7, record(4));
+  EXPECT_EQ(q.size(), 7u);
+  while (!q.empty()) {
+    auto p = q.pop();
+    EXPECT_EQ(p.time, 7);
+    p.action();
+  }
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4, 19, 20, 21}));
+}
+
+// Cancelling a bucket's first, middle and last entry unlinks each at once,
+// and later inserts (appended or walked in) still land in key order.
+TEST(EventQueueTierTest, CancelFirstMiddleAndLastOfABucketThenReinsert) {
+  EventQueue q;
+  std::vector<int> fired;
+  auto record = [&fired](int id) { return [&fired, id] { fired.push_back(id); }; };
+  q.schedule(9, record(100));
+  std::vector<EventHandle> h;
+  for (int i = 0; i < 5; ++i) h.push_back(q.schedule(5, record(i)));
+  const std::uint64_t old_key = q.reserve_key();
+  q.cancel(h[0]);  // first
+  q.cancel(h[2]);  // middle
+  q.cancel(h[4]);  // last
+  q.schedule(6, record(50));  // takes the last entry's slot
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.cancelled_in_heap(), 0u);  // the wheel holds no dead entry
+  q.schedule(5, record(6));                 // appends after the new last
+  q.schedule_keyed(5, old_key, record(5));  // walks in between
+  q.schedule(5, record(7), /*late=*/true);
+  EXPECT_EQ(q.size(), 7u);
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(fired, (std::vector<int>{1, 3, 5, 6, 7, 50, 100}));
+
+  // Emptying the earliest bucket moves the head to the next one.
+  auto a = q.schedule(20, [] {});
+  auto b = q.schedule(20, [] {});
+  q.schedule(30, [] {});
+  q.cancel(b);
+  EXPECT_EQ(q.next_time(), 20);
+  q.cancel(a);
+  EXPECT_EQ(q.next_time(), 30);
+  q.pop();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), kTimeNever);
+}
+
+// On a dense tick, an insert whose place lies deep in the bucket's list
+// goes to the heap instead of walking it, and still fires in key order;
+// one that belongs at either end of the list stays in the wheel.
+TEST(EventQueueTierTest, DenseTickSendsDeepInsertsToTheHeap) {
+  EventQueue q;
+  std::vector<int> fired;
+  auto record = [&fired](int id) { return [&fired, id] { fired.push_back(id); }; };
+  const std::uint64_t lane_key = q.reserve_key();
+  for (int i = 0; i < 20; ++i) q.schedule(5, record(i + 1));
+  q.schedule(5, record(100), /*late=*/true);
+  q.schedule(5, record(21));  // behind twenty normal events: the heap
+  auto deep = q.schedule(5, record(22));
+  q.schedule_keyed(5, lane_key, record(0));  // the oldest key: at the front
+  auto tail = q.schedule(5, record(101), /*late=*/true);  // appended
+  q.cancel(tail);
+  EXPECT_EQ(q.cancelled_in_heap(), 0u);  // a wheel entry unlinks at once
+  q.cancel(deep);
+  EXPECT_EQ(q.cancelled_in_heap(), 1u);  // parked behind the heap's top
+  q.schedule(5, record(22));
+  std::vector<int> expected(22);
+  std::iota(expected.begin(), expected.end(), 0);
+  expected.push_back(22);
+  expected.push_back(100);
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(fired, expected);
+}
+
+// A ticker marches over ten wheel spans; at each stop it schedules probes
+// at its own tick, at the last wheel tick, at the first heap tick and just
+// beyond, so buckets are reused across wraps while other ticks occupy
+// them. Each event must fire at its own time, in (time, key) order.
+TEST(EventQueueTierTest, WheelWrapsAroundManySpans) {
+  EventQueue q;
+  using Key = std::pair<Time, std::uint64_t>;  // (time, insertion order)
+  std::vector<Key> scheduled;
+  std::vector<Key> fired;
+  std::uint64_t seq = 0;
+  auto probe = [&](Time at) {
+    const Key key{at, seq++};
+    scheduled.push_back(key);
+    q.schedule(at, [&fired, key] { fired.push_back(key); });
+  };
+  std::function<void(Time)> tick = [&](Time t) {
+    scheduled.push_back(Key{t, seq});
+    q.schedule(t, [&, t, key = Key{t, seq++}] {
+      fired.push_back(key);
+      for (const Time d : {Time{0}, kSpan - 1, kSpan, kSpan + 1}) probe(t + d);
+      if (t < 10 * kSpan) tick(t + 85);
+    });
+  };
+  tick(0);
+  Time last = 0;
+  while (!q.empty()) {
+    auto p = q.pop();
+    ASSERT_GE(p.time, last);
+    last = p.time;
+    const std::size_t before = fired.size();
+    p.action();
+    ASSERT_EQ(fired.size(), before + 1);
+    ASSERT_EQ(fired.back().first, p.time) << "event fired off its tick";
+  }
+  std::sort(scheduled.begin(), scheduled.end());
+  EXPECT_EQ(fired, scheduled);
+  EXPECT_GT(last, 10 * kSpan);
+}
+
+// A standalone queue may schedule below the last popped time: that event
+// goes to the heap and pops first, and the wheel keeps its window, so a
+// later schedule below it still goes to the heap.
+TEST(EventQueueTierTest, ScheduleBelowTheLastPoppedTime) {
+  EventQueue q;
+  auto nop = [] {};
+  advance_to(q, 500);
+  q.schedule(600, nop);
+  q.schedule(700, nop);
+  q.schedule(100, nop);  // in the past of the window
+  q.schedule(501, nop);
+  EXPECT_EQ(q.next_time(), 100);
+  EXPECT_EQ(q.pop().time, 100);
+  q.schedule(300, nop);   // still below the window: it did not move back
+  q.schedule(1000, nop);  // far
+  std::vector<Time> times;
+  while (!q.empty()) times.push_back(q.pop().time);
+  EXPECT_EQ(times, (std::vector<Time>{300, 501, 600, 700, 1000}));
+}
+
+// Randomized differential across both tiers: delays straddle the wheel's
+// horizon (0–8, span−6..span+6, 10^4), lanes with those delays keep only
+// their heads queued, and cancels hit both tiers. The std::map reference
+// holds every event under (time, late, seq).
+TEST(EventQueueTierTest, RandomizedTiersMatchReferenceModel) {
+  EventQueue q;
+  std::mt19937_64 rng(0x7133);
+  using Key = std::tuple<Time, bool, std::uint64_t>;
+  std::map<Key, int> reference;
+  std::vector<std::pair<EventHandle, Key>> outstanding;
+  std::uint64_t next_seq = 1;
+  Time now = 0;
+  int next_id = 0;
+  int fired = 0;
+  auto delay = [&rng]() -> Time {
+    switch (rng() % 3) {
+      case 0: return static_cast<Time>(rng() % 9);
+      case 1: return kSpan - 6 + static_cast<Time>(rng() % 13);
+      default: return 10'000;
+    }
+  };
+  auto ref_key = [](Time t, std::uint64_t key) {
+    return Key{t, (key >> 63) != 0, key & ((std::uint64_t{1} << 63) - 1)};
+  };
+  auto fire_check = [&](int id, const Key& key) {
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(reference.begin()->second, id);
+    EXPECT_EQ(reference.begin()->first, key);
+    reference.erase(reference.begin());
+    ++fired;
+  };
+  struct Pending {
+    Time time;
+    std::uint64_t key;
+    int id;
+  };
+  struct Lane {
+    Time delay = 0;
+    bool late = false;
+    std::deque<Pending> wire;
+  };
+  std::vector<Lane> lanes(9);
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    lanes[k].delay = delay();
+    lanes[k].late = (k % 2) == 0;
+  }
+  std::function<void(std::size_t)> schedule_head = [&](std::size_t k) {
+    const Pending& head = lanes[k].wire.front();
+    q.schedule_keyed(head.time, head.key, [&, k] {
+      const Pending p = lanes[k].wire.front();
+      lanes[k].wire.pop_front();
+      if (!lanes[k].wire.empty()) schedule_head(k);
+      fire_check(p.id, ref_key(p.time, p.key));
+    });
+  };
+  auto lane_send = [&](std::size_t k) {
+    Lane& lane = lanes[k];
+    const std::uint64_t key = q.reserve_key(lane.late);
+    ++next_seq;
+    const int id = next_id++;
+    lane.wire.push_back(Pending{now + lane.delay, key, id});
+    reference.emplace(ref_key(now + lane.delay, key), id);
+    if (lane.wire.size() == 1) schedule_head(k);
+  };
+  auto plain_schedule = [&](Time at, bool late) {
+    const int id = next_id++;
+    const Key key{at, late, next_seq++};
+    EventHandle h = q.schedule(at, [&, id, key] { fire_check(id, key); }, late);
+    reference.emplace(key, id);
+    outstanding.emplace_back(h, key);
+  };
+
+  for (int step = 0; step < 60'000; ++step) {
+    const auto roll = rng() % 100;
+    if (roll < 20) {
+      const std::size_t k = rng() % lanes.size();
+      const int n = 1 + static_cast<int>(rng() % 3);
+      for (int i = 0; i < n; ++i) lane_send(k);
+    } else if (roll < 55 || q.empty()) {
+      plain_schedule(now + delay(), (rng() % 4) == 0);
+    } else if (roll < 70 && !outstanding.empty()) {
+      const std::size_t i = rng() % outstanding.size();
+      q.cancel(outstanding[i].first);
+      reference.erase(outstanding[i].second);
+      outstanding.erase(outstanding.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      ASSERT_EQ(q.next_time(), std::get<0>(reference.begin()->first));
+      auto p = q.pop();
+      ASSERT_GE(p.time, now);
+      now = p.time;
+      p.action();
+      if ((rng() % 6) == 0) plain_schedule(now, false);  // re-entrant
+    }
+    std::size_t waiting = 0;
+    for (const Lane& lane : lanes)
+      waiting += lane.wire.empty() ? 0 : lane.wire.size() - 1;
+    ASSERT_EQ(q.size() + waiting, reference.size());
+  }
+  while (!q.empty()) q.pop().action();
+  EXPECT_TRUE(reference.empty());
+  EXPECT_GT(fired, 20'000);
 }
 
 }  // namespace

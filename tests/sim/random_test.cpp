@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 namespace wormcast {
 namespace {
@@ -96,6 +99,46 @@ TEST(RandomStream, PickReturnsContainedElement) {
   for (int i = 0; i < 100; ++i) {
     const int x = rng.pick(v);
     EXPECT_TRUE(x == 10 || x == 20 || x == 30);
+  }
+}
+
+// The engine is built on the first sequential draw, yet a stream draws
+// exactly what an engine seeded up front draws, and a copy made before or
+// after the first draw continues from the original's state at the copy.
+TEST(RandomStream, LazyEngineDrawsTheEagerSequence) {
+  constexpr std::uint64_t kSeed = 0x5EED;
+  std::mt19937_64 eager(kSeed);
+  std::vector<std::int64_t> expected;
+  for (int i = 0; i < 100; ++i)
+    expected.push_back(
+        std::uniform_int_distribution<std::int64_t>(0, 1 << 20)(eager));
+
+  RandomStream lazy(kSeed);
+  (void)lazy.keyed_uniform(0, 9, 1, 2);  // keyed draws use the seed alone
+  EXPECT_EQ(lazy.heap_bytes(), 0u);
+  const RandomStream copied_before(lazy);
+  RandomStream assigned_before(1);
+  assigned_before = lazy;
+  std::vector<std::int64_t> drawn;
+  for (int i = 0; i < 50; ++i) drawn.push_back(lazy.uniform(0, 1 << 20));
+  EXPECT_EQ(lazy.heap_bytes(), sizeof(std::mt19937_64));
+  RandomStream copied_after(lazy);
+  RandomStream assigned_after(2);
+  assigned_after = lazy;
+  for (int i = 50; i < 100; ++i) drawn.push_back(lazy.uniform(0, 1 << 20));
+  EXPECT_EQ(drawn, expected);
+
+  for (int i = 50; i < 100; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    EXPECT_EQ(copied_after.uniform(0, 1 << 20), expected[k]);
+    EXPECT_EQ(assigned_after.uniform(0, 1 << 20), expected[k]);
+  }
+  RandomStream from_before(copied_before);
+  EXPECT_EQ(from_before.heap_bytes(), 0u);
+  for (int i = 0; i < 100; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    EXPECT_EQ(from_before.uniform(0, 1 << 20), expected[k]);
+    EXPECT_EQ(assigned_before.uniform(0, 1 << 20), expected[k]);
   }
 }
 
